@@ -12,10 +12,11 @@ no admissible rewrite repairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .exts import EXT_ZERO, ExtRational
-from .feynman import FeynmanGraph, canonical_form, edge_classes
+from .feynman import FeynmanGraph, canonical_form
 from .powercount import (
     ConditionReport,
     LabelledGraph,
@@ -24,10 +25,10 @@ from .powercount import (
     check_conditions,
     critical_blocks,
     dtest_normalise,
-    ibp_at_edge,
-    ibp_maps_at_edge,
+    ibp_maps,
     lambda_exponent,
     lambda_penalty,
+    partial_ibp,
 )
 
 VANISHES = "VanishesViaAdjustment"
@@ -101,30 +102,10 @@ def canonical_root_condition_ok(graph: FeynmanGraph) -> bool:
     return not check_conditions(labelled).cond3
 
 
-def _joint_maps(graph: FeynmanGraph, estar_set) -> list[dict[int, int]]:
-    """All simultaneous receiver assignments at the rewritten edges' ends."""
-    import itertools
-
-    from .powercount import ibp_receiver_choices
-
-    slots = []
-    for estar in estar_set:
-        e = graph.edges[estar]
-        for v in (e.tail, e.head):
-            choices = ibp_receiver_choices(graph, v)
-            if not choices:
-                return []
-            slots.append([(v, c) for c in choices])
-    return [dict(combo) for combo in itertools.product(*slots)]
-
-
 def _try_witness(graph: FeynmanGraph, estar_set) -> tuple[bool, list[WitnessCase]]:
-    from .powercount import partial_ibp
-
     estar_set = sorted(estar_set)
     cases = []
-    maps = _joint_maps(graph, estar_set)
-    for moves in maps:
+    for moves in ibp_maps(graph, estar_set):
         try:
             rewritten = partial_ibp(graph, moves)
         except ValueError:
@@ -161,8 +142,6 @@ def classify(
         return Classification(
             IN_G3, alpha, detail="root-anchored condition fails under canonical labels"
         )
-
-    import itertools
 
     singles = [[e] for e in candidates]
     pairs = [list(c) for c in itertools.combinations(candidates, 2)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,17 +35,29 @@ def _emit(args, text: str) -> None:
 
 
 def _parse_eps_list(text: str) -> list[float]:
-    """Either a single value (``1/8``, ``0.125``, ``2^-3``) or ``2^-3..2^-6``."""
+    """Either a single value (``1/8``, ``0.125``, ``2^-3``) or ``2^-3..2^-6``.
+
+    Scales must be finite and positive, and a range must descend.
+    """
 
     def one(tok: str) -> float:
-        if "^" in tok:
-            base, expo = tok.split("^")
-            return float(base) ** float(expo)
-        return float(Fraction(tok))
+        try:
+            if "^" in tok:
+                base, expo = tok.split("^")
+                value = float(base) ** float(expo)
+            else:
+                value = float(Fraction(tok))
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+        if not (isinstance(value, float) and math.isfinite(value) and value > 0):
+            raise ValueError(f"scale {tok!r} is not a finite positive number")
+        return value
 
     if ".." in text:
         lo, hi = text.split("..")
         v0, v1 = one(lo), one(hi)
+        if v0 < v1:
+            raise ValueError(f"scale range {text!r} must descend")
         out = [v0]
         while out[-1] > v1 * 1.0001:
             out.append(out[-1] / 2.0)
@@ -58,11 +71,7 @@ def _parse_eps_list(text: str) -> list[float]:
 def cmd_symbols(args) -> int:
     from .symbols import generate, homogeneity
 
-    try:
-        syms = generate(args.structure, args.side)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    syms = generate(args.structure, args.side)
     rows = sorted(
         ((str(s), str(homogeneity(s, args.structure))) for s in syms),
         key=lambda row: row[0],
@@ -81,8 +90,12 @@ def _load_corpus(path: str | None):
 
     if path is None:
         return classification_corpus()
-    with open(path) as fh:
-        fixtures = parse_fixtures(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"no fixture file {path!r}") from None
+    fixtures = parse_fixtures(text)
     return [(name, fx.graph) for name, fx in fixtures.items()]
 
 
@@ -104,6 +117,8 @@ def cmd_graphs(args) -> int:
     if args.action == "pair":
         from .corpus import load_graph
 
+        if not args.graph:
+            raise ValueError("graphs pair needs --graph")
         graph = load_graph(args.graph) if ":" in args.graph else _dict_lookup(args)
         pairs = wick_pairings(graph, args.constraint)
         lines = [f"{g.name}: vertices={len(g.kinds)} edges={len(g.edges)} coeff={g.coeff}"
@@ -140,6 +155,8 @@ def cmd_graphs(args) -> int:
 
 def _dict_lookup(args):
     corpus = dict(_load_corpus(args.corpus))
+    if args.graph not in corpus:
+        raise ValueError(f"no graph {args.graph!r} in the corpus")
     return corpus[args.graph]
 
 
@@ -165,8 +182,9 @@ def cmd_constants(args) -> int:
     if args.action == "geps":
         from .kernels import SquareKernel
 
+        eps_list = _parse_eps_list(args.eps)
         kernel = SquareKernel(resolution=args.resolution)
-        for eps in _parse_eps_list(args.eps):
+        for eps in eps_list:
             total = kernel.integral(eps)
             rows.append(("square_kernel_integral", repr(eps), str(args.resolution),
                          repr(total), "", "scale-invariance"))
@@ -219,41 +237,37 @@ def cmd_mc(args) -> int:
         return 0
 
     eps_list = _parse_eps_list(args.eps)
-    try:
-        if args.action == "xiixi":
-            crho = crho_squared("spatial", args.resolution).value
-            table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
-                                      crho_sq=crho)
-            rows = [("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
-                     "k4_ratio", "k4_se", "seed")]
-            for row in table:
-                rows.append(tuple(repr(row[k]) if isinstance(row[k], float) else row[k]
-                                  for k in rows[0]))
-            _emit(args, _csv(rows))
-            return 0
+    if args.action == "xiixi":
+        crho = crho_squared("spatial", args.resolution).value
+        table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
+                                  crho_sq=crho)
+        rows = [("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
+                 "k4_ratio", "k4_se", "seed")]
+        for row in table:
+            rows.append(tuple(repr(row[k]) if isinstance(row[k], float) else row[k]
+                              for k in rows[0]))
+        _emit(args, _csv(rows))
+        return 0
 
-        if args.action == "weighted":
-            phi = bump_field(args.n, radius=0.25)
-            x = torus_coords(args.n)
-            xj = (x[:, None] if args.axis == 1 else x[None, :]) * np.ones((args.n, args.n))
-            crho = crho_squared("spatial", args.resolution).value
-            target = crho * float(np.sum((xj * phi) ** 2)) / (args.n**2)
-            rows = [("eps", "n", "samples", "which", "axis", "var_ratio", "mean",
-                     "mean_se", "seed")]
-            for eps in eps_list:
-                values = np.array(
-                    [pi_weighted(sample_noise(args.n, s), eps, phi, args.which, args.axis)
-                     for s in sample_seeds(args.seed, args.samples)]
-                )
-                stats = estimate_stats(values)
-                rows.append((repr(eps), args.n, args.samples, args.which, args.axis,
-                             repr(stats.variance / target), repr(stats.mean),
-                             repr(stats.mean_se), args.seed))
-            _emit(args, _csv(rows))
-            return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.action == "weighted":
+        phi = bump_field(args.n, radius=0.25)
+        x = torus_coords(args.n)
+        xj = (x[:, None] if args.axis == 1 else x[None, :]) * np.ones((args.n, args.n))
+        crho = crho_squared("spatial", args.resolution).value
+        target = crho * float(np.sum((xj * phi) ** 2)) / (args.n**2)
+        rows = [("eps", "n", "samples", "which", "axis", "var_ratio", "mean",
+                 "mean_se", "seed")]
+        for eps in eps_list:
+            values = np.array(
+                [pi_weighted(sample_noise(args.n, s), eps, phi, args.which, args.axis)
+                 for s in sample_seeds(args.seed, args.samples)]
+            )
+            stats = estimate_stats(values)
+            rows.append((repr(eps), args.n, args.samples, args.which, args.axis,
+                         repr(stats.variance / target), repr(stats.mean),
+                         repr(stats.mean_se), args.seed))
+        _emit(args, _csv(rows))
+        return 0
     return 2
 
 
@@ -276,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="fixture file (defaults to the shipped corpus)")
     p.add_argument("--graph", help="file:name of a stochastic graph (pair)")
     p.add_argument("--constraint", default="all")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_graphs)
 
     p = sub.add_parser("constants", help="kernel constants and limits")
@@ -302,7 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Bad values reach the commands as ValueError: a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

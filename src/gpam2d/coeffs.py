@@ -63,10 +63,6 @@ class Poly:
         return Poly()
 
     @staticmethod
-    def const(c) -> "Poly":
-        return Poly({(): Fraction(c)})
-
-    @staticmethod
     def letter(letter: Letter, c=1) -> "Poly":
         return Poly({((letter, 1),): Fraction(c)})
 
@@ -152,9 +148,6 @@ class Poly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-_TOKEN = re.compile(r"\s*(-?\d+(?:/\d+)?|[a-z]+'*(?:\^\d+)?)\s*")
 
 
 def parse_poly(text: str) -> Poly:

@@ -64,7 +64,10 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
         fixtures[current] = Fixture(graph=graph, labels=dict(labels), ref=meta.get("ref", ""))
         current, vmap, kinds, edges, labels, meta = None, {}, {}, [], {}, {}
 
-    for raw in text.splitlines():
+    def bad(why: str) -> ValueError:
+        return ValueError(f"fixture line {lineno}: {why}: {raw!r}")
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,6 +76,8 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
         if head == "graph":
             flush()
             current = parts[1]
+            if current in fixtures:
+                raise bad(f"duplicate graph {current!r}")
         elif head == "ref":
             meta["ref"] = " ".join(parts[1:])
         elif head == "expect":
@@ -81,10 +86,15 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             meta[head] = Fraction(parts[1])
         elif head == "v":
             name, kind = parts[1], parts[2]
+            if name in vmap:
+                raise bad(f"duplicate vertex {name!r}")
             vmap[name] = len(vmap)
             kinds[vmap[name]] = kind
         elif head == "e":
             tail, headv, tag = parts[1], parts[2], parts[3]
+            for name in (tail, headv):
+                if name not in vmap:
+                    raise bad(f"undeclared vertex {name!r}")
             eps = Fraction(0)
             for extra in parts[4:]:
                 if extra.startswith("eps="):
@@ -98,9 +108,11 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
                     a = parse_ext(extra[2:])
                 elif extra.startswith("r="):
                     r = int(extra[2:])
+            if a is None or r is None:
+                raise bad("label needs both a= and r=")
             labels[idx] = (a, r)
         else:
-            raise ValueError(f"bad fixture line: {raw!r}")
+            raise bad("unknown directive")
     flush()
     return fixtures
 
@@ -112,7 +124,13 @@ def load_file(name: str) -> dict[str, Fixture]:
 def load_graph(spec: str) -> FeynmanGraph:
     """Load ``file:graph`` from the shipped fixtures."""
     fname, gname = spec.split(":")
-    return load_file(fname)[gname].graph
+    try:
+        fixtures = load_file(fname)
+    except FileNotFoundError:
+        raise ValueError(f"no fixture file {fname!r}") from None
+    if gname not in fixtures:
+        raise ValueError(f"no graph {gname!r} in {fname}")
+    return fixtures[gname].graph
 
 
 @dataclass

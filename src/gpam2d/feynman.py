@@ -130,21 +130,6 @@ class FeynmanGraph:
     def eps_total(self) -> Fraction:
         return self.prefactor + sum((e.eps for e in self.edges), Fraction(0))
 
-    def is_connected(self) -> bool:
-        verts = self.vertices()
-        seen = {verts[0]}
-        stack = [verts[0]]
-        adj: dict[int, set[int]] = {v: set() for v in verts}
-        for e in self.edges:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
-
     def renamed(self, mapping: dict[int, int], name: str | None = None) -> "FeynmanGraph":
         return FeynmanGraph(
             kinds={mapping[v]: k for v, k in self.kinds.items()},
@@ -339,6 +324,51 @@ def _parse_sigma_constraint(constraint, n: int):
     return constraint
 
 
+def _copies(stochastic: FeynmanGraph, k: int) -> list[FeynmanGraph]:
+    """``k`` copies sharing the root; copy ``c`` shifts the other ids by ``c*base``."""
+    base = max(stochastic.kinds) + 1
+    return [
+        stochastic.renamed(
+            {v: (stochastic.root if v == stochastic.root else v + c * base) for v in stochastic.kinds}
+        )
+        for c in range(k)
+    ]
+
+
+def _contract(stochastic: FeynmanGraph, copies: list[FeynmanGraph], pairs, name: str) -> FeynmanGraph:
+    """Glue the copies at the root and contract each noise pair.
+
+    ``pairs`` lists ``((c1, v), (c2, w))``: noise node ``v`` of copy ``c1``
+    meets node ``w`` of copy ``c2``.  Epsilon budgets add, the coefficient is
+    raised to the number of copies and carries the product of merge signs.
+    """
+    kinds: dict[int, str] = {}
+    for copy in copies:
+        kinds |= copy.kinds
+    edges = [
+        e
+        for copy in copies
+        for e in copy.edges
+        if copy.kinds[e.tail] != NOISE and copy.kinds[e.head] != NOISE
+    ]
+    sign = 1
+    for (c1, v), (c2, w) in pairs:
+        e1 = _mollifier_stub(copies[c1], v)
+        e2 = _mollifier_stub(copies[c2], w)
+        merged, s = _merge_mollifiers(e1, e1.other(v), e2, e2.other(w))
+        edges.append(merged)
+        sign *= s
+        del kinds[v], kinds[w]
+    k = len(copies)
+    return FeynmanGraph(
+        kinds=kinds,
+        edges=edges,
+        prefactor=k * stochastic.prefactor,
+        coeff=stochastic.coeff ** k * sign,
+        name=name,
+    )
+
+
 def wick_pairings(stochastic: FeynmanGraph, constraint="all") -> list[FeynmanGraph]:
     """Second-moment pairings: one Feynman graph per admitted permutation.
 
@@ -346,45 +376,20 @@ def wick_pairings(stochastic: FeynmanGraph, constraint="all") -> list[FeynmanGra
     sigma(i) of the second, each pair is contracted (composing mollifiers),
     and the two roots are identified.  Epsilon budgets add.
     """
-    noises = stochastic.noise_vertices()
-    n = len(noises)
+    n = len(stochastic.noise_vertices())
     admit = _parse_sigma_constraint(constraint, n)
     if n == 0:
         return [stochastic]
 
+    copies = _copies(stochastic, 2)
+    first, second = (copy.noise_vertices() for copy in copies)
     out = []
-    base = max(stochastic.kinds) + 1
     for sigma in itertools.permutations(range(1, n + 1)):
         if not admit(sigma):
             continue
-        copy2 = stochastic.renamed(
-            {v: (stochastic.root if v == stochastic.root else v + base) for v in stochastic.kinds}
-        )
-        noises2 = [v + base for v in noises]
-        kinds = dict(stochastic.kinds) | dict(copy2.kinds)
-        edges: list[Edge] = []
-        sign = 1
-        for copy, noise_list in ((stochastic, noises), (copy2, noises2)):
-            for e in copy.edges:
-                if copy.kinds[e.tail] != NOISE and copy.kinds[e.head] != NOISE:
-                    edges.append(e)
-        for i, v in enumerate(noises):
-            w = noises2[sigma[i] - 1]
-            e1 = _mollifier_stub(stochastic, v)
-            e2 = _mollifier_stub(copy2, w)
-            merged, s = _merge_mollifiers(e1, e1.other(v), e2, e2.other(w))
-            edges.append(merged)
-            sign *= s
-            del kinds[v], kinds[w]
-        out.append(
-            FeynmanGraph(
-                kinds=kinds,
-                edges=edges,
-                prefactor=2 * stochastic.prefactor,
-                coeff=stochastic.coeff * stochastic.coeff * sign,
-                name=f"{stochastic.name}|{''.join(map(str, sigma))}",
-            )
-        )
+        pairs = [((0, v), (1, second[j - 1])) for v, j in zip(first, sigma)]
+        name = f"{stochastic.name}|{''.join(map(str, sigma))}"
+        out.append(_contract(stochastic, copies, pairs, name))
     return out
 
 
@@ -397,18 +402,10 @@ def fourth_cumulant_graphs(stochastic: FeynmanGraph, dedup: bool = True) -> list
     a purely Gaussian input has no connected pairing at all).  With ``dedup``
     the result is reduced modulo isomorphism.
     """
-    noises = stochastic.noise_vertices()
-    n = len(noises)
-    if n == 0:
+    if not stochastic.noise_vertices():
         return []
-    base = max(stochastic.kinds) + 1
-    copies = [
-        stochastic.renamed(
-            {v: (stochastic.root if v == stochastic.root else v + c * base) for v in stochastic.kinds}
-        )
-        for c in range(4)
-    ]
-    items = [(c, v + c * base) for c in range(4) for v in noises]
+    copies = _copies(stochastic, 4)
+    items = [(c, v) for c, copy in enumerate(copies) for v in copy.noise_vertices()]
 
     def pairings(pool):
         if not pool:
@@ -439,29 +436,7 @@ def fourth_cumulant_graphs(stochastic: FeynmanGraph, dedup: bool = True) -> list
         if not cross or len({find(c) for c in range(4)}) != 1:
             continue
 
-        kinds: dict[int, str] = {}
-        for copy in copies:
-            kinds |= copy.kinds
-        edges: list[Edge] = []
-        sign = 1
-        for copy in copies:
-            for e in copy.edges:
-                if copy.kinds[e.tail] != NOISE and copy.kinds[e.head] != NOISE:
-                    edges.append(e)
-        for (c1, v), (c2, w) in matching:
-            e1 = _mollifier_stub(copies[c1], v)
-            e2 = _mollifier_stub(copies[c2], w)
-            merged, s = _merge_mollifiers(e1, e1.other(v), e2, e2.other(w))
-            edges.append(merged)
-            sign *= s
-            del kinds[v], kinds[w]
-        graph = FeynmanGraph(
-            kinds=kinds,
-            edges=edges,
-            prefactor=4 * stochastic.prefactor,
-            coeff=stochastic.coeff ** 4 * sign,
-            name=f"{stochastic.name}|k4",
-        )
+        graph = _contract(stochastic, copies, matching, f"{stochastic.name}|k4")
         if dedup:
             key = canonical_form(graph)
             if key in seen:

@@ -379,12 +379,6 @@ class GepsGrid:
         return np.fft.ifft2(np.fft.fft2(self.field) * np.fft.fft2(f)).real * mesh2
 
 
-def geps(x, eps: float, n: int = 512, mol: Mollifier | None = None,
-         resolution: int = 256) -> float:
-    """Pointwise epsilon-scale kernel from the FFT grid backend."""
-    return GepsGrid(n, eps, mol, resolution).value(x)
-
-
 def gconv_limits_check(eps: float, f: np.ndarray | None = None,
                        phi: np.ndarray | None = None, n: int = 512,
                        mol: Mollifier | None = None, resolution: int = 256,

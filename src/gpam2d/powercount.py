@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .exts import EXT_ZERO, KB, KB2, SQRT_KB, ExtRational, as_ext
 from .feynman import (
-    Edge,
     EdgeType,
     FeynmanGraph,
     MOLLIFIER_TAGS,
@@ -124,18 +123,11 @@ class LabelledGraph:
     def r(self, i: int) -> int:
         return self.labels[i].r
 
-    def __post_init__(self):
-        self._split_cache: dict = {}
-
-
-def mollifier_budget(graph: FeynmanGraph) -> Fraction:
-    return graph.eps_total()
-
 
 def canonical_labelling(graph: FeynmanGraph) -> LabelledGraph:
     """One epsilon per mollifier edge, auxiliary parameter set to zero."""
     classes = edge_classes(graph)
-    budget = mollifier_budget(graph)
+    budget = graph.eps_total()
     if budget != len(classes["E_M"]):
         raise ValueError(
             f"budget mismatch: epsilon^{budget} against {len(classes['E_M'])} mollifiers"
@@ -165,7 +157,7 @@ def distributed_labelling(
             if i in spends:
                 raise ValueError(f"edge {i} is not a mollifier")
             labels.append(base_label(e.etype, kbar))
-    leftover = ExtRational.of(mollifier_budget(graph)) - total
+    leftover = ExtRational.of(graph.eps_total()) - total
     if ExtRational.of(0) > leftover:
         raise ValueError("epsilon distribution exceeds the available budget")
     return LabelledGraph(graph, labels, leftover)
@@ -187,90 +179,57 @@ def labelled_from_fixture(graph: FeynmanGraph, overrides) -> LabelledGraph:
 # Degrees
 
 
-def _edge_sets(graph: FeynmanGraph, labelled: LabelledGraph, vbar: frozenset):
-    """The in/up/down/touching splits of the edge set for a vertex subset."""
-    cached = labelled._split_cache.get(vbar)
-    if cached is not None:
-        return cached
-    e0, up, down, touching = [], [], [], []
-    for i, e in enumerate(graph.edges):
+# Each edge adds ``c_a*a_e + c_r*r_e + c`` to a degree, with the row
+# ``(c_a, c_r, c)`` chosen by where the edge sits relative to the subset:
+# both ends inside; tail only, r_e > 0; head only, r_e > 0; one end inside,
+# r_e <= 0.  Edges with no end inside add nothing.
+_DEG2_TABLE = ((-1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+_DEG3_TABLE = ((-1, 0, 0), (-1, -1, 1), (0, 1, 0), (0, 0, 0))
+_DEG4_TABLE = ((1, 0, 0), (1, 1, 0), (0, -1, 1), (1, 0, 0))
+
+
+def _degree(labelled: LabelledGraph, vbar: frozenset, base: int, table) -> ExtRational:
+    q0, qh, q1, q2 = base, 0, 0, 0
+    for e, label in zip(labelled.graph.edges, labelled.labels):
         tin = e.tail in vbar
         hin = e.head in vbar
-        if tin or hin:
-            touching.append(i)
         if tin and hin:
-            e0.append(i)
-        elif labelled.r(i) > 0:
-            if tin:
-                up.append(i)
-            elif hin:
-                down.append(i)
-    result = (e0, up, down, touching)
-    labelled._split_cache[vbar] = result
-    return result
+            ca, cr, c = table[0]
+        elif not (tin or hin):
+            continue
+        elif label.r <= 0:
+            ca, cr, c = table[3]
+        else:
+            ca, cr, c = table[1] if tin else table[2]
+        if ca:
+            a = label.a
+            q0 += ca * a[0]
+            qh += ca * a[1]
+            q1 += ca * a[2]
+            q2 += ca * a[3]
+        q0 += cr * label.r + c
+    return ExtRational.of(q0, qh, q1, q2)
 
 
 def deg2(labelled: LabelledGraph, vbar) -> ExtRational:
-    graph = labelled.graph
     vbar = frozenset(vbar)
-    if graph.root in vbar or len(vbar) < 3:
+    if labelled.graph.root in vbar or len(vbar) < 3:
         raise ValueError("interior condition wants >= 3 vertices away from the root")
-    e0, _, _, _ = _edge_sets(graph, labelled, vbar)
-    q0, qh, q1, q2 = 2 * (len(vbar) - 1), 0, 0, 0
-    for i in e0:
-        a = labelled.labels[i].a
-        q0 -= a[0]
-        qh -= a[1]
-        q1 -= a[2]
-        q2 -= a[3]
-    return ExtRational.of(q0, qh, q1, q2)
+    return _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG2_TABLE)
 
 
 def deg3(labelled: LabelledGraph, vbar) -> ExtRational:
-    graph = labelled.graph
     vbar = frozenset(vbar)
-    if graph.root not in vbar or len(vbar) < 2:
+    if labelled.graph.root not in vbar or len(vbar) < 2:
         raise ValueError("root condition wants the root plus at least one vertex")
-    e0, up, down, _ = _edge_sets(graph, labelled, vbar)
-    q0, qh, q1, q2 = 2 * (len(vbar) - 1), 0, 0, 0
-    for i in e0:
-        a = labelled.labels[i].a
-        q0 -= a[0]
-        qh -= a[1]
-        q1 -= a[2]
-        q2 -= a[3]
-    for i in up:
-        a = labelled.labels[i].a
-        q0 -= a[0] + labelled.labels[i].r - 1
-        qh -= a[1]
-        q1 -= a[2]
-        q2 -= a[3]
-    for i in down:
-        q0 += labelled.labels[i].r
-    return ExtRational.of(q0, qh, q1, q2)
+    return _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG3_TABLE)
 
 
 def deg4(labelled: LabelledGraph, vbar) -> ExtRational:
-    graph = labelled.graph
     vbar = frozenset(vbar)
-    if not vbar or vbar & graph.tested_vertices():
+    if not vbar or vbar & labelled.graph.tested_vertices():
         raise ValueError("inner condition wants a nonempty subset avoiding tested vertices")
-    _, up, down, touching = _edge_sets(graph, labelled, vbar)
-    down_set = set(down)
-    q0, qh, q1, q2 = -2 * len(vbar), 0, 0, 0
-    for i in touching:
-        if i in down_set:
-            continue
-        a = labelled.labels[i].a
-        q0 += a[0]
-        qh += a[1]
-        q1 += a[2]
-        q2 += a[3]
-    for i in up:
-        q0 += labelled.labels[i].r
-    for i in down:
-        q0 -= labelled.labels[i].r - 1
-    return ExtRational.of(q0, qh, q1, q2)
+    return _degree(labelled, vbar, -2 * len(vbar), _DEG4_TABLE)
 
 
 def _subsets(pool: list[int], minimum: int):
@@ -497,19 +456,6 @@ def partial_ibp(graph: FeynmanGraph, moves: dict[int, int]) -> FeynmanGraph:
     return graph.with_edges(new_edges, name=f"{graph.name}~ibp")
 
 
-def ibp_at_edge(graph: FeynmanGraph, estar: int, imap: dict[int, int]) -> FeynmanGraph:
-    """Integration by parts at both endpoints of a heavy mollifier edge."""
-    e = graph.edges[estar]
-    if e.etype.tag != "DDRho":
-        raise ValueError("rewrites start from a twice-differentiated mollifier")
-    for v in (e.tail, e.head):
-        if v not in imap:
-            raise ValueError("both endpoints need a receiving edge")
-        if imap[v] == estar:
-            raise ValueError("receiving edge must differ from the rewritten edge")
-    return partial_ibp(graph, {v: imap[v] for v in (e.tail, e.head)})
-
-
 def ibp_receiver_choices(graph: FeynmanGraph, v: int) -> list[int]:
     m = mollifier_at(graph, v)
     out = []
@@ -522,38 +468,14 @@ def ibp_receiver_choices(graph: FeynmanGraph, v: int) -> list[int]:
     return out
 
 
-def ibp_maps_at_edge(graph: FeynmanGraph, estar: int) -> list[dict[int, int]]:
-    e = graph.edges[estar]
-    tails = ibp_receiver_choices(graph, e.tail)
-    heads = ibp_receiver_choices(graph, e.head)
-    return [{e.tail: t, e.head: h} for t in tails for h in heads]
-
-
-def full_ibp_maps(graph: FeynmanGraph) -> list[dict[int, int]]:
-    """All assignments moving every mollifier derivative off its edge."""
-    slots: list[list[tuple[int, int]]] = []
-    for i, e in enumerate(graph.edges):
-        derivs = _DERIVS_BY_MOLL.get(e.etype.tag)
-        if not derivs:
-            continue
-        for v in (e.tail, e.head) if derivs == 2 else ():
-            slots.append([(v, t) for t in ibp_receiver_choices(graph, v)])
-        if derivs == 1:
-            choices = []
-            for v in (e.tail, e.head):
-                choices += [(v, t) for t in ibp_receiver_choices(graph, v)]
-            slots.append(choices)
-    out = []
-    for assignment in itertools.product(*slots):
-        moves = dict(assignment)
-        if len(moves) != len(assignment):
-            continue  # one derivative per vertex
-        try:
-            partial_ibp(graph, moves)
-        except ValueError:
-            continue
-        out.append(moves)
-    return out
+def ibp_maps(graph: FeynmanGraph, estar_set) -> list[dict[int, int]]:
+    """All simultaneous receiver assignments at the rewritten edges' ends."""
+    slots = [
+        [(v, c) for c in ibp_receiver_choices(graph, v)]
+        for estar in estar_set
+        for v in (graph.edges[estar].tail, graph.edges[estar].head)
+    ]
+    return [dict(combo) for combo in itertools.product(*slots)]
 
 
 # ---------------------------------------------------------------------------

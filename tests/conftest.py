@@ -14,7 +14,6 @@ from fractions import Fraction
 from gpam2d.exts import ExtRational
 from gpam2d.feynman import edge_classes, validate_structure
 from gpam2d.powercount import (
-    _edge_sets,
     canonical_labelling,
     deg2,
     deg3,
@@ -47,7 +46,16 @@ def degree_formulas_agree(graph) -> int:
         return len(vbar - matched)
 
     def counts(vbar):
-        e0, up, down, touching = _edge_sets(g, lg, frozenset(vbar))
+        e0, up, down, touching = [], [], [], []
+        for i, e in enumerate(g.edges):
+            tin, hin = e.tail in vbar, e.head in vbar
+            if not (tin or hin):
+                continue
+            touching.append(i)
+            if tin and hin:
+                e0.append(i)
+            elif lg.r(i) > 0:
+                (up if tin else down).append(i)
         return {
             "up_blue": sum(1 for i in up if g.edges[i].etype.tag == "K1"),
             "up_red": sum(1 for i in up if g.edges[i].etype.tag == "K2"),

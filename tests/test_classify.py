@@ -9,7 +9,6 @@ from gpam2d.classify import (
     IN_G3,
     IN_G4,
     VANISHES,
-    _joint_maps,
     _try_witness,
     admissible_rewrite_edges,
     classify,
@@ -106,8 +105,6 @@ class TestKnownDefectIsGenuine:
         graph = load_graph("four_noise_b:b16")
         candidates = admissible_rewrite_edges(graph)
         assert candidates == [4, 5]
-        import itertools
-
         for estar_set in [[4], [5], [4, 5]]:
             ok, cases = _try_witness(graph, estar_set)
             assert not ok, estar_set

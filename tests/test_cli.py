@@ -73,6 +73,30 @@ class TestGraphs:
         assert code == 0
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graphs", "pair"],
+            ["graphs", "pair", "--graph", "nosuch"],
+            ["graphs", "pair", "--graph", "four_noise_a:nosuch"],
+            ["graphs", "pair", "--graph", "nofile:x"],
+            ["constants", "geps", "--eps", "0"],
+            ["constants", "geps", "--eps", "1/4..1"],
+            ["mc", "noise", "--n", "100"],
+        ],
+        ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
+             "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2"],
+    )
+    def test_one_error_line_no_artifact_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
+
 class TestConstantsAndMc:
     def test_crho_route_agreement(self, capsys):
         code, out = run(capsys, "constants", "crho", "--route", "both",

@@ -9,6 +9,7 @@ from gpam2d.corpus import (
     load_file,
     load_graph,
     load_manifest,
+    parse_fixtures,
 )
 from gpam2d.feynman import (
     Edge,
@@ -47,6 +48,22 @@ class TestFixtures:
             by_noise.setdefault(len(fx.graph.noise_vertices()), []).append(name)
         assert sorted(by_noise) == [0, 2, 4]
         assert len(by_noise[0]) == 6 and len(by_noise[2]) == 7 and len(by_noise[4]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph g\nv o root\nv o int\n", "line 3: duplicate vertex"),
+            ("graph g\nv o root\ne x o Test\n", "line 3: undeclared vertex"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 r=0\n", "line 5: label needs"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0\n", "line 5: label needs"),
+            ("graph g\nv o root\n\ngraph g\nv o root\n", "line 4: duplicate graph"),
+        ],
+        ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
+             "duplicate-graph"],
+    )
+    def test_parser_rejects_bad_input_with_line_number(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_fixtures(text)
 
 
 class TestEdgeClasses:

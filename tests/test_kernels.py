@@ -11,7 +11,6 @@ from gpam2d.kernels import (
     bump_field,
     crho_squared,
     gconv_limits_check,
-    geps,
     torus_coords,
 )
 
@@ -135,7 +134,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             GepsGrid(64, 1 / 32, mol, RES)
         with pytest.raises(ValueError):
-            geps([0.0, 0.0], 1 / 512, n=256, mol=mol, resolution=RES)
+            GepsGrid(256, 1 / 512, mol, RES)
 
     def test_zero_field_has_zero_residuals(self, mol):
         n = 128

@@ -17,9 +17,7 @@ from gpam2d.powercount import (
     distributed_labelling,
     dtest_normalise,
     find_critical_subgraphs,
-    full_ibp_maps,
-    ibp_at_edge,
-    ibp_maps_at_edge,
+    ibp_maps,
     labelled_from_fixture,
     lambda_exponent,
     partial_ibp,
@@ -215,7 +213,7 @@ class TestIBP:
         estar = _edge_index(g, "DDRho")
         k_edge = _edge_index(g, "K")
         test_edge = _edge_index(g, "Test")
-        out = ibp_at_edge(g, estar, {g.edges[estar].tail: test_edge, g.edges[estar].head: k_edge})
+        out = partial_ibp(g, {g.edges[estar].tail: test_edge, g.edges[estar].head: k_edge})
         tags = sorted(str(e.etype) for e in out.edges)
         assert tags == ["DTest:1", "Rho", "dK:1"]
 
@@ -225,7 +223,7 @@ class TestIBP:
         e = g.edges[estar]
         left_k1 = _edge_index(g, "K1", tail=2)
         right_k1 = _edge_index(g, "K1", tail=4)
-        out = ibp_at_edge(g, estar, {e.tail: left_k1, e.head: right_k1})
+        out = partial_ibp(g, {e.tail: left_k1, e.head: right_k1})
         assert str(out.edges[left_k1].etype) == "dK1:1"
         assert str(out.edges[right_k1].etype) == "dK1:1"
 
@@ -235,14 +233,14 @@ class TestIBP:
         e = g.edges[estar]
         xtest = _edge_index(g, "XTest")
         k1 = _edge_index(g, "K1")
-        out = ibp_at_edge(g, estar, {e.tail: xtest, e.head: k1})
+        out = partial_ibp(g, {e.tail: xtest, e.head: k1})
         assert str(out.edges[xtest].etype) == "Test"
 
     def test_conservation(self):
         g = load_graph("dumbbell_variance:var-crossed")
         estar = _edge_index(g, "DDRho", tail=2)
-        for moves in ibp_maps_at_edge(g, estar):
-            out = ibp_at_edge(g, estar, moves)
+        for moves in ibp_maps(g, [estar]):
+            out = partial_ibp(g, moves)
             assert set(out.kinds) == set(g.kinds)
             assert out.eps_total() == g.eps_total()
             assert len(edge_classes(out)["E_M"]) == len(edge_classes(g)["E_M"])
@@ -253,7 +251,7 @@ class TestIBP:
         estar = _edge_index(g, "DDRho")
         e = g.edges[estar]
         with pytest.raises(ValueError):
-            ibp_at_edge(g, estar, {e.tail: estar, e.head: estar})
+            partial_ibp(g, {e.tail: estar, e.head: estar})
 
     def test_full_ibp_of_dumbbell_has_split_decomposition(self):
         # Full rewrites of one dumbbell pairing: one graph with both
@@ -262,7 +260,8 @@ class TestIBP:
         from gpam2d.feynman import canonical_form
 
         g = load_graph("dumbbell_variance:var-straight")
-        maps = full_ibp_maps(g)
+        heavy = [i for i, e in enumerate(g.edges) if e.etype.tag == "DDRho"]
+        maps = ibp_maps(g, heavy)
         assert len(maps) == 4
         outs = [partial_ibp(g, m) for m in maps]
         forms = {}
@@ -371,9 +370,8 @@ class TestAdjustedLabelling:
     def _witness(self):
         g = load_graph("four_noise_a:a12")
         estar = _edge_index(g, "DDRho")
-        e = g.edges[estar]
-        moves = ibp_maps_at_edge(g, estar)[0]
-        out = ibp_at_edge(g, estar, moves)
+        moves = ibp_maps(g, [estar])[0]
+        out = partial_ibp(g, moves)
         return out, estar
 
     def test_leftover_positive_with_root_term(self):

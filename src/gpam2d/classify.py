@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .corpus import load_manifest
 from .exts import EXT_ZERO, ExtRational
 from .feynman import FeynmanGraph, canonical_form
 from .powercount import (
@@ -37,6 +38,15 @@ IN_G3 = "InG3"
 IN_G4 = "InG4"
 CRITICAL = "Critical"
 UNCLASSIFIED = "Unclassified"
+
+# The published class manifests, in the order a listed form is looked up;
+# a corpus graph listed in none of them vanishes.
+PUBLISHED_CLASSES = (("crit", CRITICAL), ("g2", IN_G2), ("g3", IN_G3), ("g4", IN_G4))
+
+# The one corpus graph whose published verdict (vanishing) admits no
+# certificate: every admissible rewrite leaves a failing subset, so the
+# pipeline reports InG4.
+PUBLISHED_DEFECT = "four_noise_b:b16"
 
 
 @dataclass
@@ -170,6 +180,20 @@ def manifest_forms(entries) -> frozenset:
         for g in entry.expand():
             forms.add(canonical_form(g))
     return frozenset(forms)
+
+
+def published_forms() -> dict[str, frozenset]:
+    """Canonical forms of each published class manifest, keyed crit/g2/g3/g4."""
+    return {name: manifest_forms(load_manifest(f"class_{name}"))
+            for name, _ in PUBLISHED_CLASSES}
+
+
+def published_verdict(form, forms: dict[str, frozenset]) -> str:
+    """The verdict the published partition gives a canonical form."""
+    for name, verdict in PUBLISHED_CLASSES:
+        if form in forms[name]:
+            return verdict
+    return VANISHES
 
 
 def classify_corpus(corpus, crit_forms=None, g2_forms=None):

@@ -11,8 +11,9 @@ Grammar (one directive per line, ``#`` starts a comment)::
     label <edge-index> a=<extrational> r=<int>
 
 Vertex names are file-local; they are mapped to integer ids in declaration
-order, and noise numbering is declaration order as well.  Class membership
-files are manifests over graph fixtures::
+order, and noise numbering is declaration order as well.  Every directive
+belongs to the ``graph`` line above it, and a label names an edge declared
+above it.  Class membership files are manifests over graph fixtures::
 
     list <name>
     member <file>:<graph>
@@ -26,7 +27,11 @@ from fractions import Fraction
 from importlib import resources
 
 from .exts import ExtRational, parse_ext
-from .feynman import Edge, FeynmanGraph, parse_edge_type, wick_pairings
+from .feynman import INT, NOISE, ROOT, Edge, FeynmanGraph, parse_edge_type, wick_pairings
+
+# Fewest fields on a line, directive included.
+_ARITY = {"graph": 2, "ref": 1, "expect": 2, "coeff": 2, "prefactor": 2, "v": 3, "e": 4,
+          "label": 2}
 
 
 @dataclass
@@ -73,6 +78,12 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             continue
         parts = line.split()
         head = parts[0]
+        if head not in _ARITY:
+            raise bad("unknown directive")
+        if len(parts) < _ARITY[head]:
+            raise bad(f"{head} needs {_ARITY[head] - 1} field(s)")
+        if current is None and head != "graph":
+            raise bad("directive before the first graph line")
         if head == "graph":
             flush()
             current = parts[1]
@@ -86,6 +97,8 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             meta[head] = Fraction(parts[1])
         elif head == "v":
             name, kind = parts[1], parts[2]
+            if kind not in (ROOT, INT, NOISE):
+                raise bad(f"unknown vertex kind {kind!r}")
             if name in vmap:
                 raise bad(f"duplicate vertex {name!r}")
             vmap[name] = len(vmap)
@@ -102,6 +115,8 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             edges.append(Edge(vmap[tail], vmap[headv], parse_edge_type(tag), eps))
         elif head == "label":
             idx = int(parts[1])
+            if not 0 <= idx < len(edges):
+                raise bad(f"no edge {idx}")
             a = r = None
             for extra in parts[2:]:
                 if extra.startswith("a="):
@@ -111,8 +126,6 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             if a is None or r is None:
                 raise bad("label needs both a= and r=")
             labels[idx] = (a, r)
-        else:
-            raise bad("unknown directive")
     flush()
     return fixtures
 

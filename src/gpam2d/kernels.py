@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,9 +25,16 @@ from scipy.special import j0, jv
 
 TWO_PI = 2.0 * math.pi
 
+RESOLUTION = 128  # the one default mollifier resolution
+
+
+@lru_cache(maxsize=32)
+def _legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
 
 def _gauss_nodes(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -39,7 +46,7 @@ class Mollifier:
     convolutions, the Fourier transform) are cached per resolution.
     """
 
-    def __init__(self, profile=None, resolution: int = 256):
+    def __init__(self, profile=None, resolution: int = RESOLUTION):
         self.resolution = resolution
         raw = profile if profile is not None else (
             lambda r: np.exp(-1.0 / np.clip(1.0 - r * r, 1e-300, None))
@@ -175,7 +182,7 @@ def _overlap_integral(mol: Mollifier, order_left: int, order_right: int, rmax: f
     return float(body + tail)
 
 
-def crho_squared(route: str = "spatial", resolution: int = 256, mol: Mollifier | None = None) -> CrhoResult:
+def crho_squared(route: str = "spatial", resolution: int = RESOLUTION, mol: Mollifier | None = None) -> CrhoResult:
     """The limiting noise amplitude squared, by two independent routes.
 
     The spatial route integrates the square kernel at unit scale through
@@ -187,30 +194,27 @@ def crho_squared(route: str = "spatial", resolution: int = 256, mol: Mollifier |
         spatial = crho_squared("spatial", resolution, mol)
         fourier = crho_squared("fourier", resolution, mol)
         return spatial, fourier
-    mol = mol or _default_mollifier(resolution)
-    n = 8 * resolution
-    rmax = 16.0 + resolution / 16.0
-    second = _overlap_integral(mol, 2, 2, rmax, n)
-    if route == "spatial":
-        first = _overlap_integral(mol, 1, 3, rmax, n)
-    elif route == "fourier":
-        sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
-        first = 3.0 / (16.0 * math.pi) * float(np.sum(mol.fourier(sn) ** 4 * sn * sw))
-    else:
+    if route not in ("spatial", "fourier"):
         raise ValueError(f"unknown route {route!r}")
-    value = first + second
+    mol = mol or _default_mollifier(resolution)
+    rmax = 16.0 + resolution / 16.0
+
+    def pieces(n: int) -> float:
+        if route == "spatial":
+            first = _overlap_integral(mol, 1, 3, rmax, n)
+        else:
+            sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), n)
+            first = 3.0 / (16.0 * math.pi) * float(np.sum(mol.fourier(sn) ** 4 * sn * sw))
+        return first + _overlap_integral(mol, 2, 2, rmax, n)
+
+    value = pieces(8 * resolution)
     # Refinement-based error estimate: redo both pieces at half the node count.
-    if route == "spatial":
-        coarse = _overlap_integral(mol, 1, 3, rmax, n // 2)
-    else:
-        sn2, sw2 = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 4 * resolution)
-        coarse = 3.0 / (16.0 * math.pi) * float(np.sum(mol.fourier(sn2) ** 4 * sn2 * sw2))
-    coarse += _overlap_integral(mol, 2, 2, rmax, n // 2)
+    coarse = pieces(4 * resolution)
     return CrhoResult(value, route, resolution, abs(value - coarse))
 
 
 @lru_cache(maxsize=4)
-def _default_mollifier(resolution: int = 256) -> Mollifier:
+def _default_mollifier(resolution: int = RESOLUTION) -> Mollifier:
     return Mollifier(resolution=resolution)
 
 
@@ -228,7 +232,7 @@ class SquareKernel:
     derivative, exact in closed form.
     """
 
-    def __init__(self, mol: Mollifier | None = None, resolution: int = 256):
+    def __init__(self, mol: Mollifier | None = None, resolution: int = RESOLUTION):
         self.mol = mol or _default_mollifier(resolution)
         self.resolution = resolution
         sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
@@ -238,7 +242,6 @@ class SquareKernel:
         for k in (0, 2, 4):
             bess = jv(k, np.outer(rgrid, sn))
             h_parts[k] = bess @ fr2
-        self._rgrid = rgrid
         self._h0 = CubicSpline(rgrid, (3.0 / 8.0) * h_parts[0] / TWO_PI)
         self._h2 = CubicSpline(rgrid, -0.5 * h_parts[2] / TWO_PI)
         self._h4 = CubicSpline(rgrid, (1.0 / 8.0) * h_parts[4] / TWO_PI)
@@ -300,7 +303,7 @@ class SquareKernel:
 
 
 def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
-                        resolution: int = 256) -> dict:
+                        resolution: int = RESOLUTION) -> dict:
     """Masses quantifying the approximation-of-unity behaviour.
 
     Any positive scales are accepted; the tail statement is informative for
@@ -308,7 +311,7 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("scales must be positive")
-    kernel = _square_kernel(resolution) if mol is None else SquareKernel(mol, resolution)
+    kernel = _square_kernel(mol or _default_mollifier(resolution), resolution)
     far = 64.0 * max(eps, delta)
     tail_mass = kernel.abs_mass(eps, delta, far) + eps * eps / (8.0 * math.pi * far * far)
     l1 = kernel.abs_mass(eps, 1e-9, far) + eps * eps / (8.0 * math.pi * far * far)
@@ -317,8 +320,8 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
 
 
 @lru_cache(maxsize=4)
-def _square_kernel(resolution: int = 256) -> SquareKernel:
-    return SquareKernel(resolution=resolution)
+def _square_kernel(mol: Mollifier, resolution: int) -> SquareKernel:
+    return SquareKernel(mol, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +344,64 @@ def bump_field(n: int, radius: float = 0.25, centre=(0.0, 0.0)) -> np.ndarray:
     return vals
 
 
+class Spectral:
+    """Fourier multipliers of the N x N unit torus at one scale.
+
+    ``s1`` (N, 1) and ``s2`` (1, N) broadcast; ``frho`` is 1 at the zero
+    mode and ``inv_lap`` drops it.  The static helpers fix the FFT
+    normalisation and the projection of grid fields onto their real part.
+    """
+
+    def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
+        if eps < 4.0 / n:
+            raise ValueError(f"grid too coarse for scale {eps}: need eps >= 4/N = {4.0 / n}")
+        self.n = n
+        self.mesh2 = 1.0 / (n * n)
+        self.mol = mol or _default_mollifier(RESOLUTION)
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        self.s1 = TWO_PI * m[:, None]
+        self.s2 = TWO_PI * m[None, :]
+        ss = self.s1**2 + self.s2**2
+        ss[0, 0] = 1.0
+        self.frho = self.mol.fourier(np.sqrt(ss) * eps)
+        self.frho[0, 0] = 1.0
+        self.inv_lap = np.divide(1.0, ss, out=ss)
+        self.inv_lap[0, 0] = 0.0
+        self.origin = (0, 0)  # chart origin sits at grid index (0, 0)
+
+    @staticmethod
+    def field(coeff: np.ndarray) -> np.ndarray:
+        return np.fft.ifft2(coeff).real * coeff.size
+
+    @staticmethod
+    def coeff(field: np.ndarray) -> np.ndarray:
+        return np.fft.fft2(field) / field.size
+
+    @staticmethod
+    def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Circular convolution of two grid fields, weighted by the cell area."""
+        return np.fft.ifft2(np.fft.fft2(f) * np.fft.fft2(g)).real / f.size
+
+    @cached_property
+    def counterterm(self) -> np.ndarray:
+        """R(z) = E[A(z) (K*A)(0)]: minus the twice-mollified d11 log kernel."""
+        return self.field(self.s1**2 * self.inv_lap * self.frho**2)
+
+
 class GepsGrid:
     """FFT evaluation of the epsilon-scale kernel on the unit torus.
 
     The spectral second derivative of the log kernel is the multiplier
     ``-s1^2/|s|^2`` (zero mode dropped), and the mollifier enters through its
-    continuum Fourier transform sampled at grid frequencies.
+    continuum Fourier transform sampled at grid frequencies.  The multiplier
+    table is not kept: it would double the grid's memory.
     """
 
-    def __init__(self, n: int, eps: float, mol: Mollifier | None = None,
-                 resolution: int = 256):
-        if eps < 4.0 / n:
-            raise ValueError(f"grid too coarse: need eps >= 4/N = {4.0 / n}")
-        self.n = n
-        self.eps = eps
-        self.mol = mol or _default_mollifier(resolution)
-        m = np.fft.fftfreq(n, d=1.0 / n)
-        s1 = TWO_PI * m[:, None]
-        s2 = TWO_PI * m[None, :]
-        ss = s1 * s1 + s2 * s2
-        ss[0, 0] = 1.0
-        frho = self.mol.fourier(np.sqrt(ss) * eps)
-        ratio = s1 * s1 / ss
-        ratio[0, 0] = 0.0
-        conv_sq = np.fft.ifft2(ratio * ratio * frho * frho).real * n * n
-        rho2 = np.fft.ifft2(frho * frho).real * n * n
-        d11_k2 = np.fft.ifft2(-ratio * frho * frho).real * n * n
-        self.field = eps * eps * (conv_sq * rho2 + d11_k2 * d11_k2)
+    def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
+        spec = Spectral(n, eps, mol)
+        self.n, self.eps, self.mol = n, eps, spec.mol
+        conv_sq = spec.field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
+        self.field = eps * eps * (conv_sq * spec.field(spec.frho**2) + spec.counterterm**2)
 
     def value(self, x) -> float:
         i = int(round(float(x[0]) * self.n)) % self.n
@@ -375,13 +409,12 @@ class GepsGrid:
         return float(self.field[i, j])
 
     def convolve(self, f: np.ndarray) -> np.ndarray:
-        mesh2 = 1.0 / (self.n * self.n)
-        return np.fft.ifft2(np.fft.fft2(self.field) * np.fft.fft2(f)).real * mesh2
+        return Spectral.convolve(self.field, f)
 
 
 def gconv_limits_check(eps: float, f: np.ndarray | None = None,
                        phi: np.ndarray | None = None, n: int = 512,
-                       mol: Mollifier | None = None, resolution: int = 256,
+                       mol: Mollifier | None = None, resolution: int = RESOLUTION,
                        crho_sq: float | None = None) -> dict:
     """Relative residuals of the three smoothing limits of the square kernel."""
     if f is None:
@@ -390,7 +423,7 @@ def gconv_limits_check(eps: float, f: np.ndarray | None = None,
         phi = bump_field(n, radius=0.25)
     if crho_sq is None:
         crho_sq = crho_squared("spatial", resolution, mol).value
-    grid = GepsGrid(n, eps, mol, resolution)
+    grid = GepsGrid(n, eps, mol or _default_mollifier(resolution))
     mesh2 = 1.0 / (n * n)
     gf = grid.convolve(f)
 

@@ -17,9 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Mollifier, _default_mollifier, bump_field, torus_coords
-
-TWO_PI = 2.0 * math.pi
+from .kernels import RESOLUTION, Spectral, bump_field, torus_coords
 
 
 @dataclass
@@ -39,57 +37,18 @@ def sample_noise(n: int, seed) -> NoiseSample:
     return NoiseSample(xi=rng.standard_normal((n, n)) * n, seed=seed.entropy, n=n)
 
 
-class Spectral:
-    """Cached multiplier tables for one (N, eps) pair."""
-
-    def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
-        if eps < 4.0 / n:
-            raise ValueError(f"grid too coarse for scale {eps}: need eps >= {4.0 / n}")
-        self.n = n
-        self.eps = eps
-        self.mol = mol or _default_mollifier(128)
-        m = np.fft.fftfreq(n, d=1.0 / n)
-        self.s1 = TWO_PI * m[:, None] * np.ones((1, n))
-        self.s2 = TWO_PI * m[None, :] * np.ones((n, 1))
-        self.ss = self.s1**2 + self.s2**2
-        self.ss[0, 0] = 1.0
-        self.frho = self.mol.fourier(np.sqrt(self.ss) * eps)
-        self.frho[0, 0] = 1.0
-        self.inv_lap = 1.0 / self.ss
-        self.inv_lap[0, 0] = 0.0
-        self.origin = (0, 0)  # chart origin sits at grid index (0, 0)
-
-    def field(self, coeff: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(coeff).real * (self.n * self.n)
-
-    def coeff(self, field: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(field) / (self.n * self.n)
-
-    @property
-    def mesh2(self) -> float:
-        return 1.0 / (self.n * self.n)
-
-
-@lru_cache(maxsize=16)
-def _spectral(n: int, eps: float) -> Spectral:
-    return Spectral(n, eps)
+_spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
 
 
 def _coords(n: int):
     x = torus_coords(n)
-    return x[:, None] * np.ones((1, n)), x[None, :] * np.ones((n, 1))
+    return x[:, None], x[None, :]
 
 
 def _smoothed_gradient_field(spec: Spectral, sample: NoiseSample) -> np.ndarray:
     """The mollified axis-1 derivative of the noise."""
     c = spec.coeff(sample.xi)
     return spec.field(1j * spec.s1 * spec.frho * c)
-
-
-def _counterterm_kernel(spec: Spectral) -> np.ndarray:
-    """R(z) = E[A(z) (K*A)(0)] as a grid field."""
-    w = (spec.s1**2) * spec.inv_lap * spec.frho**2
-    return np.fft.ifft2(w).real * (spec.n * spec.n)
 
 
 def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
@@ -102,7 +61,7 @@ def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
     a = _smoothed_gradient_field(spec, sample)
     b = spec.field(spec.coeff(a) * spec.inv_lap)
     stoch = float(np.sum(phi * a * (b - b[spec.origin]))) * spec.mesh2
-    r = _counterterm_kernel(spec)
+    r = spec.counterterm
     mean = float(np.sum(phi * (r[spec.origin] - r))) * spec.mesh2
     return eps * (stoch - mean)
 
@@ -124,20 +83,19 @@ def _weighted_recentred_field(spec: Spectral, a: np.ndarray, j: int):
     return kw - kw[o] - x1 * gk1[o] - x2 * gk2[o]
 
 
+@lru_cache(maxsize=32)
 def _weighted_mean_field(spec: Spectral, j: int) -> np.ndarray:
     """E[A(z) B_w(z)] as a grid field, by the covariance closed forms."""
-    n = spec.n
-    x1, x2 = _coords(n)
+    x1, x2 = _coords(spec.n)
     xj = x1 if j == 1 else x2
-    r_a = np.fft.ifft2(spec.s1**2 * spec.frho**2).real * (n * n)
-    k_g = np.fft.ifft2(spec.inv_lap).real * (n * n)
-    dk1 = np.fft.ifft2(1j * spec.s1 * spec.inv_lap).real * (n * n)
-    dk2 = np.fft.ifft2(1j * spec.s2 * spec.inv_lap).real * (n * n)
-    conv = lambda fld: np.fft.ifft2(np.fft.fft2(fld) * np.fft.fft2(r_a)).real / (n * n)
+    r_a = spec.field(spec.s1**2 * spec.frho**2)
+    k_g = spec.field(spec.inv_lap)
+    dk1 = spec.field(1j * spec.s1 * spec.inv_lap)
+    dk2 = spec.field(1j * spec.s2 * spec.inv_lap)
     c1 = float(np.sum(k_g * r_a)) * spec.mesh2
-    t0 = conv(xj * k_g)
-    tg1 = conv(xj * dk1)
-    tg2 = conv(xj * dk2)
+    t0 = spec.convolve(xj * k_g, r_a)
+    tg1 = spec.convolve(xj * dk1, r_a)
+    tg2 = spec.convolve(xj * dk2, r_a)
     return c1 * xj - t0 - x1 * tg1 - x2 * tg2
 
 
@@ -229,7 +187,7 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     if crho_sq is None:
         from .kernels import crho_squared
 
-        crho_sq = crho_squared("spatial", 128).value
+        crho_sq = crho_squared("spatial", RESOLUTION).value
     target = crho_sq * float(np.sum(phi * phi)) / (n * n)
     noises = [sample_noise(n, s) for s in sample_seeds(seed, samples)]
     rows = []

@@ -20,14 +20,15 @@ import pytest
 from conftest import degree_formulas_agree
 from gpam2d.classify import (
     CRITICAL,
-    IN_G2,
     IN_G3,
     IN_G4,
+    PUBLISHED_DEFECT,
     VANISHES,
     classify_corpus,
-    manifest_forms,
+    published_forms,
+    published_verdict,
 )
-from gpam2d.corpus import classification_corpus, load_file, load_graph, load_manifest
+from gpam2d.corpus import classification_corpus, load_file, load_graph
 from gpam2d.exts import KB, EXT_ZERO, ExtRational
 from gpam2d.feynman import (
     canonical_form,
@@ -181,28 +182,13 @@ def test_criterion_4_degree_formula_cross_check():
 
 @pytest.fixture(scope="module")
 def corpus_classification():
-    forms = {
-        name: manifest_forms(load_manifest(f"class_{name}"))
-        for name in ("g2", "g3", "g4", "crit")
-    }
+    forms = published_forms()
     corpus = classification_corpus()
     results = classify_corpus(corpus, crit_forms=forms["crit"], g2_forms=forms["g2"])
     return corpus, results, forms
 
 
-def _expected(form, forms):
-    if form in forms["crit"]:
-        return CRITICAL
-    if form in forms["g2"]:
-        return IN_G2
-    if form in forms["g3"]:
-        return IN_G3
-    if form in forms["g4"]:
-        return IN_G4
-    return VANISHES
-
-
-DEFECT = "four_noise_b:b16"
+DEFECT = PUBLISHED_DEFECT
 
 
 def test_criterion_5_classification(corpus_classification):
@@ -210,7 +196,7 @@ def test_criterion_5_classification(corpus_classification):
     corpus, results, forms = corpus_classification
     mism = []
     for ref, graph in corpus:
-        want = _expected(canonical_form(graph), forms)
+        want = published_verdict(canonical_form(graph), forms)
         if results[ref].verdict != want:
             mism.append((ref, results[ref].verdict, want))
     # The one graph whose published verdict admits no certificate.
@@ -245,7 +231,7 @@ def test_criterion_5_classification(corpus_classification):
 def test_criterion_5_published_partition_in_full(corpus_classification):
     corpus, results, forms = corpus_classification
     for ref, graph in corpus:
-        assert results[ref].verdict == _expected(canonical_form(graph), forms), ref
+        assert results[ref].verdict == published_verdict(canonical_form(graph), forms), ref
 
 
 def test_criterion_6_noise_amplitude():

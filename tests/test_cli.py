@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gpam2d.classify import IN_G4, PUBLISHED_DEFECT, VANISHES
 from gpam2d.cli import main
 
 
@@ -66,6 +67,17 @@ class TestGraphs:
         blob = json.loads(out.splitlines()[1] and "\n".join(out.splitlines()[1:]))
         assert blob["mismatches"] == 1
 
+    def test_classify_reports_the_known_published_defect(self, capsys):
+        code, out = run(capsys, "graphs", "classify")
+        blob = json.loads("\n".join(out.splitlines()[1:]))
+        assert code == 0
+        assert blob["expected_from"] == "published partition"
+        assert blob["mismatches"] == 0 and not blob["agrees"]
+        assert blob["disagreements"] == [{
+            "graph_ref": PUBLISHED_DEFECT, "verdict": IN_G4,
+            "expected": VANISHES, "known": True,
+        }]
+
     def test_classify_empty_corpus(self, tmp_path, capsys):
         fixture = tmp_path / "empty.txt"
         fixture.write_text("# nothing here\n")
@@ -95,6 +107,22 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
+
+
+class TestOutPlacement:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symbols", "--structure", "unprimed", "--side", "sol"],
+            ["mc", "noise", "--n", "32", "--samples", "16", "--seed", "4"],
+        ],
+        ids=["symbols", "mc-noise"],
+    )
+    def test_before_and_after_subcommand_write_same_bytes(self, argv, tmp_path):
+        before, after = tmp_path / "before.out", tmp_path / "after.out"
+        assert main(["--out", str(before)] + argv) == 0
+        assert main(argv[:1] + ["--out", str(after)] + argv[1:]) == 0
+        assert before.read_bytes() == after.read_bytes()
 
 
 class TestConstantsAndMc:

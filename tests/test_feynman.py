@@ -57,9 +57,14 @@ class TestFixtures:
             ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 r=0\n", "line 5: label needs"),
             ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0\n", "line 5: label needs"),
             ("graph g\nv o root\n\ngraph g\nv o root\n", "line 4: duplicate graph"),
+            ("graph\n", "line 1: graph needs 1 field"),
+            ("graph g\nv o root\nv x blob\n", "line 3: unknown vertex kind 'blob'"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 7 a=0 r=0\n", "line 5: no edge 7"),
+            ("v o root\ngraph g\n", "line 1: directive before the first graph line"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
-             "duplicate-graph"],
+             "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
+             "label-out-of-range", "vertex-before-graph"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):

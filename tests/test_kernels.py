@@ -125,16 +125,16 @@ class TestGrid:
         # The torus images contribute an order-one smooth correction on top
         # of the scale-singular part, so pointwise agreement is loose.
         n, eps = 256, 1 / 16
-        grid = GepsGrid(n, eps, mol, RES)
+        grid = GepsGrid(n, eps, mol)
         for point in ([0.05, 0.0], [0.0, 0.04], [0.03, 0.03]):
             radial = kernel.eps_value(np.asarray(point), eps)
             assert grid.value(point) == pytest.approx(radial, rel=0.25, abs=2.0)
 
     def test_too_coarse_grid_rejected(self, mol):
         with pytest.raises(ValueError):
-            GepsGrid(64, 1 / 32, mol, RES)
+            GepsGrid(64, 1 / 32, mol)
         with pytest.raises(ValueError):
-            GepsGrid(256, 1 / 512, mol, RES)
+            GepsGrid(256, 1 / 512, mol)
 
     def test_zero_field_has_zero_residuals(self, mol):
         n = 128

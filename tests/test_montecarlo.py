@@ -52,9 +52,12 @@ class TestEstimators:
     def test_zero_noise_gives_deterministic_counterterm(self, phi):
         z = sample_noise(N, 5)
         z.xi[:] = 0.0
-        v1 = pi_xiixi(z, EPS, phi)
-        v2 = pi_xiixi(z, EPS, phi)
-        assert v1 == v2 != 0.0
+        # The second input reads the cached weighted mean field twice.
+        for estimate in (lambda: pi_xiixi(z, EPS, phi),
+                         lambda: pi_weighted(z, EPS, phi, "xiixxi", 1)):
+            v1 = estimate()
+            v2 = estimate()
+            assert v1 == v2 != 0.0
 
     def test_noise_sign_invariance_of_stochastic_part(self, phi):
         # The estimator is quadratic in the noise: flipping the sign of the

@@ -1,12 +1,16 @@
-"""Property tests (hypothesis) for canonical forms and Wick contraction."""
+"""Property tests (hypothesis) for canonical forms, Wick contraction and the
+parse/format round trips of the exact types."""
 
 import math
 from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
+from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h, parse_poly
 from gpam2d.corpus import classification_corpus, load_file
+from gpam2d.exts import ExtRational, format_ext, parse_ext
 from gpam2d.feynman import NOISE, canonical_form, wick_pairings
+from gpam2d.symbols import PRIMED, RHS, SOL, UNPRIMED, generate, parse_symbol
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -74,3 +78,36 @@ def test_wick_coefficient_is_square_times_second_stub_signs(data):
     # is a copy of the stub at noises[sigma(i) - 1].
     sign = math.prod((-1) ** _stub_derivs(graph, noises[j - 1]) for j in sigma)
     assert paired.coeff == graph.coeff**2 * sign, ref
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+LETTERS = st.sampled_from(
+    [U, DU] + [letter(k) for letter in (letter_g, letter_h) for k in range(4)]
+)
+SYMBOLS = sorted(
+    {s for structure in (UNPRIMED, PRIMED) for side in (RHS, SOL)
+     for s in generate(structure, side)},
+    key=str,
+)
+
+
+@PROPERTY
+@given(st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS))
+def test_ext_rational_format_parse_round_trip(components):
+    x = ExtRational(*components)
+    assert parse_ext(format_ext(x)) == x
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.lists(LETTERS, max_size=4), RATIONALS), max_size=5))
+def test_poly_str_parse_round_trip(terms):
+    p = Poly.zero()
+    for letters, coeff in terms:
+        p = p + Poly.word(letters, coeff)
+    assert parse_poly(str(p)) == p
+
+
+@PROPERTY
+@given(st.sampled_from(SYMBOLS))
+def test_symbol_str_parse_round_trip(symbol):
+    assert parse_symbol(str(symbol)) == symbol

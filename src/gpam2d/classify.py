@@ -106,12 +106,6 @@ def admissible_rewrite_edges(graph: FeynmanGraph) -> list[int]:
     return out
 
 
-def canonical_root_condition_ok(graph: FeynmanGraph) -> bool:
-    normalised, _ = dtest_normalise(graph)
-    labelled = canonical_labelling(normalised)
-    return not check_conditions(labelled).cond3
-
-
 def _try_witness(graph: FeynmanGraph, estar_set) -> tuple[bool, list[WitnessCase]]:
     estar_set = sorted(estar_set)
     cases = []
@@ -121,7 +115,7 @@ def _try_witness(graph: FeynmanGraph, estar_set) -> tuple[bool, list[WitnessCase
         except ValueError:
             return False, cases
         normalised, shift = dtest_normalise(rewritten)
-        labelled = adjusted_labelling(normalised, estar_set=frozenset(estar_set))
+        labelled = adjusted_labelling(normalised, estar_set)
         report = check_conditions(labelled)
         cases.append(WitnessCase(moves, normalised, labelled, report, shift))
         if not report.ok():
@@ -135,7 +129,8 @@ def classify(
     g2_forms: frozenset | None = None,
 ) -> Classification:
     normalised, shift = dtest_normalise(graph)
-    alpha = lambda_exponent(canonical_labelling(normalised)) + ExtRational.of(shift)
+    canonical = canonical_labelling(normalised)
+    alpha = lambda_exponent(canonical) + ExtRational.of(shift)
 
     candidates = admissible_rewrite_edges(graph)
     if not candidates:
@@ -148,7 +143,7 @@ def classify(
             )
         return Classification(IN_G2, alpha, detail="no admissible rewrite edge")
 
-    if not canonical_root_condition_ok(graph):
+    if check_conditions(canonical).cond3:
         return Classification(
             IN_G3, alpha, detail="root-anchored condition fails under canonical labels"
         )

@@ -229,15 +229,8 @@ def _csv(rows) -> str:
 def cmd_mc(args) -> int:
     import numpy as np
 
-    from .kernels import bump_field, crho_squared, torus_coords
-    from .montecarlo import (
-        convergence_table,
-        estimate_stats,
-        pi_weighted,
-        pi_xiixi,
-        sample_noise,
-        sample_seeds,
-    )
+    from .kernels import crho_squared
+    from .montecarlo import convergence_table, estimate_stats, sample_noise, sample_seeds
 
     if args.action == "noise":
         values = []
@@ -254,38 +247,23 @@ def cmd_mc(args) -> int:
         return 0
 
     eps_list = _parse_eps_list(args.eps)
+    crho = crho_squared("spatial", args.resolution).value
     if args.action == "xiixi":
-        crho = crho_squared("spatial", args.resolution).value
-        table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
-                                  crho_sq=crho)
-        rows = [("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
-                 "k4_ratio", "k4_se", "seed")]
-        for row in table:
-            rows.append(tuple(repr(row[k]) if isinstance(row[k], float) else row[k]
-                              for k in rows[0]))
-        _emit(args, _csv(rows))
-        return 0
-
-    if args.action == "weighted":
-        phi = bump_field(args.n, radius=0.25)
-        x = torus_coords(args.n)
-        xj = (x[:, None] if args.axis == 1 else x[None, :]) * np.ones((args.n, args.n))
-        crho = crho_squared("spatial", args.resolution).value
-        target = crho * float(np.sum((xj * phi) ** 2)) / (args.n**2)
-        rows = [("eps", "n", "samples", "which", "axis", "var_ratio", "mean",
-                 "mean_se", "seed")]
-        for eps in eps_list:
-            values = np.array(
-                [pi_weighted(sample_noise(args.n, s), eps, phi, args.which, args.axis)
-                 for s in sample_seeds(args.seed, args.samples)]
-            )
-            stats = estimate_stats(values)
-            rows.append((repr(eps), args.n, args.samples, args.which, args.axis,
-                         repr(stats.variance / target), repr(stats.mean),
-                         repr(stats.mean_se), args.seed))
-        _emit(args, _csv(rows))
-        return 0
-    return 2
+        which = "xiixi"
+        columns = ("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
+                   "k4_ratio", "k4_se", "seed")
+    else:
+        which = args.which
+        columns = ("eps", "n", "samples", "which", "axis", "var_ratio", "mean",
+                   "mean_se", "seed")
+    table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
+                              crho_sq=crho, which=which, j=args.axis)
+    rows = [columns] + [
+        tuple(repr(row[k]) if isinstance(row[k], float) else row[k] for k in columns)
+        for row in table
+    ]
+    _emit(args, _csv(rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------

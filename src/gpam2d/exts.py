@@ -108,7 +108,6 @@ class ExtRational(NamedTuple):
 
 
 EXT_ZERO = ExtRational.of(0)
-EXT_ONE = ExtRational.of(1)
 SQRT_KB = ExtRational.of(0, 1)
 KB = ExtRational.of(0, 0, 1)
 KB2 = ExtRational.of(0, 0, 0, 1)

@@ -33,7 +33,9 @@ K0_TAGS = {"K", "K1", "K2"}
 K1_TAGS = {"dK", "dK1", "dK2"}
 
 _INDEXED = {"dK": 1, "dK1": 1, "dK2": 1, "MulX": 1, "XK": 1, "XdK": 2, "DTest": 1, "XTest": 1}
-_MOLLIFIER_DERIVS = {"Rho": 0, "DRho": 1, "DDRho": 2}
+# Plain mollifier tags by the number of noise derivatives they carry, and back.
+MOLLIFIER_DERIVS = {"Rho": 0, "DRho": 1, "DDRho": 2}
+MOLLIFIER_BY_DERIVS = {d: tag for tag, d in MOLLIFIER_DERIVS.items()}
 
 # Kernels that are even functions of their argument: the drawn orientation of
 # such an edge is a presentation choice, not structure.
@@ -283,7 +285,7 @@ def validate_structure(graph: FeynmanGraph) -> StructureReport:
 def _mollifier_stub(graph: FeynmanGraph, v: int) -> Edge:
     """The single mollifier edge hanging off a noise node."""
     incident = [e for e in graph.edges if e.touches(v)]
-    moll = [e for e in incident if e.etype.tag in ("Rho", "DRho", "DDRho")]
+    moll = [e for e in incident if e.etype.tag in MOLLIFIER_DERIVS]
     if len(incident) != 1 or len(moll) != 1:
         raise ValueError(f"noise node {v} must carry exactly one mollifier edge")
     return moll[0]
@@ -295,12 +297,12 @@ def _merge_mollifiers(e1: Edge, p1: int, e2: Edge, p2: int) -> tuple[Edge, int]:
     Returns the merged edge from the second copy's endpoint to the first's,
     together with the sign (-1)^(derivatives of the reflected factor).
     """
-    d1 = _MOLLIFIER_DERIVS[e1.etype.tag]
-    d2 = _MOLLIFIER_DERIVS[e2.etype.tag]
+    d1 = MOLLIFIER_DERIVS[e1.etype.tag]
+    d2 = MOLLIFIER_DERIVS[e2.etype.tag]
     total = d1 + d2
     if total > 2:
         raise ValueError("mollifier merge with more than two derivatives")
-    tag = {0: "Rho", 1: "DRho", 2: "DDRho"}[total]
+    tag = MOLLIFIER_BY_DERIVS[total]
     sign = -1 if d2 % 2 else 1
     return Edge(p2, p1, EdgeType(tag), e1.eps + e2.eps), sign
 

@@ -188,15 +188,12 @@ def crho_squared(route: str = "spatial", resolution: int = RESOLUTION, mol: Moll
     The spatial route integrates the square kernel at unit scale through
     radial overlap integrals; the Fourier route evaluates the closed
     frequency-side expression for the first summand via Hankel quadrature,
-    plus the same physical-space second summand.
+    plus the same physical-space second summand.  The resolution is that of
+    ``mol`` (default: the mollifier at ``resolution``).
     """
-    if route == "both":
-        spatial = crho_squared("spatial", resolution, mol)
-        fourier = crho_squared("fourier", resolution, mol)
-        return spatial, fourier
     if route not in ("spatial", "fourier"):
         raise ValueError(f"unknown route {route!r}")
-    mol = mol or _default_mollifier(resolution)
+    mol = _mollifier(mol, resolution)
     rmax = 16.0 + resolution / 16.0
 
     def pieces(n: int) -> float:
@@ -218,6 +215,15 @@ def _default_mollifier(resolution: int = RESOLUTION) -> Mollifier:
     return Mollifier(resolution=resolution)
 
 
+def _mollifier(mol: Mollifier | None, resolution: int) -> Mollifier:
+    """``mol``, which must have ``resolution``, or the default mollifier there."""
+    if mol is None:
+        return _default_mollifier(resolution)
+    if mol.resolution != resolution:
+        raise ValueError(f"mollifier resolution {mol.resolution} differs from {resolution}")
+    return mol
+
+
 # ---------------------------------------------------------------------------
 # Pointwise square kernel at unit scale, and its scaled family.
 
@@ -229,11 +235,12 @@ class SquareKernel:
     derivative, carrying angular harmonics 0, 2 and 4 (computed by Hankel
     quadrature), times the twice-convolved mollifier; it vanishes beyond
     radius 2.  Second summand: the square of the twice-mollified second
-    derivative, exact in closed form.
+    derivative, exact in closed form.  The resolution is that of ``mol``
+    (default: the mollifier at ``resolution``).
     """
 
     def __init__(self, mol: Mollifier | None = None, resolution: int = RESOLUTION):
-        self.mol = mol or _default_mollifier(resolution)
+        self.mol = _mollifier(mol, resolution)
         self.resolution = resolution
         sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
         fr2 = self.mol.fourier(sn) ** 2 * sn * sw
@@ -274,12 +281,13 @@ class SquareKernel:
         vals = integrand(nodes[:, None], thetas[None, :])
         return float(np.sum(vals.mean(axis=1) * TWO_PI * nodes * weights))
 
-    def integral(self, eps: float = 1.0, rmax: float = 64.0) -> float:
+    def integral(self, eps: float = 1.0) -> float:
         """Honest quadrature of the epsilon-scale kernel over the plane.
 
         A fixed outer radius keeps the node placement independent of the
         scale, so agreement across scales is a real numerical statement.
         """
+        rmax = 64.0
         n = 6 * self.resolution
         body = self._polar_integral(
             lambda r, t: self.value(r / eps, t) / (eps * eps), 1e-9, rmax, n
@@ -308,10 +316,11 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
 
     Any positive scales are accepted; the tail statement is informative for
     every ratio and the report is routinely taken across a whole scale range.
+    The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("scales must be positive")
-    kernel = _square_kernel(mol or _default_mollifier(resolution), resolution)
+    kernel = _square_kernel(_mollifier(mol, resolution))
     far = 64.0 * max(eps, delta)
     tail_mass = kernel.abs_mass(eps, delta, far) + eps * eps / (8.0 * math.pi * far * far)
     l1 = kernel.abs_mass(eps, 1e-9, far) + eps * eps / (8.0 * math.pi * far * far)
@@ -320,8 +329,8 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
 
 
 @lru_cache(maxsize=4)
-def _square_kernel(mol: Mollifier, resolution: int) -> SquareKernel:
-    return SquareKernel(mol, resolution)
+def _square_kernel(mol: Mollifier) -> SquareKernel:
+    return SquareKernel(mol, mol.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +421,22 @@ class GepsGrid:
         return Spectral.convolve(self.field, f)
 
 
-def gconv_limits_check(eps: float, f: np.ndarray | None = None,
-                       phi: np.ndarray | None = None, n: int = 512,
-                       mol: Mollifier | None = None, resolution: int = RESOLUTION,
-                       crho_sq: float | None = None) -> dict:
-    """Relative residuals of the three smoothing limits of the square kernel."""
+def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
+                       mol: Mollifier | None = None, resolution: int = RESOLUTION) -> dict:
+    """Relative residuals of the three smoothing limits of the square kernel.
+
+    The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
+    """
+    grid_mol = _mollifier(mol, resolution)
     if f is None:
         f = bump_field(n, radius=0.175)
-    if phi is None:
-        phi = bump_field(n, radius=0.25)
-    if crho_sq is None:
-        crho_sq = crho_squared("spatial", resolution, mol).value
-    grid = GepsGrid(n, eps, mol or _default_mollifier(resolution))
-    mesh2 = 1.0 / (n * n)
-    gf = grid.convolve(f)
-
     if not f.any():
         return {"limit1": 0.0, "limit2": 0.0, "limit3": 0.0}
+    phi = bump_field(n, radius=0.25)
+    crho_sq = crho_squared("spatial", resolution, mol).value
+    grid = GepsGrid(n, eps, grid_mol)
+    mesh2 = 1.0 / (n * n)
+    gf = grid.convolve(f)
 
     lhs1 = float(np.sum(phi * gf)) * mesh2
     rhs1 = crho_sq * float(np.sum(phi * f)) * mesh2

@@ -23,7 +23,6 @@ from .kernels import RESOLUTION, Spectral, bump_field, torus_coords
 @dataclass
 class NoiseSample:
     xi: np.ndarray
-    seed: int | tuple
     n: int
 
 
@@ -31,10 +30,8 @@ def sample_noise(n: int, seed) -> NoiseSample:
     """Real white noise on the grid, variance N^2 per cell, seed-determined."""
     if n & (n - 1):
         raise ValueError("grid size must be a power of two")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed)
-    return NoiseSample(xi=rng.standard_normal((n, n)) * n, seed=seed.entropy, n=n)
+    return NoiseSample(xi=rng.standard_normal((n, n)) * n, n=n)
 
 
 _spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
@@ -145,15 +142,15 @@ def _k_statistics(values: np.ndarray):
     return float(mean), var, k4
 
 
-def estimate_stats(values, batches: int = 16) -> StatReport:
-    """Unbiased mean/variance and the fourth k-statistic, with batched errors."""
+def estimate_stats(values) -> StatReport:
+    """Unbiased mean/variance and the fourth k-statistic, with errors from
+    up to 16 batches of at least 8 values."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 16:
         raise ValueError("need at least 16 values")
     mean, var, k4 = _k_statistics(values)
-    batches = max(2, min(batches, n // 8))
-    splits = np.array_split(values, batches)
+    splits = np.array_split(values, min(16, n // 8))
     per_batch = np.array([_k_statistics(chunk) for chunk in splits])
     nb = per_batch.shape[0]
     ses = per_batch.std(axis=0, ddof=1) / math.sqrt(nb)
@@ -175,12 +172,15 @@ def sample_seeds(master_seed: int, count: int):
 
 
 def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = None,
-                      seed: int = 7, crho_sq: float | None = None) -> list[dict]:
+                      seed: int = 7, crho_sq: float | None = None, which: str = "xiixi",
+                      j: int = 1) -> list[dict]:
     """Variance ratio, mean and kurtosis across scales, common noise per row.
 
-    The same noise panel drives every scale (common random numbers), so the
-    across-scale comparisons in the output are far more stable than the
-    per-entry error bars suggest.
+    ``which`` is ``xiixi`` (``pi_xiixi`` against phi) or a ``pi_weighted``
+    estimator on axis ``j``, whose limiting variance is taken against
+    ``x_j * phi``.  The same noise panel drives every scale (common random
+    numbers), so the across-scale comparisons in the output are far more
+    stable than the per-entry error bars suggest.
     """
     if phi is None:
         phi = bump_field(n, radius=0.25)
@@ -188,17 +188,26 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
         from .kernels import crho_squared
 
         crho_sq = crho_squared("spatial", RESOLUTION).value
-    target = crho_sq * float(np.sum(phi * phi)) / (n * n)
+    if which == "xiixi":
+        weight = phi
+        estimate = lambda noise, eps: pi_xiixi(noise, eps, phi)
+    else:
+        x1, x2 = _coords(n)
+        weight = (x1 if j == 1 else x2) * phi
+        estimate = lambda noise, eps: pi_weighted(noise, eps, phi, which, j)
+    target = crho_sq * float(np.sum(weight * weight)) / (n * n)
     noises = [sample_noise(n, s) for s in sample_seeds(seed, samples)]
     rows = []
     for eps in eps_list:
-        values = np.array([pi_xiixi(noise, eps, phi) for noise in noises])
+        values = np.array([estimate(noise, eps) for noise in noises])
         stats = estimate_stats(values)
         rows.append(
             {
                 "eps": eps,
                 "n": n,
                 "samples": samples,
+                "which": which,
+                "axis": j,
                 "var_ratio": stats.variance / target,
                 "var_se": stats.variance_se / target,
                 "mean": stats.mean,

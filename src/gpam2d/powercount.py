@@ -21,6 +21,8 @@ from .exts import EXT_ZERO, KB, KB2, SQRT_KB, ExtRational, as_ext
 from .feynman import (
     EdgeType,
     FeynmanGraph,
+    MOLLIFIER_BY_DERIVS,
+    MOLLIFIER_DERIVS,
     MOLLIFIER_TAGS,
     edge_classes,
 )
@@ -387,10 +389,6 @@ _RECEIVE_ONE = {
     ("XTest", "tail"): "Test",
 }
 
-_MOLL_BY_DERIVS = {0: "Rho", 1: "DRho", 2: "DDRho"}
-_DERIVS_BY_MOLL = {"Rho": 0, "DRho": 1, "DDRho": 2}
-
-
 def _receive(etype: EdgeType, sides: list[str]) -> EdgeType:
     if len(sides) == 2:
         if etype.tag in ("K", "K1"):
@@ -435,7 +433,7 @@ def partial_ibp(graph: FeynmanGraph, moves: dict[int, int]) -> FeynmanGraph:
         if not edge.touches(v):
             raise ValueError(f"edge {target} is not incident to vertex {v}")
         taken[m] = taken.get(m, 0) + 1
-        if taken[m] > _DERIVS_BY_MOLL[graph.edges[m].etype.tag]:
+        if taken[m] > MOLLIFIER_DERIVS[graph.edges[m].etype.tag]:
             raise ValueError("mollifier has no derivative left to move")
         received.setdefault(target, []).append("tail" if edge.tail == v else "head")
     if any(
@@ -447,8 +445,8 @@ def partial_ibp(graph: FeynmanGraph, moves: dict[int, int]) -> FeynmanGraph:
     new_edges = []
     for i, e in enumerate(graph.edges):
         if i in taken:
-            left = _DERIVS_BY_MOLL[e.etype.tag] - taken[i]
-            new_edges.append(replace(e, etype=EdgeType(_MOLL_BY_DERIVS[left])))
+            left = MOLLIFIER_DERIVS[e.etype.tag] - taken[i]
+            new_edges.append(replace(e, etype=EdgeType(MOLLIFIER_BY_DERIVS[left])))
         elif i in received:
             new_edges.append(replace(e, etype=_receive(e.etype, received[i])))
         else:
@@ -482,20 +480,14 @@ def ibp_maps(graph: FeynmanGraph, estar_set) -> list[dict[int, int]]:
 # Adjusted labelling
 
 
-def adjusted_labelling(graph_ibp: FeynmanGraph, estar: int | None = None,
-                       estar_set: frozenset | None = None) -> LabelledGraph:
+def adjusted_labelling(graph_ibp: FeynmanGraph, estar_set) -> LabelledGraph:
     """Post-rewrite labels: plain kernels get a square whisker, the rewritten
     mollifiers trade a root whisker of singularity for epsilon, the rest of
     the mollifiers spend a whisker more.
 
-    ``estar`` names the single rewritten edge; ``estar_set`` generalises to
-    the full-rewrite variant.  The leftover epsilon exponent is recorded and
-    is lexicographically positive.
+    ``estar_set`` holds the indices of the rewritten edges.  The leftover
+    epsilon exponent is recorded and is lexicographically positive.
     """
-    if estar_set is None:
-        if estar is None:
-            raise ValueError("need the rewritten edge (or set of edges)")
-        estar_set = frozenset([estar])
     classes = edge_classes(graph_ibp)
     for i in estar_set:
         if graph_ibp.edges[i].etype.tag != "Rho":

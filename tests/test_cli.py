@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gpam2d import montecarlo
 from gpam2d.classify import IN_G4, PUBLISHED_DEFECT, VANISHES
 from gpam2d.cli import main
 
@@ -143,6 +144,17 @@ class TestConstantsAndMc:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "var_ratio" in out1
+
+    def test_mc_weighted_draws_each_noise_once(self, monkeypatch, capsys):
+        draws = []
+        sample_noise = montecarlo.sample_noise
+        monkeypatch.setattr(montecarlo, "sample_noise",
+                            lambda n, seed: draws.append(seed) or sample_noise(n, seed))
+        code, out = run(capsys, "mc", "weighted", "--eps", "1/8..1/16", "--n", "64",
+                        "--samples", "16", "--resolution", "32")
+        assert code == 0
+        assert len(out.splitlines()) == 4  # header, column names, two scales
+        assert len(draws) == 16
 
     def test_mc_grid_guard(self, capsys):
         code, _ = run(capsys, "mc", "xiixi", "--eps", "1/1024", "--n", "64",

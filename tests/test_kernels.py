@@ -139,16 +139,14 @@ class TestGrid:
     def test_zero_field_has_zero_residuals(self, mol):
         n = 128
         res = gconv_limits_check(1 / 8, f=np.zeros((n, n)), n=n, mol=mol,
-                                 resolution=RES, crho_sq=0.2139)
+                                 resolution=RES)
         assert res == {"limit1": 0.0, "limit2": 0.0, "limit3": 0.0}
 
-    def test_residuals_shrink_with_scale(self, mol, crho):
+    def test_residuals_shrink_with_scale(self, mol):
         n = 256
         f = bump_field(n, radius=0.125)
-        r_coarse = gconv_limits_check(1 / 8, f=f, n=n, mol=mol, resolution=RES,
-                                      crho_sq=crho)
-        r_fine = gconv_limits_check(1 / 32, f=f, n=n, mol=mol, resolution=RES,
-                                    crho_sq=crho)
+        r_coarse = gconv_limits_check(1 / 8, f=f, n=n, mol=mol, resolution=RES)
+        r_fine = gconv_limits_check(1 / 32, f=f, n=n, mol=mol, resolution=RES)
         assert r_fine["limit1"] < r_coarse["limit1"]
         assert r_fine["limit2"] < r_coarse["limit2"]
 
@@ -158,3 +156,18 @@ class TestGrid:
         assert float(phi.sum()) / (n * n) == pytest.approx(1.0, abs=1e-12)
         x = torus_coords(n)
         assert phi[0, 0] == phi.max()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mol: crho_squared("spatial", RES // 2, mol),
+        lambda mol: SquareKernel(mol, resolution=RES // 2),
+        lambda mol: approx_unity_report(1 / 8, 1 / 8, mol, RES // 2),
+        lambda mol: gconv_limits_check(1 / 8, n=64, mol=mol, resolution=RES // 2),
+    ],
+    ids=["crho_squared", "SquareKernel", "approx_unity_report", "gconv_limits_check"],
+)
+def test_mollifier_of_another_resolution_rejected(call, mol):
+    with pytest.raises(ValueError, match="resolution"):
+        call(mol)

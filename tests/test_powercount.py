@@ -376,7 +376,7 @@ class TestAdjustedLabelling:
 
     def test_leftover_positive_with_root_term(self):
         out, estar = self._witness()
-        lg = adjusted_labelling(out, estar)
+        lg = adjusted_labelling(out, [estar])
         assert lg.leftover.is_positive()
         assert lg.leftover == SQRT_KB - KB  # one other mollifier
         assert lg.labels[estar].a == E(1) + SQRT_KB
@@ -384,7 +384,7 @@ class TestAdjustedLabelling:
 
     def test_plain_kernels_get_square_whisker(self):
         out, estar = self._witness()
-        lg = adjusted_labelling(out, estar)
+        lg = adjusted_labelling(out, [estar])
         for i, e in enumerate(out.edges):
             if e.etype.tag in ("K", "K1", "K2"):
                 assert lg.labels[i].a == E(0, 0, 0, 1)
@@ -393,7 +393,7 @@ class TestAdjustedLabelling:
         g = load_graph("four_noise_a:a12")
         estar = _edge_index(g, "DDRho")
         with pytest.raises(ValueError):
-            adjusted_labelling(g, estar)
+            adjusted_labelling(g, [estar])
 
 
 class TestDTestNormalise:

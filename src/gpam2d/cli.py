@@ -37,7 +37,8 @@ def _emit(args, text: str) -> None:
 def _parse_eps_list(text: str) -> list[float]:
     """Either a single value (``1/8``, ``0.125``, ``2^-3``) or ``2^-3..2^-6``.
 
-    Scales must be finite and positive, and a range must descend.
+    Scales must be finite and positive, and a range must descend by halving
+    from its start to its end.
     """
 
     def one(tok: str) -> float:
@@ -61,6 +62,8 @@ def _parse_eps_list(text: str) -> list[float]:
         out = [v0]
         while out[-1] > v1 * 1.0001:
             out.append(out[-1] / 2.0)
+        if not math.isclose(out[-1], v1, rel_tol=1e-4):
+            raise ValueError(f"scale range {text!r} must end at its start halved k times")
         return out
     return [one(text)]
 
@@ -241,7 +244,7 @@ def cmd_mc(args) -> int:
             [("quantity", "n", "samples", "value", "se", "seed"),
              ("cell_variance", args.n, args.samples,
               repr(float(np.mean(values))),
-              repr(stats.mean_se if stats else ""), args.seed)]
+              repr(stats.mean_se) if stats else "", args.seed)]
         )
         _emit(args, text)
         return 0

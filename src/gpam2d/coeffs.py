@@ -74,9 +74,6 @@ class Poly:
         mono = tuple(sorted(counts.items()))
         return Poly({mono: Fraction(c)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -91,15 +88,6 @@ class Poly:
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
         return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)

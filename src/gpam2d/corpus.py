@@ -72,6 +72,14 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
     def bad(why: str) -> ValueError:
         return ValueError(f"fixture line {lineno}: {why}: {raw!r}")
 
+    def value(parse, text: str):
+        try:
+            return parse(text)
+        except ZeroDivisionError:
+            raise bad(f"zero denominator in {text!r}") from None
+        except ValueError as exc:
+            raise bad(f"bad field {text!r} ({exc})") from None
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,7 +102,7 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
         elif head == "expect":
             meta["expect"] = parts[1]
         elif head in ("coeff", "prefactor"):
-            meta[head] = Fraction(parts[1])
+            meta[head] = value(Fraction, parts[1])
         elif head == "v":
             name, kind = parts[1], parts[2]
             if kind not in (ROOT, INT, NOISE):
@@ -111,18 +119,18 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             eps = Fraction(0)
             for extra in parts[4:]:
                 if extra.startswith("eps="):
-                    eps = Fraction(extra[4:])
-            edges.append(Edge(vmap[tail], vmap[headv], parse_edge_type(tag), eps))
+                    eps = value(Fraction, extra[4:])
+            edges.append(Edge(vmap[tail], vmap[headv], value(parse_edge_type, tag), eps))
         elif head == "label":
-            idx = int(parts[1])
+            idx = value(int, parts[1])
             if not 0 <= idx < len(edges):
                 raise bad(f"no edge {idx}")
             a = r = None
             for extra in parts[2:]:
                 if extra.startswith("a="):
-                    a = parse_ext(extra[2:])
+                    a = value(parse_ext, extra[2:])
                 elif extra.startswith("r="):
-                    r = int(extra[2:])
+                    r = value(int, extra[2:])
             if a is None or r is None:
                 raise bad("label needs both a= and r=")
             labels[idx] = (a, r)

@@ -17,18 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-Rat = Fraction
-
-
 def _rat(x):
     """Exact rational normal form: plain int when integral, Fraction else."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, str):
-        f = Fraction(x)
-        return f.numerator if f.denominator == 1 else f
     raise TypeError(f"not a rational: {x!r}")
 
 
@@ -118,13 +112,7 @@ _UNIT_NAMES = (None, "sk", "k", "k2")
 def as_ext(x) -> ExtRational:
     if isinstance(x, ExtRational):
         return x
-    if isinstance(x, (int, Fraction, str)) and not (
-        isinstance(x, str) and any(u in x for u in ("sk", "k"))
-    ):
-        return ExtRational.of(_rat(x))
-    if isinstance(x, str):
-        return parse_ext(x)
-    raise TypeError(f"cannot interpret {x!r} as ExtRational")
+    return ExtRational.of(x)
 
 
 def format_ext(x: ExtRational) -> str:

@@ -18,19 +18,44 @@ ROOT = "root"
 INT = "int"
 NOISE = "noise"
 
-# Kernel tags.  Mollifier-derived tags carry the number of noise derivatives
-# they hold; 'Reps' is the renormalised product kernel and belongs to both the
-# mollifier and the kernel families; 'Geps' is the epsilon-scale square kernel.
-MOLLIFIER_TAGS = {"Rho", "DRho", "DDRho", "Reps"}
+# Base labels ``(a_e, r_e)`` at zero spending, one row per kernel tag: the
+# singularity as ``(q0, q_kb)`` (``q_kb`` is the auxiliary whisker) and the
+# renormalisation order.  DTest edges are normalised away before labelling,
+# so only the order of their row is read (by the structural checks).
+BASE_LABEL = {
+    "K": ((0, 1), 0), "K1": ((0, 1), 1), "K2": ((0, 1), 2),
+    "dK": ((1, 0), 0), "dK1": ((1, 0), 1), "dK2": ((1, 0), 2), "ddK": ((2, 0), -1),
+    "MulX": ((-1, 0), 0), "XK": ((-1, 1), 0), "XdK": ((0, 0), 0),
+    "Test": ((0, 0), 0), "DTest": ((1, 0), 0), "XTest": ((-1, 0), 0),
+    "Rho": ((2, 0), -1), "DRho": ((3, 0), -2), "DDRho": ((4, 0), -3),
+    "Reps": ((4, 1), -2), "Geps": ((2, 0), -1),
+}
+ALL_TAGS = frozenset(BASE_LABEL)
+
+# Mollifier-family tags improve their singularity by spending epsilon powers;
+# this is their renormalisation order once a positive power is spent.
+SPENT_R = {"Rho": 0, "DRho": -1, "DDRho": -2, "Reps": -2}
+
+# Kernel families: 'Reps', the renormalised product kernel, is both a
+# mollifier and a kernel; 'Geps' is the epsilon-scale square kernel.
+MOLLIFIER_TAGS = frozenset(SPENT_R)
 KERNEL_TAGS = {"K", "K1", "K2", "dK", "dK1", "dK2", "ddK", "Reps"}
 TEST_TAGS = {"Test", "DTest", "XTest"}
-OTHER_TAGS = {"MulX", "XK", "XdK", "Geps"}
-ALL_TAGS = MOLLIFIER_TAGS | KERNEL_TAGS | TEST_TAGS | OTHER_TAGS
+EDGE_FAMILIES = {
+    "E_M": MOLLIFIER_TAGS,
+    "E_K": KERNEL_TAGS,
+    "E_*": TEST_TAGS,
+    "E_M3": {"DDRho", "Reps"},
+    "E_M1": {"Rho"},
+    "E_K0": {"K", "K1", "K2"},
+    "E_K1": {"dK", "dK1", "dK2"},
+}
 
-M3_TAGS = {"DDRho", "Reps"}
-M1_TAGS = {"Rho"}
-K0_TAGS = {"K", "K1", "K2"}
-K1_TAGS = {"dK", "dK1", "dK2"}
+
+def canonical_r(tag: str) -> int:
+    """r_e under the canonical labelling, which spends one epsilon per mollifier."""
+    return SPENT_R.get(tag, BASE_LABEL[tag][1])
+
 
 _INDEXED = {"dK": 1, "dK1": 1, "dK2": 1, "MulX": 1, "XK": 1, "XdK": 2, "DTest": 1, "XTest": 1}
 # Plain mollifier tags by the number of noise derivatives they carry, and back.
@@ -159,39 +184,16 @@ class FeynmanGraph:
 
 def edge_classes(graph: FeynmanGraph) -> dict[str, set[int]]:
     """Partition edge indices into the kernel families (with overlaps)."""
-    out = {key: set() for key in ("E_M", "E_K", "E_*", "E_M3", "E_M1", "E_K0", "E_K1")}
-    for i, e in enumerate(graph.edges):
-        tag = e.etype.tag
-        if tag in MOLLIFIER_TAGS:
-            out["E_M"].add(i)
-        if tag in KERNEL_TAGS:
-            out["E_K"].add(i)
-        if tag in TEST_TAGS:
-            out["E_*"].add(i)
-        if tag in M3_TAGS:
-            out["E_M3"].add(i)
-        if tag in M1_TAGS:
-            out["E_M1"].add(i)
-        if tag in K0_TAGS:
-            out["E_K0"].add(i)
-        if tag in K1_TAGS:
-            out["E_K1"].add(i)
-    return out
+    return {
+        key: {i for i, e in enumerate(graph.edges) if e.etype.tag in tags}
+        for key, tags in EDGE_FAMILIES.items()
+    }
 
 
 # ---------------------------------------------------------------------------
 # Structure report
 
 _FORBIDDEN_IN_CORPUS = {"Rho", "DRho", "dK1", "dK2", "ddK", "DTest"}
-
-# Renormalisation orders under the canonical labelling (one epsilon spent per
-# mollifier); used by the structural checks on r_e.
-CANONICAL_R = {
-    "K": 0, "K1": 1, "K2": 2, "dK": 0, "dK1": 1, "dK2": 2, "ddK": -1,
-    "MulX": 0, "XK": 0, "XdK": 0, "Rho": 0, "DRho": -1, "DDRho": -2,
-    "Reps": -2, "Geps": -1, "Test": 0, "DTest": 0, "XTest": 0,
-}
-
 
 @dataclass
 class StructureReport:
@@ -244,7 +246,7 @@ def validate_structure(graph: FeynmanGraph) -> StructureReport:
     bad4 = []
     neg_at: dict[int, int] = {}
     for i, e in enumerate(graph.edges):
-        r = CANONICAL_R[e.etype.tag]
+        r = canonical_r(e.etype.tag)
         if r != 0 and e.touches(root):
             bad4.append(i)
         if r < 0:
@@ -308,22 +310,20 @@ def _merge_mollifiers(e1: Edge, p1: int, e2: Edge, p2: int) -> tuple[Edge, int]:
 
 
 def _parse_sigma_constraint(constraint, n: int):
+    """``all``, or ``<lhs>-<rhs>``: sigma maps the noises in ``lhs`` onto those in ``rhs``."""
     if constraint in (None, "all"):
         return lambda sigma: True
-    if isinstance(constraint, str):
-        if "-" in constraint:
-            lhs, rhs = constraint.split("-")
-            indices = [int(c) for c in lhs + rhs]
-            if any(i < 1 or i > n for i in indices):
-                raise ValueError(f"constraint {constraint!r} references noise beyond {n}")
-            if len(lhs) == 1:
-                i, j = int(lhs), int(rhs)
-                return lambda sigma: sigma[i - 1] == j
-            src = {int(c) for c in lhs}
-            dst = {int(c) for c in rhs}
-            return lambda sigma: {sigma[i - 1] for i in src} == dst
-        raise ValueError(f"bad pairing constraint {constraint!r}")
-    return constraint
+    if not isinstance(constraint, str):
+        return constraint
+    sides = constraint.split("-")
+    if not (len(sides) == 2 and len(sides[0]) == len(sides[1])
+            and all(side.isdecimal() and len(set(side)) == len(side) for side in sides)):
+        raise ValueError(f"bad pairing constraint {constraint!r}: want all or two equally "
+                         "long digit strings joined by '-', no digit twice in one")
+    src, dst = ({int(c) for c in side} for side in sides)
+    if not src | dst <= set(range(1, n + 1)):
+        raise ValueError(f"constraint {constraint!r} references noise beyond {n}")
+    return lambda sigma: {sigma[i - 1] for i in src} == dst
 
 
 def _copies(stochastic: FeynmanGraph, k: int) -> list[FeynmanGraph]:

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 from .exts import EXT_ZERO, KB, KB2, SQRT_KB, ExtRational, as_ext
 from .feynman import (
+    BASE_LABEL,
+    SPENT_R,
     EdgeType,
     FeynmanGraph,
     MOLLIFIER_BY_DERIVS,
@@ -26,31 +28,6 @@ from .feynman import (
     MOLLIFIER_TAGS,
     edge_classes,
 )
-
-# Base labels at zero spending; the kb flag position marks tags whose
-# singularity carries the auxiliary parameter.
-_BASE = {
-    "K": ((0, 1), 0),
-    "K1": ((0, 1), 1),
-    "K2": ((0, 1), 2),
-    "dK": ((1, 0), 0),
-    "dK1": ((1, 0), 1),
-    "dK2": ((1, 0), 2),
-    "ddK": ((2, 0), -1),
-    "MulX": ((-1, 0), 0),
-    "XK": ((-1, 1), 0),
-    "XdK": ((0, 0), 0),
-    "Test": ((0, 0), 0),
-    "XTest": ((-1, 0), 0),
-    "Rho": ((2, 0), -1),
-    "DRho": ((3, 0), -2),
-    "DDRho": ((4, 0), -3),
-    "Reps": ((4, 1), -2),
-    "Geps": ((2, 0), -1),
-}
-
-# Renormalisation order once a positive epsilon power is spent.
-_R_SPENT = {"Rho": 0, "DRho": -1, "DDRho": -2, "Reps": -2}
 
 # Moment tables for the renormalised kernels (zero-spending convention).
 IK_TABLES = {
@@ -95,7 +72,7 @@ def base_label(etype: EdgeType, kbar: bool = False) -> EdgeLabel:
     """The zero-spending label; ``kbar`` keeps the auxiliary whisker."""
     if etype.tag == "DTest":
         raise ValueError("normalise DTest edges away before labelling")
-    (q0, qk), r = _BASE[etype.tag]
+    (q0, qk), r = BASE_LABEL[etype.tag]
     a = ExtRational.of(q0, 0, qk if kbar else 0, 0)
     return EdgeLabel(a, r, _ik_for(etype.tag, r))
 
@@ -107,9 +84,9 @@ def spent_label(etype: EdgeType, gamma, kbar: bool = False) -> EdgeLabel:
         raise ValueError(f"{etype} is not a mollifier-family edge")
     if not gamma.is_positive():
         return base_label(etype, kbar)
-    (q0, qk), _ = _BASE[etype.tag]
+    (q0, qk), _ = BASE_LABEL[etype.tag]
     a = ExtRational.of(q0, 0, qk if kbar else 0, 0) - gamma
-    r = _R_SPENT[etype.tag]
+    r = SPENT_R[etype.tag]
     return EdgeLabel(a, r, _ik_for(etype.tag, r))
 
 
@@ -397,8 +374,6 @@ def _receive(etype: EdgeType, sides: list[str]) -> EdgeType:
     tag = _RECEIVE_ONE.get((etype.tag, sides[0]))
     if tag is None:
         raise ValueError(f"no rewrite rule for a derivative on {etype}")
-    if tag == "Test":
-        return EdgeType("Test")
     if tag in ("dK", "dK1", "dK2", "DTest"):
         return EdgeType(tag, j=1)
     return EdgeType(tag)

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 from typing import Iterable, Optional
 
 from .coeffs import DU, Poly, U, letter_g, letter_h, parse_poly
@@ -42,30 +43,18 @@ class Symbol:
     def sort_key(self):
         # Products print polynomial factors first, then planted trees, then
         # the noise, matching the usual way the terms are written out.
-        if self.kind == "one":
-            return (0,)
-        if self.kind == "x":
-            return (1, self.axis)
         if self.kind == "i":
-            return (2, self.child.sort_key())
-        if self.kind == "xi":
-            return (3,)
-        if self.kind == "xip":
-            return (4,)
-        return (5, tuple(f.sort_key() for f in self.factors))
+            return (1, self.child.sort_key())
+        if self.kind == "prod":
+            return (3, tuple(f.sort_key() for f in self.factors))
+        return (2 if self in _STRUCTURE_OF else 0, _RANK[self])
 
     def __str__(self):
-        if self.kind == "one":
-            return "One"
-        if self.kind == "xi":
-            return "Xi"
-        if self.kind == "xip":
-            return "Xi'"
-        if self.kind == "x":
-            return f"X{self.axis}"
         if self.kind == "i":
             return f"I({self.child})"
-        return "*".join(str(f) for f in self.factors)
+        if self.kind == "prod":
+            return "*".join(str(f) for f in self.factors)
+        return _TEXT[self]
 
     __repr__ = __str__
 
@@ -75,6 +64,21 @@ XI = Symbol("xi")
 XIP = Symbol("xip")
 X1 = Symbol("x", axis=1)
 X2 = Symbol("x", axis=2)
+
+# The leaves of the grammar, in the order they print within a product.
+LEAVES = {"One": ONE, "X1": X1, "X2": X2, "Xi": XI, "Xi'": XIP}
+_TEXT = {sym: text for text, sym in LEAVES.items()}
+_RANK = {sym: rank for rank, sym in enumerate(LEAVES.values())}
+_HOMOGENEITY = {
+    ONE: Homogeneity.of(0),
+    X1: Homogeneity.of(1),
+    X2: Homogeneity.of(1),
+    XI: Homogeneity.of(Fraction(-3, 2), -1),
+    XIP: Homogeneity.of(-1, -2),
+}
+# Each structure carries one noise, which lives in no other structure.
+NOISE = {UNPRIMED: XI, PRIMED: XIP}
+_STRUCTURE_OF = {noise: structure for structure, noise in NOISE.items()}
 
 
 def X(axis: int) -> Symbol:
@@ -104,7 +108,7 @@ def product(factors: Iterable[Symbol]) -> Symbol:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    noises = sum(1 for f in flat if f.kind in ("xi", "xip"))
+    noises = sum(1 for f in flat if f in _STRUCTURE_OF)
     if noises > 1:
         raise ValueError("at most one noise decoration per product")
     polys = sum(1 for f in flat if f.kind == "x")
@@ -119,25 +123,36 @@ def mul(a: Symbol, b: Symbol) -> Symbol:
 
 
 def homogeneity(tau: Symbol, structure: str = UNPRIMED) -> Homogeneity:
-    """Recursive |tau|: noise base cases, +2 under I, additive on products."""
-    if tau.kind == "one":
-        return Homogeneity.of(0, 0)
-    if tau.kind == "x":
-        return Homogeneity.of(1, 0)
-    if tau.kind == "xi":
-        if structure != UNPRIMED:
-            raise ValueError("Xi lives in the unprimed structure")
-        return Homogeneity.of(Fraction(-3, 2), -1)
-    if tau.kind == "xip":
-        if structure != PRIMED:
-            raise ValueError("Xi' lives in the primed structure")
-        return Homogeneity.of(-1, -2)
+    """Recursive |tau|: leaf values, +2 under I, additive on products."""
     if tau.kind == "i":
         return homogeneity(tau.child, structure).shift(2)
-    total = Homogeneity.of(0, 0)
-    for f in tau.factors:
-        total = total + homogeneity(f, structure)
-    return total
+    if tau.kind == "prod":
+        return sum((homogeneity(f, structure) for f in tau.factors), Homogeneity.of(0))
+    if tau in _STRUCTURE_OF and NOISE.get(structure) != tau:
+        raise ValueError(f"{tau} lives in the {_STRUCTURE_OF[tau]} structure")
+    return _HOMOGENEITY[tau]
+
+
+def _rhs_products(factors: list, size: int, structure: str):
+    """The right-hand-side products of ``size`` factors with the noise.
+
+    Yields ``(combo, term)`` for each multiset ``combo`` of indices into
+    ``factors`` whose product with the structure's noise exists and obeys
+    the truncation ``|tau| < kappa``.
+    """
+    if structure not in NOISE:
+        raise ValueError(f"structure must be {UNPRIMED!r} or {PRIMED!r}")
+    noise = NOISE[structure]
+    base = homogeneity(noise, structure)
+    homs = [homogeneity(f, structure) for f in factors]
+    for combo in combinations_with_replacement(range(len(factors)), size):
+        if not sum((homs[i] for i in combo), base) < RHS_CAP:
+            continue
+        try:
+            term = product([factors[i] for i in combo] + [noise])
+        except ValueError:
+            continue
+        yield combo, term
 
 
 def generate(structure: str, side: str) -> frozenset:
@@ -146,30 +161,17 @@ def generate(structure: str, side: str) -> frozenset:
     RHS sets collect products ``tau_1...tau_k * noise`` over solution-sector
     factors; solution sets are the polynomials plus ``I`` of the RHS.
     """
-    noise = XI if structure == UNPRIMED else XIP
-    noise_hom = homogeneity(noise, structure)
+    if side not in (RHS, SOL):
+        raise ValueError(f"side must be {RHS!r} or {SOL!r}")
     rhs: set[Symbol] = set()
     sol: set[Symbol] = set()
     while True:
-        gens = sorted((s for s in sol if s.kind != "one"), key=Symbol.sort_key)
+        gens = sorted((s for s in sol if s != ONE), key=Symbol.sort_key)
         new_rhs = set(rhs)
-        if noise_hom < RHS_CAP:
-            new_rhs.add(noise)
-        for size in range(1, 8):
-            added = False
-            for combo in combinations_with_replacement(gens, size):
-                total = noise_hom
-                for f in combo:
-                    total = total + homogeneity(f, structure)
-                if not total < RHS_CAP:
-                    continue
-                try:
-                    term = product(list(combo) + [noise])
-                except ValueError:
-                    continue
-                new_rhs.add(term)
-                added = True
-            if not added and size > 1:
+        for size in range(8):
+            terms = [term for _, term in _rhs_products(gens, size, structure)]
+            new_rhs.update(terms)
+            if not terms and size > 1:
                 break
         new_sol = {ONE, X1, X2}
         for tau in new_rhs:
@@ -179,11 +181,7 @@ def generate(structure: str, side: str) -> frozenset:
         if new_rhs == rhs and new_sol == sol:
             break
         rhs, sol = new_rhs, new_sol
-    if side == RHS:
-        return frozenset(rhs)
-    if side == SOL:
-        return frozenset(sol)
-    raise ValueError(f"side must be {RHS!r} or {SOL!r}")
+    return frozenset(rhs if side == RHS else sol)
 
 
 # The structure-change map: the only symbols with nonzero image.
@@ -236,9 +234,6 @@ class Expansion:
         else:
             self.terms.pop(sym, None)
 
-    def coeff(self, sym: Symbol) -> Poly:
-        return self.terms.get(sym, Poly.zero())
-
     def apply_iota(self) -> "Expansion":
         out = Expansion()
         for sym, coeff in self.terms.items():
@@ -280,44 +275,24 @@ def lift_nonlinearity(expansion: Expansion, h, structure: str) -> Expansion:
         h = Poly.letter(letter_g(0) if h == "g" else letter_h(0))
     if ONE not in expansion.terms:
         raise ValueError("expansion has no One component to expand around")
-    noise = XI if structure == UNPRIMED else XIP
-    noise_hom = homogeneity(noise, structure)
-    tilde = [(s, p) for s, p in expansion.terms.items() if s != ONE]
-    tilde.sort(key=lambda kv: kv[0].sort_key())
+    syms = sorted((s for s in expansion.terms if s != ONE), key=Symbol.sort_key)
 
+    # h^(ell)/ell! sums over ordered ell-tuples; a multiset with multiplicities
+    # k_i stands for ell!/prod k_i! of them, so it weighs 1/prod k_i!.
     out = Expansion()
-    out.add(noise, h)
     deriv = h
-    factorial = 1
-    for ell in range(1, 6):
-        deriv = deriv.diff()
-        factorial *= ell
-        if deriv.is_zero():
+    for ell in range(6):
+        if ell:
+            deriv = deriv.diff()
+        terms = list(_rhs_products(syms, ell, structure)) if deriv else []
+        if not terms:
             break
-        any_kept = False
-        for combo in combinations_with_replacement(range(len(tilde)), ell):
-            syms = [tilde[i][0] for i in combo]
-            total = noise_hom
-            for s in syms:
-                total = total + homogeneity(s, structure)
-            if not total < RHS_CAP:
-                continue
-            try:
-                term = product(syms + [noise])
-            except ValueError:
-                continue
-            mult = Fraction(factorial)
-            for i in set(combo):
-                reps = combo.count(i)
-                for r in range(2, reps + 1):
-                    mult /= r
+        for combo, term in terms:
             coeff = deriv
             for i in combo:
-                coeff = coeff * tilde[i][1]
-            out.add(term, coeff.scale(mult / factorial))
-            any_kept = True
-        if not any_kept:
-            break
+                coeff = coeff * expansion.terms[syms[i]]
+            weight = Fraction(1, prod(factorial(combo.count(i)) for i in set(combo)))
+            out.add(term, coeff.scale(weight))
     return out
 
 
@@ -361,6 +336,10 @@ def u_expansion() -> Expansion:
 # Text grammar
 
 
+# Longest words first, so that ``Xi'`` is not read as ``Xi`` and a stray ``'``.
+_WORDS = sorted([*LEAVES, "I"], key=len, reverse=True)
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
@@ -373,7 +352,7 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
             continue
-        for word in ("One", "Xi'", "Xi", "X1", "X2", "I"):
+        for word in _WORDS:
             if text.startswith(word, i):
                 tokens.append(word)
                 i += len(word)
@@ -387,6 +366,13 @@ def parse_symbol(text: str) -> Symbol:
     tokens = _tokenize(text)
     pos = 0
 
+    def take() -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"symbol text ends early: {text!r}")
+        pos += 1
+        return tokens[pos - 1]
+
     def parse_expr():
         nonlocal pos
         factors = [parse_atom()]
@@ -396,27 +382,15 @@ def parse_symbol(text: str) -> Symbol:
         return product(factors)
 
     def parse_atom():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok == "One":
-            return ONE
-        if tok == "Xi":
-            return XI
-        if tok == "Xi'":
-            return XIP
-        if tok == "X1":
-            return X1
-        if tok == "X2":
-            return X2
+        tok = take()
+        if tok in LEAVES:
+            return LEAVES[tok]
         if tok == "I":
-            if tokens[pos] != "(":
+            if take() != "(":
                 raise ValueError("expected '(' after I")
-            pos += 1
             inner = parse_expr()
-            if pos >= len(tokens) or tokens[pos] != ")":
+            if take() != ")":
                 raise ValueError("unbalanced parentheses")
-            pos += 1
             return I(inner)
         raise ValueError(f"unexpected token {tok!r}")
 

@@ -97,9 +97,16 @@ class TestUsageErrors:
             ["constants", "geps", "--eps", "0"],
             ["constants", "geps", "--eps", "1/4..1"],
             ["mc", "noise", "--n", "100"],
+            ["graphs", "pair", "--graph", "four_noise_a:a01", "--constraint", "12-3"],
+            ["graphs", "pair", "--graph", "four_noise_a:a01", "--constraint", "11-34"],
+            ["graphs", "pair", "--graph", "four_noise_a:a01", "--constraint", "1-2-3"],
+            ["constants", "geps", "--eps", "1..1/3"],
+            ["constants", "geps", "--eps", "1/4..1/10"],
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
-             "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2"],
+             "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2",
+             "constraint-sides-unequal", "constraint-repeated-digit", "constraint-two-dashes",
+             "range-end-off-grid", "range-overshoots-end"],
     )
     def test_one_error_line_no_artifact_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "artifact.txt"
@@ -160,6 +167,13 @@ class TestConstantsAndMc:
         code, _ = run(capsys, "mc", "xiixi", "--eps", "1/1024", "--n", "64",
                       "--samples", "32", "--resolution", "64")
         assert code == 2
+
+    def test_mc_noise_below_16_samples_leaves_se_empty(self, capsys):
+        code, out = run(capsys, "mc", "noise", "--n", "32", "--samples", "8", "--seed", "3")
+        assert code == 0
+        header, row = out.splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["se"] == "" and float(cells["value"]) > 0
 
     def test_out_file_embeds_config(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

@@ -16,12 +16,14 @@ from gpam2d.feynman import (
     EdgeType,
     FeynmanGraph,
     canonical_form,
+    canonical_r,
     edge_classes,
     fourth_cumulant_graphs,
     isomorphic,
     validate_structure,
     wick_pairings,
 )
+from gpam2d.powercount import canonical_labelling, dtest_normalise
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +63,19 @@ class TestFixtures:
             ("graph g\nv o root\nv x blob\n", "line 3: unknown vertex kind 'blob'"),
             ("graph g\nv o root\nv x int\ne x o Test\nlabel 7 a=0 r=0\n", "line 5: no edge 7"),
             ("v o root\ngraph g\n", "line 1: directive before the first graph line"),
+            ("graph g\ncoeff 1/0\n", "line 2: zero denominator in '1/0'"),
+            ("graph g\nprefactor 1/0\n", "line 2: zero denominator in '1/0'"),
+            ("graph g\nv o root\nv x int\ne x o Test eps=2/0\n",
+             "line 4: zero denominator in '2/0'"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=1/0 r=0\n",
+             "line 5: zero denominator in '1/0'"),
+            ("graph g\nv o root\nv x int\ne x o Test:x\n", "line 4: bad field 'Test:x'"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
              "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
-             "label-out-of-range", "vertex-before-graph"],
+             "label-out-of-range", "vertex-before-graph", "zero-coeff-denominator",
+             "zero-prefactor-denominator", "zero-eps-denominator", "zero-label-denominator",
+             "bad-axis-index"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -101,6 +112,14 @@ class TestValidateStructure:
         for ref, graph in corpus:
             report = validate_structure(graph)
             assert report.ok(), f"{ref}\n{report}"
+
+    def test_canonical_r_matches_the_canonical_labelling(self, corpus):
+        # validate_structure reads r_e from the same label table as
+        # canonical_labelling, so the two agree on every corpus edge.
+        for ref, graph in corpus:
+            labelled = canonical_labelling(dtest_normalise(graph)[0])
+            for i, e in enumerate(graph.edges):
+                assert canonical_r(e.etype.tag) == labelled.r(i), (ref, i)
 
     def test_matching_implies_even(self, corpus):
         for _, graph in corpus:
@@ -165,6 +184,12 @@ class TestWickPairings:
         assert len(wick_pairings(a01, "12-34")) == 4
         assert len(wick_pairings(a01, "12-12")) == 4
         assert len(wick_pairings(a01, "1-1")) == 6
+
+    @pytest.mark.parametrize("constraint", ["12-3", "11-34", "1-2-3", "-"])
+    def test_malformed_constraint_rejected(self, constraint):
+        a01 = load_graph("four_noise_a:a01")
+        with pytest.raises(ValueError, match="bad pairing constraint"):
+            wick_pairings(a01, constraint)
 
     def test_zero_noise_passthrough(self):
         g = load_graph("four_noise_a:a02")

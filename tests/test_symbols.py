@@ -218,6 +218,15 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_nonlinearity(exp, "g", UNPRIMED)
 
+    @pytest.mark.parametrize("structure, letter", [(UNPRIMED, "g"), (PRIMED, "h")])
+    def test_lift_stays_inside_the_generated_set(self, structure, letter):
+        # The lift and generate share one truncation rule, so every lifted
+        # symbol is a right-hand-side symbol of its structure.
+        u = u_expansion() if structure == UNPRIMED else u_expansion().apply_iota()
+        lifted = lift_nonlinearity(u, letter, structure)
+        assert lifted.terms
+        assert set(lifted.terms) <= generate(structure, RHS)
+
 
 class TestIotaIntertwines:
     def test_solution_expansion(self):
@@ -247,7 +256,9 @@ class TestGrammar:
         assert str(S("Xi*I(Xi)")) == "I(Xi)*Xi"
         assert S("One*X1") == X1
 
-    @pytest.mark.parametrize("bad", ["X3", "Xi*Xi", "X1*X1", "X1*X2", "I(Xi"])
+    @pytest.mark.parametrize(
+        "bad", ["X3", "Xi*Xi", "X1*X1", "X1*X2", "I(Xi", "", "I", "Xi*", "I("]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_symbol(bad)

@@ -58,19 +58,23 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
         nonlocal current, vmap, kinds, edges, labels, meta
         if current is None:
             return
-        graph = FeynmanGraph(
-            kinds=dict(kinds),
-            edges=list(edges),
-            prefactor=meta.get("prefactor", Fraction(0)),
-            coeff=meta.get("coeff", Fraction(1)),
-            name=current,
-            expect=meta.get("expect"),
-        )
+        try:
+            graph = FeynmanGraph(
+                kinds=dict(kinds),
+                edges=list(edges),
+                prefactor=meta.get("prefactor", Fraction(0)),
+                coeff=meta.get("coeff", Fraction(1)),
+                name=current,
+                expect=meta.get("expect"),
+            )
+        except ValueError as exc:  # a whole-graph rule: name the graph line
+            raise bad(str(exc), header) from None
         fixtures[current] = Fixture(graph=graph, labels=dict(labels), ref=meta.get("ref", ""))
         current, vmap, kinds, edges, labels, meta = None, {}, {}, [], {}, {}
 
-    def bad(why: str) -> ValueError:
-        return ValueError(f"fixture line {lineno}: {why}: {raw!r}")
+    def bad(why: str, line: tuple[int, str] | None = None) -> ValueError:
+        number, text = line or (lineno, raw)
+        return ValueError(f"fixture line {number}: {why}: {text!r}")
 
     def value(parse, text: str):
         try:
@@ -94,7 +98,7 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
             raise bad("directive before the first graph line")
         if head == "graph":
             flush()
-            current = parts[1]
+            current, header = parts[1], (lineno, raw)
             if current in fixtures:
                 raise bad(f"duplicate graph {current!r}")
         elif head == "ref":

@@ -195,6 +195,23 @@ def edge_classes(graph: FeynmanGraph) -> dict[str, set[int]]:
 
 _FORBIDDEN_IN_CORPUS = {"Rho", "DRho", "dK1", "dK2", "ddK", "DTest"}
 
+
+def order_rule_offenders(graph: FeynmanGraph, orders) -> tuple[list[int], list[int]]:
+    """Edges of nonzero order at the root, and vertices meeting more than one
+    edge of negative order; ``orders[i]`` is the renormalisation order of edge i.
+    """
+    edges = [i for i, (e, r) in enumerate(zip(graph.edges, orders))
+             if r != 0 and e.touches(graph.root)]
+    neg_at: dict[int, int] = {}
+    for e, r in zip(graph.edges, orders):
+        if r < 0:
+            # Negative-order edges are counted per incident vertex; for the
+            # even kernels the drawn direction carries no meaning.
+            for v in (e.tail, e.head):
+                neg_at[v] = neg_at.get(v, 0) + 1
+    return edges, [v for v, n in neg_at.items() if n > 1]
+
+
 @dataclass
 class StructureReport:
     items: dict[int, bool] = field(default_factory=dict)
@@ -243,18 +260,9 @@ def validate_structure(graph: FeynmanGraph) -> StructureReport:
             bad3.append(v)
     rep.items[3], rep.offenders[3] = not bad3, bad3
 
-    bad4 = []
-    neg_at: dict[int, int] = {}
-    for i, e in enumerate(graph.edges):
-        r = canonical_r(e.etype.tag)
-        if r != 0 and e.touches(root):
-            bad4.append(i)
-        if r < 0:
-            # Negative-renormalisation edges are counted per incident vertex;
-            # for the even kernels the drawn direction carries no meaning.
-            neg_at[e.tail] = neg_at.get(e.tail, 0) + 1
-            neg_at[e.head] = neg_at.get(e.head, 0) + 1
-    bad4 += [v for v, n in neg_at.items() if n > 1]
+    edges4, vertices4 = order_rule_offenders(
+        graph, [canonical_r(e.etype.tag) for e in graph.edges])
+    bad4 = edges4 + vertices4
     rep.items[4], rep.offenders[4] = not bad4, bad4
 
     # The recentred/differentiated budget: at most two {K2, dK} edges in

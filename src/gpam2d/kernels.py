@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -158,6 +158,11 @@ def d11_log_potential(mol: Mollifier, order: int):
     return a, b
 
 
+def _square_tail(eps: float, rmax: float) -> float:
+    """Exact tail beyond rmax of the eps-scale square kernel (at eps = 1, of one overlap)."""
+    return eps * eps / (8.0 * math.pi * rmax * rmax)
+
+
 @dataclass
 class CrhoResult:
     value: float
@@ -178,8 +183,7 @@ def _overlap_integral(mol: Mollifier, order_left: int, order_right: int, rmax: f
     body = np.sum(
         (TWO_PI * a1(nodes) * a2(nodes) + math.pi * b1(nodes) * b2(nodes)) * nodes * weights
     )
-    tail = 1.0 / (8.0 * math.pi * rmax * rmax)
-    return float(body + tail)
+    return float(body + _square_tail(1.0, rmax))
 
 
 def crho_squared(route: str = "spatial", resolution: int = RESOLUTION, mol: Mollifier | None = None) -> CrhoResult:
@@ -292,8 +296,7 @@ class SquareKernel:
         body = self._polar_integral(
             lambda r, t: self.value(r / eps, t) / (eps * eps), 1e-9, rmax, n
         )
-        tail = eps * eps / (8.0 * math.pi * rmax * rmax)
-        return body + tail
+        return body + _square_tail(eps, rmax)
 
     def abs_mass(self, eps: float, r_lo: float, r_hi: float) -> float:
         n = 6 * self.resolution
@@ -322,8 +325,8 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
         raise ValueError("scales must be positive")
     kernel = _square_kernel(_mollifier(mol, resolution))
     far = 64.0 * max(eps, delta)
-    tail_mass = kernel.abs_mass(eps, delta, far) + eps * eps / (8.0 * math.pi * far * far)
-    l1 = kernel.abs_mass(eps, 1e-9, far) + eps * eps / (8.0 * math.pi * far * far)
+    tail_mass = kernel.abs_mass(eps, delta, far) + _square_tail(eps, far)
+    l1 = kernel.abs_mass(eps, 1e-9, far) + _square_tail(eps, far)
     total = kernel.integral(eps)
     return {"l1_mass": l1, "tail_mass": tail_mass, "total_integral": total}
 
@@ -391,11 +394,6 @@ class Spectral:
         """Circular convolution of two grid fields, weighted by the cell area."""
         return np.fft.ifft2(np.fft.fft2(f) * np.fft.fft2(g)).real / f.size
 
-    @cached_property
-    def counterterm(self) -> np.ndarray:
-        """R(z) = E[A(z) (K*A)(0)]: minus the twice-mollified d11 log kernel."""
-        return self.field(self.s1**2 * self.inv_lap * self.frho**2)
-
 
 class GepsGrid:
     """FFT evaluation of the epsilon-scale kernel on the unit torus.
@@ -410,7 +408,8 @@ class GepsGrid:
         spec = Spectral(n, eps, mol)
         self.n, self.eps, self.mol = n, eps, spec.mol
         conv_sq = spec.field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
-        self.field = eps * eps * (conv_sq * spec.field(spec.frho**2) + spec.counterterm**2)
+        self.field = eps * eps * (conv_sq * spec.field(spec.frho**2)
+                                  + spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2) ** 2)
 
     def value(self, x) -> float:
         i = int(round(float(x[0]) * self.n)) % self.n

@@ -7,6 +7,10 @@ mode), the mollifier enters through its continuum radial transform sampled
 at grid frequencies, and the subtracted counterterm is the exact Gaussian
 expectation of the stochastic part, computed in Fourier space rather than
 estimated empirically.
+
+The two estimators are orders 0 and 1 of one recentring: ``pi_xiixi``
+recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
+``K*(x_j A)`` to order 1 with the twice-recentred kernel.
 """
 
 from __future__ import annotations
@@ -37,15 +41,52 @@ def sample_noise(n: int, seed) -> NoiseSample:
 _spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
 
 
-def _coords(n: int):
+def _coordinate(n: int, j: int):
+    """The weight of order ``j``: 1 for j = 0, else the chart coordinate x_j."""
+    if j == 0:
+        return 1.0
     x = torus_coords(n)
-    return x[:, None], x[None, :]
+    return x[:, None] if j == 1 else x[None, :]
 
 
-def _smoothed_gradient_field(spec: Spectral, sample: NoiseSample) -> np.ndarray:
-    """The mollified axis-1 derivative of the noise."""
-    c = spec.coeff(sample.xi)
-    return spec.field(1j * spec.s1 * spec.frho * c)
+def _recentred_product(sample: NoiseSample, eps: float, phi: np.ndarray, j: int) -> float:
+    """``A * B_j`` tested against phi, less its exact Gaussian expectation.
+
+    A is the mollified axis-1 derivative of the noise and B_j is K*(w A),
+    with w the weight of order j, recentred at the origin to order 0 (j = 0)
+    or 1 (j = 1, 2).  Base-point values are coefficient sums.
+    """
+    spec = _spectral(sample.n, eps)
+    a = spec.field(1j * spec.s1 * spec.frho * spec.coeff(sample.xi))
+    w_hat = spec.coeff(_coordinate(spec.n, j) * a)
+    kw = spec.field(w_hat * spec.inv_lap)
+    b = kw - kw[spec.origin]
+    if j:
+        for i, s in ((1, spec.s1), (2, spec.s2)):
+            b -= _coordinate(spec.n, i) * (1j * s * spec.inv_lap * w_hat).sum().real
+    stoch = float(np.sum(phi * a * b)) * spec.mesh2
+    mean = float(np.sum(phi * _mean_field(spec, j))) * spec.mesh2
+    return eps * (stoch - mean)
+
+
+@lru_cache(maxsize=32)
+def _mean_field(spec: Spectral, j: int) -> np.ndarray:
+    """E[A(z) B_j(z)] as a grid field, by the covariance closed forms.
+
+    With r_a the covariance of A and k_g the kernel, it is
+    ``c1 w - (w k_g)*r_a``, less ``x_i ((w d_i k_g)*r_a)`` for i = 1, 2 when
+    j > 0; for w = 1 it is R(0) - R(z) with R = E[A(z) (K*A)(0)].
+    """
+    w = _coordinate(spec.n, j)
+    r_a = spec.field(spec.s1**2 * spec.frho**2)
+    k_g = spec.field(spec.inv_lap)
+    c1 = float(np.sum(k_g * r_a)) * spec.mesh2
+    mean = c1 * w - spec.convolve(w * k_g, r_a)
+    if j:
+        for i, s in ((1, spec.s1), (2, spec.s2)):
+            dk = spec.field(1j * s * spec.inv_lap)
+            mean -= _coordinate(spec.n, i) * spec.convolve(w * dk, r_a)
+    return mean
 
 
 def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
@@ -54,46 +95,7 @@ def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
     Tests ``A * (K*A - (K*A)(0))`` against phi and subtracts the exact
     Gaussian expectation; A is the mollified noise derivative.
     """
-    spec = _spectral(sample.n, eps)
-    a = _smoothed_gradient_field(spec, sample)
-    b = spec.field(spec.coeff(a) * spec.inv_lap)
-    stoch = float(np.sum(phi * a * (b - b[spec.origin]))) * spec.mesh2
-    r = spec.counterterm
-    mean = float(np.sum(phi * (r[spec.origin] - r))) * spec.mesh2
-    return eps * (stoch - mean)
-
-
-def _weighted_recentred_field(spec: Spectral, a: np.ndarray, j: int):
-    """B_w(z) = (K*W)(z) - (K*W)(0) - z . (grad K * W)(0) for W = x_j A.
-
-    The polynomial decoration weights the integration point by its chart
-    coordinate relative to the base point at the origin, with the twice
-    recentred kernel.
-    """
-    x1, x2 = _coords(spec.n)
-    xj = x1 if j == 1 else x2
-    w_hat = spec.coeff(xj * a)
-    kw = spec.field(w_hat * spec.inv_lap)
-    gk1 = spec.field(w_hat * 1j * spec.s1 * spec.inv_lap)
-    gk2 = spec.field(w_hat * 1j * spec.s2 * spec.inv_lap)
-    o = spec.origin
-    return kw - kw[o] - x1 * gk1[o] - x2 * gk2[o]
-
-
-@lru_cache(maxsize=32)
-def _weighted_mean_field(spec: Spectral, j: int) -> np.ndarray:
-    """E[A(z) B_w(z)] as a grid field, by the covariance closed forms."""
-    x1, x2 = _coords(spec.n)
-    xj = x1 if j == 1 else x2
-    r_a = spec.field(spec.s1**2 * spec.frho**2)
-    k_g = spec.field(spec.inv_lap)
-    dk1 = spec.field(1j * spec.s1 * spec.inv_lap)
-    dk2 = spec.field(1j * spec.s2 * spec.inv_lap)
-    c1 = float(np.sum(k_g * r_a)) * spec.mesh2
-    t0 = spec.convolve(xj * k_g, r_a)
-    tg1 = spec.convolve(xj * dk1, r_a)
-    tg2 = spec.convolve(xj * dk2, r_a)
-    return c1 * xj - t0 - x1 * tg1 - x2 * tg2
+    return _recentred_product(sample, eps, phi, 0)
 
 
 def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
@@ -101,22 +103,16 @@ def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
     """Coordinate-weighted renormalised products.
 
     ``xxiixi``: the polynomially decorated product, identically the plain
-    estimator tested against ``x_j * phi``.  ``xiixxi``: the variant with the
-    twice-recentred kernel, whose deterministic corrections are evaluated
-    spectrally through the exact covariance.
+    estimator tested against ``x_j * phi``.  ``xiixxi``: the integration
+    point weighted by ``x_j`` with the twice-recentred kernel.
     """
+    if j not in (1, 2):
+        raise ValueError(f"axis must be 1 or 2, not {j!r}")
     if which == "xxiixi":
-        x1, x2 = _coords(sample.n)
-        xj = x1 if j == 1 else x2
-        return pi_xiixi(sample, eps, xj * phi)
+        return pi_xiixi(sample, eps, _coordinate(sample.n, j) * phi)
     if which != "xiixxi":
         raise ValueError(f"unknown weighted estimator {which!r}")
-    spec = _spectral(sample.n, eps)
-    a = _smoothed_gradient_field(spec, sample)
-    bw = _weighted_recentred_field(spec, a, j)
-    stoch = float(np.sum(phi * a * bw)) * spec.mesh2
-    mean = float(np.sum(phi * _weighted_mean_field(spec, j))) * spec.mesh2
-    return eps * (stoch - mean)
+    return _recentred_product(sample, eps, phi, j)
 
 
 @dataclass
@@ -178,9 +174,10 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
 
     ``which`` is ``xiixi`` (``pi_xiixi`` against phi) or a ``pi_weighted``
     estimator on axis ``j``, whose limiting variance is taken against
-    ``x_j * phi``.  The same noise panel drives every scale (common random
-    numbers), so the across-scale comparisons in the output are far more
-    stable than the per-entry error bars suggest.
+    ``x_j * phi``.  Each noise is drawn once and evaluated at every scale
+    before the next is drawn (common random numbers, one field alive at a
+    time), so the across-scale comparisons in the output are far more stable
+    than the per-entry error bars suggest.
     """
     if phi is None:
         phi = bump_field(n, radius=0.25)
@@ -192,15 +189,17 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
         weight = phi
         estimate = lambda noise, eps: pi_xiixi(noise, eps, phi)
     else:
-        x1, x2 = _coords(n)
-        weight = (x1 if j == 1 else x2) * phi
+        weight = _coordinate(n, j) * phi
         estimate = lambda noise, eps: pi_weighted(noise, eps, phi, which, j)
     target = crho_sq * float(np.sum(weight * weight)) / (n * n)
-    noises = [sample_noise(n, s) for s in sample_seeds(seed, samples)]
+    values = np.empty((samples, len(eps_list)))
+    for row, s in zip(values, sample_seeds(seed, samples)):
+        noise = sample_noise(n, s)
+        row[:] = [estimate(noise, eps) for eps in eps_list]
+        del noise  # one noise field alive at a time
     rows = []
-    for eps in eps_list:
-        values = np.array([estimate(noise, eps) for noise in noises])
-        stats = estimate_stats(values)
+    for eps, column in zip(eps_list, values.T):
+        stats = estimate_stats(column)
         rows.append(
             {
                 "eps": eps,

@@ -27,6 +27,7 @@ from .feynman import (
     MOLLIFIER_DERIVS,
     MOLLIFIER_TAGS,
     edge_classes,
+    order_rule_offenders,
 )
 
 # Moment tables for the renormalised kernels (zero-spending convention).
@@ -220,7 +221,8 @@ def _subsets(pool: list[int], minimum: int):
 class ConditionReport:
     cond0: bool = True
     cond1: bool = True
-    cond0_offenders: list = field(default_factory=list)
+    cond0_edges: list = field(default_factory=list)
+    cond0_vertices: list = field(default_factory=list)
     cond1_offenders: list = field(default_factory=list)
     cond2: list = field(default_factory=list)  # (vbar, margin): margin <= 0 entries
     cond3: list = field(default_factory=list)
@@ -228,27 +230,11 @@ class ConditionReport:
     alpha: ExtRational = EXT_ZERO
 
     def ok(self) -> bool:
-        return (
-            self.cond0
-            and self.cond1
-            and not self.cond2
-            and not self.cond3
-            and not self.cond4
-        )
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        out = []
-        if not self.cond0:
-            out.append("0")
-        if not self.cond1:
-            out.append("1")
-        if self.cond2:
-            out.append("2")
-        if self.cond3:
-            out.append("3")
-        if self.cond4:
-            out.append("4")
-        return out
+        fails = (not self.cond0, not self.cond1, self.cond2, self.cond3, self.cond4)
+        return [str(k) for k, fail in enumerate(fails) if fail]
 
 
 def lambda_exponent(labelled: LabelledGraph) -> ExtRational:
@@ -266,23 +252,19 @@ def check_conditions(labelled: LabelledGraph) -> ConditionReport:
     tested = graph.tested_vertices()
     root = graph.root
 
-    neg_at: dict[int, int] = {}
-    for i, e in enumerate(graph.edges):
-        r = labelled.r(i)
-        # Recentred kernels cannot join two tested vertices; renormalised
-        # ones can (the basic variance graphs do exactly that).
-        if r > 0 and e.tail in tested and e.head in tested:
-            rep.cond0_offenders.append(i)
-        if r != 0 and e.touches(root):
-            rep.cond0_offenders.append(i)
-        if r < 0:
-            neg_at[e.tail] = neg_at.get(e.tail, 0) + 1
-            neg_at[e.head] = neg_at.get(e.head, 0) + 1
-        if not ExtRational.of(2) > labelled.a(i) + ExtRational.of(min(r, 0)):
-            rep.cond1_offenders.append(i)
-    if any(n > 1 for n in neg_at.values()):
-        rep.cond0_offenders.extend(v for v, n in neg_at.items() if n > 1)
-    rep.cond0 = not rep.cond0_offenders
+    orders = [labelled.r(i) for i in range(len(graph.edges))]
+    at_root, rep.cond0_vertices = order_rule_offenders(graph, orders)
+    # Recentred kernels cannot join two tested vertices; renormalised ones
+    # can (the basic variance graphs do exactly that).
+    rep.cond0_edges = [
+        i for i, (e, r) in enumerate(zip(graph.edges, orders))
+        if (r > 0 and e.tail in tested and e.head in tested) or i in at_root
+    ]
+    rep.cond1_offenders = [
+        i for i, r in enumerate(orders)
+        if not ExtRational.of(2) > labelled.a(i) + ExtRational.of(min(r, 0))
+    ]
+    rep.cond0 = not (rep.cond0_edges or rep.cond0_vertices)
     rep.cond1 = not rep.cond1_offenders
 
     inner = [v for v in graph.vertices() if v != root]

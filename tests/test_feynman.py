@@ -70,12 +70,16 @@ class TestFixtures:
             ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=1/0 r=0\n",
              "line 5: zero denominator in '1/0'"),
             ("graph g\nv o root\nv x int\ne x o Test:x\n", "line 4: bad field 'Test:x'"),
+            ("graph h\nv o root\n\ngraph g\nv x int\n", "line 4: g: need exactly one root"),
+            ("graph g\nv o root\nv p root\n", "line 1: g: need exactly one root"),
+            ("graph g\nv o root\nv x int\ne o x Test\ngraph h\nv o root\n",
+             "line 1: g: test edges must point at the root"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
              "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
              "label-out-of-range", "vertex-before-graph", "zero-coeff-denominator",
              "zero-prefactor-denominator", "zero-eps-denominator", "zero-label-denominator",
-             "bad-axis-index"],
+             "bad-axis-index", "no-root", "two-roots", "test-edge-off-root"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):

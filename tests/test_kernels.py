@@ -6,6 +6,7 @@ import pytest
 from gpam2d.kernels import (
     GepsGrid,
     Mollifier,
+    Spectral,
     SquareKernel,
     approx_unity_report,
     bump_field,
@@ -149,6 +150,16 @@ class TestGrid:
         r_fine = gconv_limits_check(1 / 32, f=f, n=n, mol=mol, resolution=RES)
         assert r_fine["limit1"] < r_coarse["limit1"]
         assert r_fine["limit2"] < r_coarse["limit2"]
+
+    def test_field_at_origin_is_the_coefficient_sum(self, mol):
+        # The estimators read base-point values as coefficient sums.
+        spec = Spectral(64, 1 / 8, mol)
+        rng = np.random.default_rng(4)
+        noise_hat = spec.coeff(rng.standard_normal((64, 64)))
+        for c in (spec.coeff(bump_field(64)), noise_hat,
+                  1j * spec.s2 * spec.inv_lap * noise_hat):
+            value = c.sum().real
+            assert abs(spec.field(c)[spec.origin] - value) <= 1e-12 * abs(value)
 
     def test_bump_field_normalised(self):
         n = 128

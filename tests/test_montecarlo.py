@@ -1,8 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from gpam2d import montecarlo
 from gpam2d.kernels import bump_field, torus_coords
 from gpam2d.montecarlo import (
+    _mean_field,
+    _spectral,
     convergence_table,
     estimate_stats,
     pi_weighted,
@@ -85,6 +90,14 @@ class TestEstimators:
         assert pi_weighted(s, EPS, phi, "xxiixi", 1) == pi_xiixi(s, EPS, x1 * phi)
         assert pi_weighted(s, EPS, phi, "xxiixi", 2) == pi_xiixi(s, EPS, x2 * phi)
 
+    def test_order_zero_mean_field_is_the_counterterm(self):
+        # With weight 1 the mean field is R(0) - R, where R = E[A(z) (K*A)(0)].
+        spec = _spectral(N, EPS)
+        r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
+        expected = r[spec.origin] - r
+        gap = np.max(np.abs(_mean_field(spec, 0) - expected))
+        assert gap <= 1e-12 * np.max(np.abs(expected))
+
     def test_counterterm_centres_the_estimator(self, phi):
         values = np.array(
             [pi_xiixi(sample_noise(N, s), EPS, phi) for s in sample_seeds(21, 600)]
@@ -107,6 +120,12 @@ class TestEstimators:
     def test_unknown_estimator(self, phi):
         with pytest.raises(ValueError):
             pi_weighted(sample_noise(N, 0), EPS, phi, "nope")
+
+    @pytest.mark.parametrize("which", ["xiixxi", "xxiixi"])
+    @pytest.mark.parametrize("j", [0, 3, -1])
+    def test_unknown_axis(self, phi, which, j):
+        with pytest.raises(ValueError, match="axis"):
+            pi_weighted(sample_noise(N, 0), EPS, phi, which, j)
 
 
 class TestStats:
@@ -141,6 +160,22 @@ class TestConvergenceTable:
         assert rows1 == rows2
         assert [r["eps"] for r in rows1] == [1 / 4, 1 / 8]
         assert all(r["seed"] == 5 for r in rows1)
+
+    def test_one_noise_alive_at_a_time(self, phi, monkeypatch):
+        refs, alive_at_draw = [], []
+        draw = montecarlo.sample_noise
+
+        def counted(n, seed):
+            alive_at_draw.append(sum(ref() is not None for ref in refs))
+            noise = draw(n, seed)
+            refs.append(weakref.ref(noise))
+            return noise
+
+        monkeypatch.setattr(montecarlo, "sample_noise", counted)
+        for which in ("xiixi", "xiixxi"):
+            convergence_table([1 / 4, 1 / 8], N, 16, phi=phi, seed=5, crho_sq=0.2139,
+                              which=which)
+        assert alive_at_draw == [0] * 32
 
     def test_error_bars_shrink_with_samples(self, phi):
         small = convergence_table([1 / 8], N, 64, phi=phi, seed=6, crho_sq=0.2139)[0]

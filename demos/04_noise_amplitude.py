@@ -1,7 +1,7 @@
 """The limiting noise amplitude: two quadrature routes, scale invariance,
 and the approximation-of-unity behaviour of the square kernel.
 
-Run as: python3 demos/04_noise_amplitude.py  (about 7 s on a 2-core machine)
+Run as: python3 demos/04_noise_amplitude.py  (about 5 s on a 2-core machine)
 """
 
 from gpam2d.kernels import SquareKernel, approx_unity_report, crho_squared

@@ -38,6 +38,22 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _uniform_eval(spline: CubicSpline, r: np.ndarray) -> np.ndarray:
+    """``spline(r)`` for a spline on a uniform grid from 0, with r inside it.
+
+    The piece is read off as ``floor(r / h)`` instead of searched for, and is
+    evaluated by Horner's rule on the spline's coefficients.
+    """
+    x, c = spline.x, spline.c
+    piece = np.minimum((r * ((x.size - 1) / x[-1])).astype(np.intp), x.size - 2)
+    d = r - x.take(piece)
+    out = c[0].take(piece)
+    for k in (1, 2, 3):
+        out *= d
+        out += c[k].take(piece)
+    return out
+
+
 class Mollifier:
     """A smooth radial bump on the unit disc with unit integral.
 
@@ -77,25 +93,23 @@ class Mollifier:
             support = float(order)
             grid = np.linspace(0.0, support, 3 * self.resolution)
             tn, tw = _gauss_nodes(0.0, 1.0, 2 * self.resolution)
-            # Full-period rectangle rule: spectrally accurate for the smooth
-            # periodic angular integrand.
-            an = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-            aw = TWO_PI / an.size
+            # The 512-node full-period rectangle rule (spectrally accurate for
+            # the smooth periodic angular integrand), folded onto [0, pi] by
+            # the symmetry theta -> 2 pi - theta: 257 nodes, ends halved.
+            an = np.linspace(0.0, math.pi, 257)
+            aw = np.full(an.size, TWO_PI / 256)
+            aw[[0, -1]] *= 0.5
             weights = tw * tn * self.rad(tn)
             cos_a = np.cos(an)
             vals = np.empty_like(grid)
             for lo in range(0, grid.size, 16):
-                g = grid[lo : lo + 16]
-                dist = np.sqrt(
-                    np.maximum(
-                        g[:, None, None] ** 2
-                        + tn[None, :, None] ** 2
-                        - 2.0 * g[:, None, None] * tn[None, :, None] * cos_a[None, None, :],
-                        0.0,
-                    )
-                )
-                inner = np.nan_to_num(lower(np.clip(dist, 0.0, order - 1.0)))
-                vals[lo : lo + 16] = aw * np.einsum("t,gta->g", weights, inner)
+                g = grid[lo : lo + 16, None]
+                # |g - t e^{ia}| (its square clipped at 0), capped at the lower support.
+                dist = np.multiply.outer(-2.0 * g * tn, cos_a)
+                dist += (g * g + tn * tn)[:, :, None]
+                np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+                inner = _uniform_eval(lower, np.minimum(dist, order - 1.0, out=dist))
+                vals[lo : lo + 16] = (inner @ aw) @ weights
             spline = CubicSpline(grid, vals, extrapolate=False)
         self._splines[key] = spline
         return spline
@@ -104,8 +118,8 @@ class Mollifier:
         spline = self._profile_spline(order)
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        inside = r < float(order)
-        out[inside] = np.nan_to_num(spline(r[inside]))
+        inside = (r >= 0.0) & (r < float(order))
+        out[inside] = _uniform_eval(spline, r[inside])
         return out
 
     def mass(self, order: int, r):
@@ -120,7 +134,7 @@ class Mollifier:
             self._splines[key] = CubicSpline(grid, cumulative, extrapolate=False)
         spline = self._splines[key]
         r = np.asarray(r, dtype=float)
-        return np.where(r >= float(order), 1.0, np.nan_to_num(spline(np.clip(r, 0.0, float(order)))))
+        return np.where(r >= float(order), 1.0, _uniform_eval(spline, np.clip(r, 0.0, float(order))))
 
     # -- Fourier transform ----------------------------------------------------
 
@@ -357,11 +371,17 @@ def bump_field(n: int, radius: float = 0.25, centre=(0.0, 0.0)) -> np.ndarray:
 
 
 class Spectral:
-    """Fourier multipliers of the N x N unit torus at one scale.
+    """Fourier multipliers of the N x N unit torus at one scale, on half spectra.
 
-    ``s1`` (N, 1) and ``s2`` (1, N) broadcast; ``frho`` is 1 at the zero
-    mode and ``inv_lap`` drops it.  The static helpers fix the FFT
-    normalisation and the projection of grid fields onto their real part.
+    A real grid field is held by its ``rfft2`` coefficients: an N x (N/2+1)
+    table of the non-negative axis-2 frequencies, the others following by
+    Hermitian symmetry.  ``s1`` (N, 1) and ``s2`` (1, N/2+1) broadcast;
+    ``frho`` is 1 at the zero mode and ``inv_lap`` drops it.  Nyquist
+    convention: the derivative multipliers ``d1 = i s1`` and ``d2 = i s2``
+    are zero on the Nyquist row and column respectively, the one choice that
+    maps real fields to real fields.  ``d1_frho`` is the multiplier of the
+    mollified axis-1 derivative.  The static helpers fix the FFT
+    normalisation.
     """
 
     def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
@@ -370,29 +390,49 @@ class Spectral:
         self.n = n
         self.mesh2 = 1.0 / (n * n)
         self.mol = mol or _default_mollifier(RESOLUTION)
-        m = np.fft.fftfreq(n, d=1.0 / n)
-        self.s1 = TWO_PI * m[:, None]
-        self.s2 = TWO_PI * m[None, :]
+        m1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        m2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+        self.s1, self.s2 = TWO_PI * m1, TWO_PI * m2
+        self.d1 = 1j * np.where(2 * np.abs(m1) == n, 0.0, self.s1)
+        self.d2 = 1j * np.where(2 * m2 == n, 0.0, self.s2)
         ss = self.s1**2 + self.s2**2
         ss[0, 0] = 1.0
         self.frho = self.mol.fourier(np.sqrt(ss) * eps)
         self.frho[0, 0] = 1.0
         self.inv_lap = np.divide(1.0, ss, out=ss)
         self.inv_lap[0, 0] = 0.0
+        self.d1_frho = self.d1 * self.frho
         self.origin = (0, 0)  # chart origin sits at grid index (0, 0)
 
     @staticmethod
     def field(coeff: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(coeff).real * coeff.size
+        n = coeff.shape[0]
+        return np.fft.irfft2(coeff, s=(n, n)) * (n * n)
 
     @staticmethod
     def coeff(field: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(field) / field.size
+        return np.fft.rfft2(field) / field.size
+
+    @staticmethod
+    def at_origin(coeff: np.ndarray) -> float:
+        """``field(coeff)`` at the origin, with no transform.
+
+        Every column stands for itself and its mirror, except column 0 and,
+        for even N, the Nyquist column N/2.
+        """
+        cols = coeff.real.sum(axis=0)
+        once = cols[0] + (cols[-1] if coeff.shape[0] % 2 == 0 else 0.0)
+        return float(2.0 * cols.sum() - once)
 
     @staticmethod
     def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Circular convolution of two grid fields, weighted by the cell area."""
-        return np.fft.ifft2(np.fft.fft2(f) * np.fft.fft2(g)).real / f.size
+        return Spectral.field(Spectral.coeff(f) * Spectral.coeff(g))
+
+    @staticmethod
+    def correlate(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Circular correlation ``sum_y f(x + y) g(y)``, weighted by the cell area."""
+        return Spectral.field(Spectral.coeff(f) * Spectral.coeff(g).conj())
 
 
 class GepsGrid:
@@ -440,11 +480,11 @@ def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
     lhs1 = float(np.sum(phi * gf)) * mesh2
     rhs1 = crho_sq * float(np.sum(phi * f)) * mesh2
 
-    corr_phi = np.fft.ifft2(np.abs(np.fft.fft2(phi)) ** 2).real * mesh2
+    corr_phi = Spectral.correlate(phi, phi)
     lhs2 = float(np.sum(gf * gf * corr_phi)) * mesh2
     rhs2 = crho_sq * crho_sq * float(np.sum(f * f * corr_phi)) * mesh2
 
-    corr_gf_f = np.fft.ifft2(np.fft.fft2(gf) * np.conj(np.fft.fft2(f))).real * mesh2
+    corr_gf_f = Spectral.correlate(gf, f)
     lhs3 = float(np.sum(grid.field * corr_gf_f * corr_phi)) * mesh2
     rhs3 = crho_sq * crho_sq * float(np.sum(phi * phi)) * mesh2 * float(np.sum(f * f)) * mesh2
 

@@ -54,16 +54,18 @@ def _recentred_product(sample: NoiseSample, eps: float, phi: np.ndarray, j: int)
 
     A is the mollified axis-1 derivative of the noise and B_j is K*(w A),
     with w the weight of order j, recentred at the origin to order 0 (j = 0)
-    or 1 (j = 1, 2).  Base-point values are coefficient sums.
+    or 1 (j = 1, 2).  Base-point values are coefficient sums.  One ``rfft2``
+    and two ``irfft2`` per call, and one more ``rfft2`` for the weight x_j.
     """
     spec = _spectral(sample.n, eps)
-    a = spec.field(1j * spec.s1 * spec.frho * spec.coeff(sample.xi))
-    w_hat = spec.coeff(_coordinate(spec.n, j) * a)
+    a_hat = spec.d1_frho * spec.coeff(sample.xi)
+    a = spec.field(a_hat)
+    w_hat = spec.coeff(_coordinate(spec.n, j) * a) if j else a_hat
     kw = spec.field(w_hat * spec.inv_lap)
     b = kw - kw[spec.origin]
     if j:
-        for i, s in ((1, spec.s1), (2, spec.s2)):
-            b -= _coordinate(spec.n, i) * (1j * s * spec.inv_lap * w_hat).sum().real
+        for i, d in ((1, spec.d1), (2, spec.d2)):
+            b -= _coordinate(spec.n, i) * spec.at_origin(d * spec.inv_lap * w_hat)
     stoch = float(np.sum(phi * a * b)) * spec.mesh2
     mean = float(np.sum(phi * _mean_field(spec, j))) * spec.mesh2
     return eps * (stoch - mean)
@@ -83,8 +85,8 @@ def _mean_field(spec: Spectral, j: int) -> np.ndarray:
     c1 = float(np.sum(k_g * r_a)) * spec.mesh2
     mean = c1 * w - spec.convolve(w * k_g, r_a)
     if j:
-        for i, s in ((1, spec.s1), (2, spec.s2)):
-            dk = spec.field(1j * s * spec.inv_lap)
+        for i, d in ((1, spec.d1), (2, spec.d2)):
+            dk = spec.field(d * spec.inv_lap)
             mean -= _coordinate(spec.n, i) * spec.convolve(w * dk, r_a)
     return mean
 

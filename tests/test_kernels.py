@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from gpam2d.kernels import (
     GepsGrid,
     Mollifier,
     Spectral,
     SquareKernel,
+    _gauss_nodes,
+    _uniform_eval,
     approx_unity_report,
     bump_field,
     crho_squared,
@@ -81,6 +84,51 @@ class TestCrho:
         assert abs(fine - coarse) < 1e-4 * abs(fine)
 
 
+class TestQuadrature:
+    """The cold quadrature against the rules it stands in for."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return Mollifier(resolution=32)
+
+    def test_uniform_eval_is_the_spline(self, small):
+        rng = np.random.default_rng(11)
+        for order in (1, 2, 3):
+            small.mass(order, 0.5)
+            for spline in (small._profile_spline(order), small._splines[("mass", order)]):
+                r = rng.uniform(0.0, spline.x[-1], 4000)
+                assert np.max(np.abs(_uniform_eval(spline, r) - spline(r))) <= 1e-15
+        wavy = CubicSpline(np.linspace(0.0, 5.0, 77), np.sin(np.linspace(0.0, 30.0, 77)))
+        r = rng.uniform(0.0, 5.0, (7, 9, 11))
+        assert np.max(np.abs(_uniform_eval(wavy, r) - wavy(r))) <= 1e-15
+
+    def test_half_angle_rule_is_the_full_period_rule(self, small):
+        # The 512-node rectangle rule over the whole period, written out.
+        tn, tw = _gauss_nodes(0.0, 1.0, 2 * small.resolution)
+        weights = tw * tn * small.rad(tn)
+        cos_a = np.cos(np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+        for order in (2, 3):
+            lower = small._profile_spline(order - 1)
+            grid = np.linspace(0.0, float(order), 3 * small.resolution)
+            dist = np.sqrt(np.maximum(
+                grid[:, None, None] ** 2 + tn[None, :, None] ** 2
+                - 2.0 * grid[:, None, None] * tn[None, :, None] * cos_a, 0.0))
+            inner = np.nan_to_num(lower(np.clip(dist, 0.0, order - 1.0)))
+            full = 2.0 * math.pi / 512 * np.einsum("t,gta->g", weights, inner)
+            assert np.max(np.abs(small._profile_spline(order)(grid) - full)) <= 1e-13
+
+    @pytest.mark.parametrize("route, resolution, value", [
+        ("spatial", 64, 0.21385501263536402),
+        ("fourier", 64, 0.2138563166779222),
+        ("spatial", 128, 0.2138567340125781),
+        ("fourier", 128, 0.21385705927329168),
+    ])
+    def test_crho_pinned(self, route, resolution, value):
+        # Values of the scipy-evaluated, full-period quadrature.
+        got = crho_squared(route, resolution).value
+        assert abs(got - value) <= 1e-12 * value
+
+
 class TestSquareKernel:
     def test_scale_invariant_integral(self, kernel):
         vals = [kernel.integral(eps) for eps in (1.0, 0.5, 0.25)]
@@ -152,13 +200,15 @@ class TestGrid:
         assert r_fine["limit2"] < r_coarse["limit2"]
 
     def test_field_at_origin_is_the_coefficient_sum(self, mol):
-        # The estimators read base-point values as coefficient sums.
+        # The estimators read base-point values as half-spectrum coefficient
+        # sums, each column but 0 and N/2 counted for its mirror too.
         spec = Spectral(64, 1 / 8, mol)
         rng = np.random.default_rng(4)
         noise_hat = spec.coeff(rng.standard_normal((64, 64)))
         for c in (spec.coeff(bump_field(64)), noise_hat,
-                  1j * spec.s2 * spec.inv_lap * noise_hat):
-            value = c.sum().real
+                  1j * spec.s2 * spec.inv_lap * noise_hat,
+                  spec.d1 * spec.inv_lap * noise_hat):
+            value = spec.at_origin(c)
             assert abs(spec.field(c)[spec.origin] - value) <= 1e-12 * abs(value)
 
     def test_bump_field_normalised(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpam2d import montecarlo
-from gpam2d.kernels import bump_field, torus_coords
+from gpam2d.kernels import RESOLUTION, _default_mollifier, bump_field, torus_coords
 from gpam2d.montecarlo import (
     _mean_field,
     _spectral,
@@ -126,6 +126,71 @@ class TestEstimators:
     def test_unknown_axis(self, phi, which, j):
         with pytest.raises(ValueError, match="axis"):
             pi_weighted(sample_noise(N, 0), EPS, phi, which, j)
+
+
+def full_spectrum_estimate(xi, eps, phi, j):
+    """The estimators on complex full-spectrum FFTs, written out: the oracle.
+
+    The derivative multipliers are taken as they are; ``.real`` projects
+    them onto real fields.
+    """
+    n = xi.shape[0]
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    s1, s2 = 2 * np.pi * m[:, None], 2 * np.pi * m[None, :]
+    ss = s1**2 + s2**2
+    ss[0, 0] = 1.0
+    frho = _default_mollifier(RESOLUTION).fourier(np.sqrt(ss) * eps)
+    frho[0, 0] = 1.0
+    inv_lap = 1.0 / ss
+    inv_lap[0, 0] = 0.0
+
+    def field(c):
+        return np.fft.ifft2(c).real * c.size
+
+    def coeff(f):
+        return np.fft.fft2(f) / f.size
+
+    def convolve(f, g):
+        return np.fft.ifft2(np.fft.fft2(f) * np.fft.fft2(g)).real / f.size
+
+    x = torus_coords(n)
+    weight = {0: 1.0, 1: x[:, None], 2: x[None, :]}
+    a = field(1j * s1 * frho * coeff(xi))
+    w_hat = coeff(weight[j] * a)
+    kw = field(w_hat * inv_lap)
+    b = kw - kw[0, 0]
+    r_a = field(s1**2 * frho**2)
+    k_g = field(inv_lap)
+    mean = float(np.sum(k_g * r_a)) / (n * n) * weight[j] - convolve(weight[j] * k_g, r_a)
+    if j:
+        for i, s in ((1, s1), (2, s2)):
+            b -= weight[i] * (1j * s * inv_lap * w_hat).sum().real
+            mean -= weight[i] * convolve(weight[j] * field(1j * s * inv_lap), r_a)
+    stoch = float(np.sum(phi * a * b)) / (n * n)
+    return eps * (stoch - float(np.sum(phi * mean)) / (n * n))
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_estimators_match_the_full_spectrum_oracle(self, n):
+        phi = bump_field(n, radius=0.25)
+        for seed in sample_seeds(31, 3):
+            noise = sample_noise(n, seed)
+            for eps in (1 / 8, 1 / 16):
+                got = [pi_xiixi(noise, eps, phi),
+                       pi_weighted(noise, eps, phi, "xiixxi", 1),
+                       pi_weighted(noise, eps, phi, "xiixxi", 2)]
+                for j, value in enumerate(got):
+                    expected = full_spectrum_estimate(noise.xi, eps, phi, j)
+                    assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_derivative_multipliers_vanish_on_the_nyquist_lines(self):
+        spec = _spectral(N, EPS)
+        assert spec.frho.shape == spec.inv_lap.shape == (N, N // 2 + 1)
+        assert np.all(spec.d1[N // 2] == 0) and np.all(spec.d2[:, N // 2] == 0)
+        rows = np.arange(N) != N // 2
+        assert np.array_equal(spec.d1[rows], 1j * spec.s1[rows])
+        assert np.array_equal(spec.d2[:, :-1], 1j * spec.s2[:, :-1])
 
 
 class TestStats:

@@ -1,4 +1,4 @@
-"""The FFT has one home: ``kernels.Spectral`` (and ``gconv_limits_check``).
+"""The FFT has one home: ``kernels.Spectral``.
 
 Every other module reaches the Fourier transform through ``Spectral``, so
 the normalisation and the projection onto real fields are fixed in one
@@ -12,7 +12,7 @@ import gpam2d
 
 PACKAGE = Path(gpam2d.__file__).resolve().parent
 FFT_MODULES = ("numpy.fft", "scipy.fft")
-ALLOWED = {("kernels", "Spectral"), ("kernels", "gconv_limits_check")}
+ALLOWED = {("kernels", "Spectral")}
 
 
 def _dotted(node) -> str | None:

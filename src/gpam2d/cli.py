@@ -272,6 +272,13 @@ def cmd_mc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """Grid sizes, sample counts and resolutions: integers of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # --out is accepted before or after the subcommand; SUPPRESS keeps a
     # subcommand's unset --out from overwriting one given before it.
@@ -300,20 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("constants", help="kernel constants and limits")
     p.add_argument("action", choices=["crho", "geps", "gconv"])
     p.add_argument("--route", choices=["spatial", "fourier", "both"], default="both")
-    p.add_argument("--resolution", type=int,
+    p.add_argument("--resolution", type=_positive_int,
                    help="mollifier resolution of every quadrature and grid "
                         "(default: kernels.RESOLUTION)")
     p.add_argument("--eps", default="1..1/4")
-    p.add_argument("--n", type=int, default=512)
+    p.add_argument("--n", type=_positive_int, default=512)
     p.set_defaults(func=cmd_constants)
 
     p = add("mc", help="Monte-Carlo verification runs")
     p.add_argument("action", choices=["noise", "xiixi", "weighted"])
     p.add_argument("--eps", default="2^-3..2^-6")
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--n", type=_positive_int, default=512)
+    p.add_argument("--samples", type=_positive_int, default=400)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--resolution", type=int,
+    p.add_argument("--resolution", type=_positive_int,
                    help="mollifier resolution of the c_rho^2 quadrature only; the "
                         "spectral tables always use kernels.RESOLUTION "
                         "(default: kernels.RESOLUTION)")

@@ -429,21 +429,13 @@ def fourth_cumulant_graphs(stochastic: FeynmanGraph, dedup: bool = True) -> list
     out = []
     seen: set[str] = set()
     for matching in pairings(items):
-        comp = list(range(4))
-
-        def find(c):
-            while comp[c] != c:
-                comp[c] = comp[comp[c]]
-                c = comp[c]
-            return c
-
-        cross = True
-        for (c1, _), (c2, _) in matching:
-            if c1 == c2:
-                cross = False
-                break
-            comp[find(c1)] = find(c2)
-        if not cross or len({find(c) for c in range(4)}) != 1:
+        links = [(c1, c2) for (c1, _), (c2, _) in matching]
+        if any(c1 == c2 for c1, c2 in links):
+            continue
+        reached = {0}
+        for _ in range(3):  # three rounds reach every copy of a connected quotient
+            reached |= {c for link in links if reached.intersection(link) for c in link}
+        if len(reached) < 4:
             continue
 
         graph = _contract(stochastic, copies, matching, f"{stochastic.name}|k4")
@@ -477,17 +469,9 @@ def _graph_code(graph: FeynmanGraph, order: dict[int, int]) -> tuple:
     return (kinds, tuple(edges))
 
 
-def canonical_form(graph: FeynmanGraph) -> str:
-    """Isomorphism-invariant encoding (root fixed, kinds respected).
-
-    Brute-force minimisation over kind-preserving bijections, pruned by an
-    iterated neighbourhood-colour refinement.
-    """
+def _refine(graph: FeynmanGraph, colours: dict) -> dict:
+    """Iterate the neighbourhood-colour refinement until no cell splits."""
     verts = graph.vertices()
-    if len(verts) > 16:
-        raise ValueError("canonical_form caps at 16 vertices")
-
-    colours = {v: (_KIND_CODE[graph.kinds[v]], 1 if v == graph.root else 0) for v in verts}
     for _ in range(len(verts)):
         new = {}
         for v in verts:
@@ -508,34 +492,31 @@ def canonical_form(graph: FeynmanGraph) -> str:
             colours = refreshed
             break
         colours = refreshed
+    return colours
 
-    groups: dict[tuple, list[int]] = {}
-    for v in verts:
-        if v == graph.root:
-            continue
-        key = (_KIND_CODE[graph.kinds[v]],) + colours[v]
-        groups.setdefault(key, []).append(v)
 
-    best: tuple | None = None
-    group_list = sorted(groups.items(), key=lambda kv: repr(kv[0]))
+def _least_code(graph: FeynmanGraph, colours: dict) -> tuple:
+    colours = _refine(graph, colours)
+    cells: dict[tuple, list[int]] = {}
+    for v, c in colours.items():
+        cells.setdefault(c, []).append(v)
+    split = min((c for c, members in cells.items() if len(members) > 1), key=repr, default=None)
+    if split is None:
+        return _graph_code(graph, {v: c[0] for v, c in colours.items()})
+    return min(_least_code(graph, colours | {v: split + (0,)}) for v in cells[split])
 
-    def assign(idx: int, order: dict[int, int], next_rank: int):
-        nonlocal best
-        if idx == len(group_list):
-            code = _graph_code(graph, order)
-            if best is None or code < best:
-                best = code
-            return
-        _, members = group_list[idx]
-        for perm in itertools.permutations(members):
-            new_order = dict(order)
-            for offset, v in enumerate(perm):
-                new_order[v] = next_rank + offset
-            assign(idx + 1, new_order, next_rank + len(members))
 
-    assign(0, {graph.root: 0}, 1)
-    assert best is not None
-    return repr(best)
+def canonical_form(graph: FeynmanGraph) -> str:
+    """Isomorphism-invariant encoding (root fixed, kinds respected).
+
+    Individualisation-refinement without pruning (McKay & Piperno,
+    arXiv:1301.1493): refine the kind colouring until it is stable, then
+    individualise each vertex of the first non-singleton cell (cells in
+    ``repr`` order) in turn and recurse.  A discrete colouring orders the
+    vertices; the form is the least ``_graph_code`` over these leaves.
+    """
+    colours = {v: (_KIND_CODE[k], 1 if v == graph.root else 0) for v, k in graph.kinds.items()}
+    return repr(_least_code(graph, colours))
 
 
 def isomorphic(a: FeynmanGraph, b: FeynmanGraph) -> bool:

@@ -370,6 +370,12 @@ def bump_field(n: int, radius: float = 0.25, centre=(0.0, 0.0)) -> np.ndarray:
     return vals
 
 
+def _check_grid(n: int, eps: float) -> None:
+    """The grid rule: N >= 1 points per axis, and at least four per scale."""
+    if not (n >= 1 and eps * n >= 4):
+        raise ValueError(f"grid too coarse for scale {eps} at N = {n}: need N >= 1, eps*N >= 4")
+
+
 class Spectral:
     """Fourier multipliers of the N x N unit torus at one scale, on half spectra.
 
@@ -385,8 +391,7 @@ class Spectral:
     """
 
     def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
-        if eps < 4.0 / n:
-            raise ValueError(f"grid too coarse for scale {eps}: need eps >= 4/N = {4.0 / n}")
+        _check_grid(n, eps)
         self.n = n
         self.mesh2 = 1.0 / (n * n)
         self.mol = mol or _default_mollifier(RESOLUTION)
@@ -466,6 +471,7 @@ def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
 
     The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
     """
+    _check_grid(n, eps)
     grid_mol = _mollifier(mol, resolution)
     if f is None:
         f = bump_field(n, radius=0.175)

@@ -32,7 +32,7 @@ class NoiseSample:
 
 def sample_noise(n: int, seed) -> NoiseSample:
     """Real white noise on the grid, variance N^2 per cell, seed-determined."""
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("grid size must be a power of two")
     rng = np.random.default_rng(seed)
     return NoiseSample(xi=rng.standard_normal((n, n)) * n, n=n)

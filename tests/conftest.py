@@ -1,4 +1,5 @@
-"""Shared test helpers: the closed-form degree oracle.
+"""Shared test helpers: the closed-form degree oracle, the permutation-search
+canonical form and the list of every shipped graph.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -10,9 +11,19 @@ incoming-recentred corrections, and the inner degree is
 
 import itertools
 from fractions import Fraction
+from importlib import resources
 
+from gpam2d.corpus import classification_corpus, load_file, load_graph, load_manifest
 from gpam2d.exts import ExtRational
-from gpam2d.feynman import edge_classes, validate_structure
+from gpam2d.feynman import (
+    _KIND_CODE,
+    DIRECTION_FREE,
+    _graph_code,
+    edge_classes,
+    fourth_cumulant_graphs,
+    validate_structure,
+    wick_pairings,
+)
 from gpam2d.powercount import (
     canonical_labelling,
     deg2,
@@ -96,3 +107,95 @@ def degree_formulas_agree(graph) -> int:
             assert deg4(lg, combo) == expected, (g.name, combo)
             checked += 1
     return checked
+
+
+def permutation_search_form(graph) -> str:
+    """The reference canonical form: refine the kind colouring once, then try
+    every permutation inside each colour group and keep the least code.
+
+    Factorial in the group sizes, hence the cap; it is the oracle for the
+    individualisation-refinement search of ``feynman.canonical_form``, whose
+    forms must induce the same partition.
+    """
+    verts = graph.vertices()
+    if len(verts) > 16:
+        raise ValueError("canonical_form caps at 16 vertices")
+
+    colours = {v: (_KIND_CODE[graph.kinds[v]], 1 if v == graph.root else 0) for v in verts}
+    for _ in range(len(verts)):
+        new = {}
+        for v in verts:
+            profile = sorted(
+                (
+                    str(e.etype),
+                    e.eps,
+                    e.tail == v if e.etype.tag not in DIRECTION_FREE else True,
+                    colours[e.other(v)],
+                )
+                for e in graph.edges
+                if e.touches(v)
+            )
+            new[v] = (colours[v], tuple(profile))
+        ranks = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
+        refreshed = {v: (ranks[new[v]],) for v in verts}
+        if len(set(refreshed.values())) == len(set(colours.values())):
+            colours = refreshed
+            break
+        colours = refreshed
+
+    groups: dict[tuple, list[int]] = {}
+    for v in verts:
+        if v == graph.root:
+            continue
+        key = (_KIND_CODE[graph.kinds[v]],) + colours[v]
+        groups.setdefault(key, []).append(v)
+
+    best: tuple | None = None
+    group_list = sorted(groups.items(), key=lambda kv: repr(kv[0]))
+
+    def assign(idx: int, order: dict[int, int], next_rank: int):
+        nonlocal best
+        if idx == len(group_list):
+            code = _graph_code(graph, order)
+            if best is None or code < best:
+                best = code
+            return
+        _, members = group_list[idx]
+        for perm in itertools.permutations(members):
+            new_order = dict(order)
+            for offset, v in enumerate(perm):
+                new_order[v] = next_rank + offset
+            assign(idx + 1, new_order, next_rank + len(members))
+
+    assign(0, {graph.root: 0}, 1)
+    assert best is not None
+    return repr(best)
+
+
+FIXTURE_FILES = sorted(
+    p.name[: -len(".txt")]
+    for p in resources.files("gpam2d.fixtures").iterdir()
+    if p.name.endswith(".txt") and not p.name.startswith("class_")
+)
+MANIFESTS = ("class_g2", "class_g3", "class_g4", "class_crit", "class_van")
+K4_SOURCES = ("two_noise_tree:chain2", "weighted_tree:wchain2")
+
+
+def shipped_graphs() -> list[tuple[str, object]]:
+    """``(ref, graph)`` for every graph the package ships or derives: the
+    classification corpus, the manifest members, every fixture graph, the
+    Wick pairings of every stochastic fixture and the raw fourth-cumulant
+    graphs of the two 5-vertex chains."""
+    out = list(classification_corpus())
+    for name in MANIFESTS:
+        members = [g for entry in load_manifest(name) for g in entry.expand()]
+        out += [(f"{name}#{i}", g) for i, g in enumerate(members)]
+    for fname in FIXTURE_FILES:
+        for gname, fx in load_file(fname).items():
+            out.append((f"{fname}:{gname}", fx.graph))
+            if fx.graph.noise_vertices():
+                out += [(f"{fname}:{g.name}", g) for g in wick_pairings(fx.graph)]
+    for ref in K4_SOURCES:
+        raw = fourth_cumulant_graphs(load_graph(ref), dedup=False)
+        out += [(f"{ref}|k4#{i}", g) for i, g in enumerate(raw)]
+    return out

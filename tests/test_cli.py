@@ -116,6 +116,34 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "noise", "--n", "0"],
+            ["mc", "noise", "--samples", "0"],
+            ["mc", "noise", "--samples", "-1"],
+            ["mc", "xiixi", "--n", "0"],
+            ["mc", "xiixi", "--resolution", "0"],
+            ["constants", "gconv", "--n", "0"],
+            ["constants", "gconv", "--n", "-4"],
+            ["constants", "crho", "--resolution", "-1"],
+            ["mc", "noise", "--n", "abc"],
+        ],
+        ids=["noise-n-0", "noise-samples-0", "noise-samples-negative", "xiixi-n-0",
+             "xiixi-resolution-0", "gconv-n-0", "gconv-n-negative", "crho-resolution-negative",
+             "noise-n-not-a-number"],
+    )
+    def test_non_positive_size_is_an_argument_error(self, argv, tmp_path, capsys):
+        # Rejected by the parser: the usage line, then one error line naming
+        # the option; nothing runs and no artifact is written.
+        path = tmp_path / "artifact.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(path)] + argv)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert exc.value.code == 2
+        assert f"error: argument {argv[2]}: " in last and "positive integer" in last
+        assert not path.exists()
+
 
 class TestOutPlacement:
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import permutation_search_form, shipped_graphs
 from gpam2d.corpus import (
     classification_corpus,
     load_file,
@@ -304,8 +305,25 @@ class TestFourthCumulant:
         )
         assert fourth_cumulant_graphs(star) == []
 
+    @pytest.mark.parametrize("ref", ["four_noise_a:a04", "four_noise_a:a05", "four_noise_a:a06"])
+    def test_two_noise_fixture_has_four_classes(self, ref):
+        # Four copies of a 7-vertex graph: 17 vertices, 48 connected pairings.
+        graph = load_graph(ref)
+        assert len(fourth_cumulant_graphs(graph, dedup=False)) == 48
+        classes = fourth_cumulant_graphs(graph)
+        assert len(classes) == 4
+        assert all(len(g.kinds) == 17 for g in classes)
+
 
 class TestCanonicalForm:
+    def test_same_partition_as_permutation_search(self):
+        graphs = shipped_graphs()
+        assert len(graphs) == 463
+        pairs = {(canonical_form(g), permutation_search_form(g)) for _, g in graphs}
+        new, old = ({pair[i] for pair in pairs} for i in (0, 1))
+        # Each class of either form meets exactly one class of the other.
+        assert len(pairs) == len(new) == len(old)
+
     def test_relabelling_invariance(self, corpus):
         rng = random.Random(7)
         for ref, graph in corpus[::7]:

@@ -185,6 +185,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             GepsGrid(256, 1 / 512, mol)
 
+    @pytest.mark.parametrize("n", [0, -4, 16])
+    def test_off_grid_zero_field_rejected(self, mol, n):
+        # The grid rule holds before the zero-field shortcut: eps*N >= 4.
+        with pytest.raises(ValueError, match="grid too coarse"):
+            gconv_limits_check(1 / 8, f=np.zeros((max(n, 0),) * 2), n=n, mol=mol,
+                               resolution=RES)
+
     def test_zero_field_has_zero_residuals(self, mol):
         n = 128
         res = gconv_limits_check(1 / 8, f=np.zeros((n, n)), n=n, mol=mol,

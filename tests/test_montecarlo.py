@@ -52,6 +52,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             sample_noise(96, 0)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_size_rejected(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            sample_noise(n, 0)
+
 
 class TestEstimators:
     def test_zero_noise_gives_deterministic_counterterm(self, phi):

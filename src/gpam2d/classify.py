@@ -143,10 +143,14 @@ def classify(
             )
         return Classification(IN_G2, alpha, detail="no admissible rewrite edge")
 
-    if check_conditions(canonical).cond3:
-        return Classification(
-            IN_G3, alpha, detail="root-anchored condition fails under canonical labels"
-        )
+    root_failures = check_conditions(canonical).cond3
+    if root_failures:
+        vbar, margin = root_failures[0]
+        subset = ",".join(map(str, sorted(vbar)))
+        return Classification(IN_G3, alpha, detail=(
+            f"root-anchored condition fails under canonical labels: "
+            f"subset {{{subset}}}, margin {margin}"
+        ))
 
     singles = [[e] for e in candidates]
     pairs = [list(c) for c in itertools.combinations(candidates, 2)]

@@ -233,13 +233,20 @@ def cmd_mc(args) -> int:
     import numpy as np
 
     from .kernels import crho_squared
-    from .montecarlo import convergence_table, estimate_stats, sample_noise, sample_seeds
+    from .montecarlo import (
+        MIN_SAMPLES,
+        convergence_table,
+        estimate_stats,
+        require_samples,
+        sample_noise,
+        sample_seeds,
+    )
 
     if args.action == "noise":
         values = []
         for s in sample_seeds(args.seed, args.samples):
             values.append(float(np.mean(sample_noise(args.n, s).xi ** 2)))
-        stats = estimate_stats(values) if len(values) >= 16 else None
+        stats = estimate_stats(values) if len(values) >= MIN_SAMPLES else None
         text = _csv(
             [("quantity", "n", "samples", "value", "se", "seed"),
              ("cell_variance", args.n, args.samples,
@@ -250,6 +257,7 @@ def cmd_mc(args) -> int:
         return 0
 
     eps_list = _parse_eps_list(args.eps)
+    require_samples(args.samples)  # before the c_rho^2 quadrature too
     crho = crho_squared("spatial", args.resolution).value
     if args.action == "xiixi":
         which = "xiixi"

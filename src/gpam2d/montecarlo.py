@@ -117,6 +117,16 @@ def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
     return _recentred_product(sample, eps, phi, j)
 
 
+MIN_SAMPLES = 16  # the fewest values estimate_stats takes
+
+
+def require_samples(samples: int) -> None:
+    """Reject a sample count too small for ``estimate_stats``; the Monte-Carlo
+    callers check before they draw any noise."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+
+
 @dataclass
 class StatReport:
     mean: float
@@ -145,8 +155,7 @@ def estimate_stats(values) -> StatReport:
     up to 16 batches of at least 8 values."""
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if n < 16:
-        raise ValueError("need at least 16 values")
+    require_samples(n)
     mean, var, k4 = _k_statistics(values)
     splits = np.array_split(values, min(16, n // 8))
     per_batch = np.array([_k_statistics(chunk) for chunk in splits])
@@ -181,6 +190,7 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     time), so the across-scale comparisons in the output are far more stable
     than the per-entry error bars suggest.
     """
+    require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
     if crho_sq is None:

@@ -14,8 +14,12 @@ sufficiently small parameter" is literally lexicographic positivity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .exts import EXT_ZERO, KB, KB2, SQRT_KB, ExtRational, as_ext
 from .feynman import (
@@ -162,59 +166,134 @@ def labelled_from_fixture(graph: FeynmanGraph, overrides) -> LabelledGraph:
 # Each edge adds ``c_a*a_e + c_r*r_e + c`` to a degree, with the row
 # ``(c_a, c_r, c)`` chosen by where the edge sits relative to the subset:
 # both ends inside; tail only, r_e > 0; head only, r_e > 0; one end inside,
-# r_e <= 0.  Edges with no end inside add nothing.
+# r_e <= 0.  Edges with no end inside add nothing.  Each vertex inside adds
+# 2, 2 and -2, and the interior and root degrees start from -2.
 _DEG2_TABLE = ((-1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
 _DEG3_TABLE = ((-1, 0, 0), (-1, -1, 1), (0, 1, 0), (0, 0, 0))
 _DEG4_TABLE = ((1, 0, 0), (1, 1, 0), (0, -1, 1), (1, 0, 0))
+# (category, condition, coefficient)
+_TABLES = np.array((_DEG2_TABLE, _DEG3_TABLE, _DEG4_TABLE), dtype=np.int64).transpose(1, 0, 2)
+_PER_VERTEX = np.array((2, 2, -2), dtype=np.int64)
+_START = np.array((-2, -2, 0), dtype=np.int64)
+
+_BLOCK = 4096  # masks per evaluation: bounds memory on large graphs
+_MAX_VERTICES = 62  # int64 bitmasks
 
 
-def _degree(labelled: LabelledGraph, vbar: frozenset, base: int, table) -> ExtRational:
-    q0, qh, q1, q2 = base, 0, 0, 0
-    for e, label in zip(labelled.graph.edges, labelled.labels):
-        tin = e.tail in vbar
-        hin = e.head in vbar
-        if tin and hin:
-            ca, cr, c = table[0]
-        elif not (tin or hin):
-            continue
-        elif label.r <= 0:
-            ca, cr, c = table[3]
-        else:
-            ca, cr, c = table[1] if tin else table[2]
-        if ca:
-            a = label.a
-            q0 += ca * a[0]
-            qh += ca * a[1]
-            q1 += ca * a[2]
-            q2 += ca * a[3]
-        q0 += cr * label.r + c
-    return ExtRational.of(q0, qh, q1, q2)
+@lru_cache(maxsize=16)
+def _weights(n: int, ends: tuple, labels: tuple) -> tuple[np.ndarray, int]:
+    """Weights of the ``n`` vertex bits, the both-ends bits of the edges
+    (given by the bit positions of their ends and their labels ``(a, r)``)
+    and a constant, by (condition, component), times the returned common
+    denominator of the labels.
+
+    With x_t, x_h the bits of an edge's ends, its four categories are
+    x_t x_h, x_t - x_t x_h, x_h - x_t x_h and x_t + x_h - 2 x_t x_h, so
+    every degree is linear in the vertex bits and the both-ends bits.
+    """
+    denom = math.lcm(1, *(q.denominator for a, _ in labels for q in a))
+    # An edge's category weights enter its two vertex weights once and its
+    # both-ends weight thrice, so this bounds every partial sum of a degree.
+    limit = (2**63 - 1) // (5 * len(ends) + 2 * n + 2)
+    for i, (a, r) in enumerate(labels):
+        if denom * (max(abs(q) for q in a) + abs(r) + 1) > limit:
+            raise ValueError(f"edge {i} label ({a},{r}) overflows int64 power counting")
+    a = np.array([[int(q * denom) for q in a] for a, _ in labels],
+                 dtype=np.int64).reshape(len(labels), 4)
+    r = np.array([r for _, r in labels], dtype=np.int64)
+    # cat[k, e, condition, component]: edge e's weight in category k.
+    cat = _TABLES[:, None, :, 0, None] * a[None, :, None, :]
+    cat[..., 0] += (_TABLES[:, None, :, 1] * r[None, :, None] + _TABLES[:, None, :, 2]) * denom
+    recentred = (r > 0)[:, None, None]
+    tail_only = np.where(recentred, cat[1], cat[3])
+    head_only = np.where(recentred, cat[2], cat[3])
+    vertex = np.zeros((n, 3, 4), dtype=np.int64)
+    vertex[..., 0] = _PER_VERTEX * denom
+    tails, heads = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    np.add.at(vertex, tails, tail_only)
+    np.add.at(vertex, heads, head_only)
+    start = np.zeros((1, 3, 4), dtype=np.int64)
+    start[..., 0] = _START * denom
+    weights = np.concatenate([vertex, cat[0] - tail_only - head_only, start]).reshape(-1, 12)
+    weights.flags.writeable = False  # shared by every caller of the cache
+    return weights, denom
+
+
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1 == 1
+
+
+def _degrees(labelled: LabelledGraph, masks) -> tuple[np.ndarray, int]:
+    """Degrees of conditions 2, 3 and 4 at every vertex-subset bitmask.
+
+    Bit k of a mask is the k-th vertex of ``graph.vertices()``.  Returns an
+    int64 array of shape (masks, 3, 4): per condition, the four components
+    of the degree times the common label denominator, which comes second.
+    Every condition is evaluated at every mask; which masks a condition
+    concerns is the caller's business.
+    """
+    graph = labelled.graph
+    verts = graph.vertices()
+    if len(verts) > _MAX_VERTICES:
+        raise ValueError(f"{len(verts)} vertices: power counting takes at most "
+                         f"{_MAX_VERTICES} (int64 subset bitmasks)")
+    pos = {v: k for k, v in enumerate(verts)}
+    ends = tuple((pos[e.tail], pos[e.head]) for e in graph.edges)
+    labels = tuple((label.a, label.r) for label in labelled.labels)
+    weights, denom = _weights(len(verts), ends, labels)
+    tails, heads = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    bits = _bits(np.asarray(masks, dtype=np.int64), len(verts))
+    indicators = np.concatenate(
+        [bits, bits[:, tails] & bits[:, heads], np.ones((len(bits), 1), dtype=bool)], axis=1
+    ).astype(np.int64)
+    # Integer products are slow in numpy: skip the components no label uses.
+    live = np.flatnonzero(weights.any(axis=0))
+    degrees = np.zeros((len(bits), 12), dtype=np.int64)
+    degrees[:, live] = indicators @ weights[:, live]
+    return degrees.reshape(-1, 3, 4), denom
+
+
+def _positive(degrees: np.ndarray) -> np.ndarray:
+    """Lexicographic positivity: the sign of the first nonzero component."""
+    first = (degrees != 0).argmax(axis=-1)
+    return np.take_along_axis(degrees, first[..., None], axis=-1)[..., 0] > 0
+
+
+def _ext(components, denom: int) -> ExtRational:
+    if denom == 1:
+        return ExtRational.of(*map(int, components))
+    return ExtRational.of(*(Fraction(int(q), denom) for q in components))
+
+
+def _mask(graph: FeynmanGraph, vbar: frozenset) -> int:
+    pos = {v: k for k, v in enumerate(graph.vertices())}
+    return sum(1 << pos[v] for v in vbar)
+
+
+def _degree_at(labelled: LabelledGraph, vbar: frozenset, cond: int) -> ExtRational:
+    degrees, denom = _degrees(labelled, [_mask(labelled.graph, vbar)])
+    return _ext(degrees[0, cond], denom)
 
 
 def deg2(labelled: LabelledGraph, vbar) -> ExtRational:
     vbar = frozenset(vbar)
     if labelled.graph.root in vbar or len(vbar) < 3:
         raise ValueError("interior condition wants >= 3 vertices away from the root")
-    return _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG2_TABLE)
+    return _degree_at(labelled, vbar, 0)
 
 
 def deg3(labelled: LabelledGraph, vbar) -> ExtRational:
     vbar = frozenset(vbar)
     if labelled.graph.root not in vbar or len(vbar) < 2:
         raise ValueError("root condition wants the root plus at least one vertex")
-    return _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG3_TABLE)
+    return _degree_at(labelled, vbar, 1)
 
 
 def deg4(labelled: LabelledGraph, vbar) -> ExtRational:
     vbar = frozenset(vbar)
     if not vbar or vbar & labelled.graph.tested_vertices():
         raise ValueError("inner condition wants a nonempty subset avoiding tested vertices")
-    return _degree(labelled, vbar, -2 * len(vbar), _DEG4_TABLE)
-
-
-def _subsets(pool: list[int], minimum: int):
-    for size in range(minimum, len(pool) + 1):
-        yield from itertools.combinations(pool, size)
+    return _degree_at(labelled, vbar, 2)
 
 
 @dataclass
@@ -267,23 +346,30 @@ def check_conditions(labelled: LabelledGraph) -> ConditionReport:
     rep.cond0 = not (rep.cond0_edges or rep.cond0_vertices)
     rep.cond1 = not rep.cond1_offenders
 
-    inner = [v for v in graph.vertices() if v != root]
-    for combo in _subsets(inner, 3):
-        margin = deg2(labelled, combo)
-        if not margin.is_positive():
-            rep.cond2.append((frozenset(combo), margin))
-
-    for combo in _subsets(inner, 1):
-        vbar = frozenset(combo) | {root}
-        margin = deg3(labelled, vbar)
-        if not margin.is_positive():
-            rep.cond3.append((vbar, margin))
-
-    free = [v for v in graph.vertices() if v not in tested]
-    for combo in _subsets(free, 1):
-        margin = deg4(labelled, combo)
-        if not margin.is_positive():
-            rep.cond4.append((frozenset(combo), margin))
+    # Which masks each condition concerns: interior subsets of at least three
+    # vertices, the root with at least one more, nonempty untested subsets.
+    verts = graph.vertices()
+    n = len(verts)
+    root_bit, tested_bits = _mask(graph, {root}), _mask(graph, tested)
+    found = ([], [], [])
+    for first in range(0, 1 << n, _BLOCK):
+        masks = np.arange(first, min(first + _BLOCK, 1 << n), dtype=np.int64)
+        degrees, denom = _degrees(labelled, masks)
+        size = _bits(masks, n).sum(axis=1)
+        concerned = (
+            (masks & root_bit == 0) & (size >= 3),
+            (masks & root_bit != 0) & (size >= 2),
+            (masks & tested_bits == 0) & (size >= 1),
+        )
+        fails = ~_positive(degrees)
+        for cond, entries in enumerate(found):
+            for k in np.flatnonzero(concerned[cond] & fails[:, cond]):
+                vbar = tuple(v for bit, v in enumerate(verts) if int(masks[k]) >> bit & 1)
+                entries.append((vbar, _ext(degrees[k, cond], denom)))
+    # By size, then in combinations order: the order of a scalar enumeration.
+    for out, entries in zip((rep.cond2, rep.cond3, rep.cond4), found):
+        entries.sort(key=lambda entry: (len(entry[0]), entry[0]))
+        out.extend((frozenset(vbar), margin) for vbar, margin in entries)
     return rep
 
 

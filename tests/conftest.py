@@ -1,5 +1,6 @@
-"""Shared test helpers: the closed-form degree oracle, the permutation-search
-canonical form and the list of every shipped graph.
+"""Shared test helpers: the closed-form degree oracle, the scalar
+power-counting oracle, the permutation-search canonical form and the list
+of every shipped graph.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -21,15 +22,18 @@ from gpam2d.feynman import (
     _graph_code,
     edge_classes,
     fourth_cumulant_graphs,
+    order_rule_offenders,
     validate_structure,
     wick_pairings,
 )
 from gpam2d.powercount import (
+    ConditionReport,
     canonical_labelling,
     deg2,
     deg3,
     deg4,
     dtest_normalise,
+    lambda_exponent,
 )
 
 E = ExtRational.of
@@ -107,6 +111,87 @@ def degree_formulas_agree(graph) -> int:
             assert deg4(lg, combo) == expected, (g.name, combo)
             checked += 1
     return checked
+
+
+# The scalar power-counting oracle: one degree per subset, enumerated by
+# size and then in combinations order, with its own copy of the tables.  It
+# is the reference for the bitmask evaluator of ``powercount.check_conditions``,
+# whose reports must match it entry for entry, order and margins included.
+_DEG2_TABLE = ((-1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+_DEG3_TABLE = ((-1, 0, 0), (-1, -1, 1), (0, 1, 0), (0, 0, 0))
+_DEG4_TABLE = ((1, 0, 0), (1, 1, 0), (0, -1, 1), (1, 0, 0))
+
+
+def _degree(labelled, vbar: frozenset, base: int, table) -> ExtRational:
+    q0, qh, q1, q2 = base, 0, 0, 0
+    for e, label in zip(labelled.graph.edges, labelled.labels):
+        tin = e.tail in vbar
+        hin = e.head in vbar
+        if tin and hin:
+            ca, cr, c = table[0]
+        elif not (tin or hin):
+            continue
+        elif label.r <= 0:
+            ca, cr, c = table[3]
+        else:
+            ca, cr, c = table[1] if tin else table[2]
+        if ca:
+            a = label.a
+            q0 += ca * a[0]
+            qh += ca * a[1]
+            q1 += ca * a[2]
+            q2 += ca * a[3]
+        q0 += cr * label.r + c
+    return ExtRational.of(q0, qh, q1, q2)
+
+
+def _subsets(pool: list[int], minimum: int):
+    for size in range(minimum, len(pool) + 1):
+        yield from itertools.combinations(pool, size)
+
+
+def scalar_check_conditions(labelled) -> ConditionReport:
+    """Evaluate conditions 0-4 exhaustively; strictness is lexicographic."""
+    graph = labelled.graph
+    rep = ConditionReport(alpha=lambda_exponent(labelled))
+    tested = graph.tested_vertices()
+    root = graph.root
+
+    orders = [labelled.r(i) for i in range(len(graph.edges))]
+    at_root, rep.cond0_vertices = order_rule_offenders(graph, orders)
+    # Recentred kernels cannot join two tested vertices; renormalised ones
+    # can (the basic variance graphs do exactly that).
+    rep.cond0_edges = [
+        i for i, (e, r) in enumerate(zip(graph.edges, orders))
+        if (r > 0 and e.tail in tested and e.head in tested) or i in at_root
+    ]
+    rep.cond1_offenders = [
+        i for i, r in enumerate(orders)
+        if not ExtRational.of(2) > labelled.a(i) + ExtRational.of(min(r, 0))
+    ]
+    rep.cond0 = not (rep.cond0_edges or rep.cond0_vertices)
+    rep.cond1 = not rep.cond1_offenders
+
+    inner = [v for v in graph.vertices() if v != root]
+    for combo in _subsets(inner, 3):
+        vbar = frozenset(combo)
+        margin = _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG2_TABLE)
+        if not margin.is_positive():
+            rep.cond2.append((frozenset(combo), margin))
+
+    for combo in _subsets(inner, 1):
+        vbar = frozenset(combo) | {root}
+        margin = _degree(labelled, vbar, 2 * (len(vbar) - 1), _DEG3_TABLE)
+        if not margin.is_positive():
+            rep.cond3.append((vbar, margin))
+
+    free = [v for v in graph.vertices() if v not in tested]
+    for combo in _subsets(free, 1):
+        vbar = frozenset(combo)
+        margin = _degree(labelled, vbar, -2 * len(vbar), _DEG4_TABLE)
+        if not margin.is_positive():
+            rep.cond4.append((frozenset(combo), margin))
+    return rep
 
 
 def permutation_search_form(graph) -> str:

@@ -99,6 +99,13 @@ class TestCorpusPartition:
         assert results["four_noise_a:a02"].verdict == CRITICAL
         assert results["four_noise_a:a03"].verdict == CRITICAL
 
+    def test_root_condition_verdict_names_its_subset_and_margin(self, corpus_results):
+        # The Reps pair joined to the root has root degree exactly zero.
+        corpus, results = corpus_results
+        assert results["four_noise_b:b20"].detail == (
+            "root-anchored condition fails under canonical labels: subset {0,3,4}, margin 0"
+        )
+
 
 class TestKnownDefectIsGenuine:
     def test_every_decomposition_of_the_defect_graph_fails(self):

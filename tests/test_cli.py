@@ -102,11 +102,14 @@ class TestUsageErrors:
             ["graphs", "pair", "--graph", "four_noise_a:a01", "--constraint", "1-2-3"],
             ["constants", "geps", "--eps", "1..1/3"],
             ["constants", "geps", "--eps", "1/4..1/10"],
+            ["mc", "xiixi", "--samples", "15"],
+            ["mc", "weighted", "--samples", "1"],
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
              "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2",
              "constraint-sides-unequal", "constraint-repeated-digit", "constraint-two-dashes",
-             "range-end-off-grid", "range-overshoots-end"],
+             "range-end-off-grid", "range-overshoots-end", "xiixi-samples-below-16",
+             "weighted-samples-below-16"],
     )
     def test_one_error_line_no_artifact_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "artifact.txt"
@@ -114,6 +117,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
+    def test_graph_too_wide_for_int64_subset_bitmasks(self, tmp_path, capsys):
+        # Power counting enumerates subsets as int64 bitmasks: a 63-vertex
+        # graph is refused instead of enumerated.
+        lines = ["graph wide", "v root root"] + [f"v x{i} int" for i in range(62)]
+        lines += ["e x0 root K"] + [f"e x{i + 1} x{i} K" for i in range(61)]
+        lines += ["e x1 x3 DDRho eps=1"]
+        fixture = tmp_path / "wide.txt"
+        fixture.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "artifact.json"
+        code = main(["--out", str(path), "graphs", "classify", "--corpus", str(fixture)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: 63 vertices") and err.count("\n") == 1
         assert not path.exists()
 
     @pytest.mark.parametrize(

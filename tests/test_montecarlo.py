@@ -251,3 +251,14 @@ class TestConvergenceTable:
         small = convergence_table([1 / 8], N, 64, phi=phi, seed=6, crho_sq=0.2139)[0]
         large = convergence_table([1 / 8], N, 256, phi=phi, seed=6, crho_sq=0.2139)[0]
         assert large["var_se"] < small["var_se"]
+
+    @pytest.mark.parametrize("samples", [1, 15])
+    def test_too_few_samples_rejected_before_any_noise(self, phi, samples, monkeypatch):
+        def no_draw(n, seed):
+            raise AssertionError("noise drawn before the sample count was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_noise", no_draw)
+        for which in ("xiixi", "xiixxi"):
+            with pytest.raises(ValueError, match="at least 16 samples"):
+                convergence_table([1 / 4, 1 / 8], N, samples, phi=phi, seed=5,
+                                  crho_sq=0.2139, which=which)

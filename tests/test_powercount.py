@@ -1,9 +1,13 @@
 import itertools
 from fractions import Fraction
+from importlib import resources
 
+import numpy as np
 import pytest
 
-from gpam2d.corpus import classification_corpus, load_file, load_graph
+from conftest import FIXTURE_FILES, scalar_check_conditions
+from gpam2d import classify as classify_module, powercount
+from gpam2d.corpus import classification_corpus, load_file, load_graph, parse_fixtures
 from gpam2d.exts import EXT_ZERO, KB, SQRT_KB, ExtRational, parse_ext
 from gpam2d.feynman import EdgeType, edge_classes, validate_structure
 from gpam2d.powercount import (
@@ -407,3 +411,92 @@ class TestDTestNormalise:
         g = load_graph("dumbbell_variance:var-straight")
         _, shift = dtest_normalise(g)
         assert shift == 0
+
+
+def _assert_oracle_report(lg):
+    """Same report as the scalar oracle, order and printed margins included."""
+    got, want = check_conditions(lg), scalar_check_conditions(lg)
+    assert got == want, lg.graph.name
+    text = lambda rep: [str(m) for _, m in rep.cond2 + rep.cond3 + rep.cond4]
+    assert text(got) == text(want), lg.graph.name
+
+
+@pytest.fixture(scope="module")
+def classify_labellings():
+    """Every labelling ``classify`` checks on the corpus (canonical ones and
+    every witness case it tries), then the canonical labelling of every
+    corpus graph."""
+    seen = []
+    checked = classify_module.check_conditions
+
+    def recording(labelled):
+        seen.append(labelled)
+        return checked(labelled)
+
+    forms = classify_module.published_forms()
+    corpus = classification_corpus()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "check_conditions", recording)
+        classify_module.classify_corpus(corpus, crit_forms=forms["crit"],
+                                        g2_forms=forms["g2"])
+    canonical = [canonical_labelling(dtest_normalise(g)[0]) for _, g in corpus]
+    return seen + canonical
+
+
+class TestSubsetLattice:
+    """The bitmask evaluator against the scalar per-subset oracle."""
+
+    def test_reports_match_on_every_classify_labelling(self, classify_labellings):
+        assert len(classify_labellings) > 300
+        for lg in classify_labellings:
+            _assert_oracle_report(lg)
+
+    def test_reports_match_on_fixture_labels(self):
+        labelled = [
+            labelled_from_fixture(fx.graph, fx.labels)
+            for fname in FIXTURE_FILES
+            for fx in load_file(fname).values()
+            if fx.labels
+        ]
+        assert len(labelled) >= 5
+        for lg in labelled:
+            _assert_oracle_report(lg)
+
+    def test_blocks_join_up(self, classify_labellings, monkeypatch):
+        # Blocks far smaller than the lattice give the same reports.
+        monkeypatch.setattr(powercount, "_BLOCK", 16)
+        for lg in classify_labellings[::25]:
+            _assert_oracle_report(lg)
+
+    def test_degrees_are_exact_int64(self, classify_labellings):
+        fx = load_file("adhoc_labels")["adhoc-a"]
+        for lg in classify_labellings[:5] + [labelled_from_fixture(fx.graph, fx.labels)]:
+            degrees, denom = powercount._degrees(lg, np.arange(1 << len(lg.graph.kinds)))
+            assert degrees.dtype == np.int64 and isinstance(denom, int)
+
+    def test_fractional_labels_scale_by_common_denominator(self):
+        g = load_graph("dumbbell_variance:var-straight")
+        mols = sorted(edge_classes(g)["E_M"])
+        lg = distributed_labelling(g, {mols[0]: Fraction(1, 2), mols[1]: Fraction(2, 3)})
+        degrees, denom = powercount._degrees(lg, [1, 2, 3])
+        assert denom == 6 and degrees.dtype == np.int64
+        _assert_oracle_report(lg)
+
+    def test_label_that_could_wrap_int64_names_its_edge(self):
+        text = resources.files("gpam2d.fixtures").joinpath("adhoc_labels.txt").read_text()
+        text = text.replace(
+            "label 4 a=0+1*k r=1", "label 4 a=9223372036854775807 r=1", 1)
+        fx = parse_fixtures(text)["adhoc-a"]
+        lg = labelled_from_fixture(fx.graph, fx.labels)
+        with pytest.raises(ValueError, match="edge 4 label .* overflows int64"):
+            check_conditions(lg)
+        with pytest.raises(ValueError, match="edge 4 "):
+            deg2(lg, [1, 2, 3])
+
+    def test_graph_too_wide_for_int64_bitmasks(self):
+        from gpam2d.feynman import Edge, FeynmanGraph
+
+        g = FeynmanGraph(kinds={0: "root"} | {v: "int" for v in range(1, 64)},
+                         edges=[Edge(v, v - 1, EdgeType("K")) for v in range(1, 64)])
+        with pytest.raises(ValueError, match="64 vertices"):
+            check_conditions(canonical_labelling(g))

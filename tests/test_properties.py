@@ -1,15 +1,17 @@
-"""Property tests (hypothesis) for canonical forms, Wick contraction and the
-parse/format round trips of the exact types."""
+"""Property tests (hypothesis) for canonical forms, Wick contraction, power
+counting and the parse/format round trips of the exact types."""
 
 import math
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import FIXTURE_FILES
+from conftest import FIXTURE_FILES, scalar_check_conditions
 from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h, parse_poly
 from gpam2d.corpus import classification_corpus, load_file, load_graph
 from gpam2d.exts import ExtRational, format_ext, parse_ext
 from gpam2d.feynman import NOISE, canonical_form, fourth_cumulant_graphs, wick_pairings
+from gpam2d.powercount import EdgeLabel, LabelledGraph, check_conditions
 from gpam2d.symbols import PRIMED, RHS, SOL, UNPRIMED, generate, parse_symbol
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -119,3 +121,30 @@ def test_poly_str_parse_round_trip(terms):
 @given(st.sampled_from(SYMBOLS))
 def test_symbol_str_parse_round_trip(symbol):
     assert parse_symbol(str(symbol)) == symbol
+
+
+@st.composite
+def randomly_labelled(draw):
+    """A corpus graph shape with arbitrary labels: small numerators, so that
+    leading components often cancel and later ones decide the sign."""
+    ref, graph = draw(st.sampled_from(CORPUS))
+    component = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6)))
+    labels = []
+    for _ in graph.edges:
+        a = ExtRational.of(*draw(st.tuples(component, component, component, component)))
+        r = draw(st.integers(-3, 2))
+        labels.append(EdgeLabel(a, r, () if r < 0 else None))
+    return ref, LabelledGraph(graph, labels)
+
+
+# The scalar oracle is slow on fractional labels, so a failure is reported
+# as found rather than shrunk.
+@settings(PROPERTY, phases=(Phase.explicit, Phase.generate))
+@given(randomly_labelled())
+def test_subset_lattice_matches_scalar_power_counting(case):
+    ref, labelled = case
+    got, want = check_conditions(labelled), scalar_check_conditions(labelled)
+    assert got == want, ref
+    assert [str(m) for _, m in got.cond2 + got.cond3 + got.cond4] == [
+        str(m) for _, m in want.cond2 + want.cond3 + want.cond4
+    ], ref

@@ -88,17 +88,20 @@ def cmd_symbols(args) -> int:
     return 0
 
 
-def _load_corpus(path: str | None):
+def _load_corpus(args):
     from .corpus import classification_corpus, parse_fixtures
 
-    if path is None:
+    if args.corpus is None:
         return classification_corpus()
     try:
-        with open(path) as fh:
+        with open(args.corpus) as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise ValueError(f"no fixture file {path!r}") from None
+        raise ValueError(f"no fixture file {args.corpus!r}") from None
     fixtures = parse_fixtures(text)
+    if args.action == "classify" and (labelled := [n for n, fx in fixtures.items() if fx.labels]):
+        raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
+                         "labels every graph from its edge types")
     return [(name, fx.graph) for name, fx in fixtures.items()]
 
 
@@ -106,7 +109,7 @@ def cmd_graphs(args) -> int:
     from .feynman import validate_structure, wick_pairings
 
     if args.action == "validate":
-        corpus = _load_corpus(args.corpus)
+        corpus = _load_corpus(args)
         lines = []
         bad = 0
         for ref, graph in corpus:
@@ -138,7 +141,7 @@ def cmd_graphs(args) -> int:
         )
         from .feynman import canonical_form
 
-        corpus = _load_corpus(args.corpus)
+        corpus = _load_corpus(args)
         forms = published_forms()
         results = classify_corpus(corpus, crit_forms=forms["crit"], g2_forms=forms["g2"])
         # The published partition covers the shipped corpus only; the graphs
@@ -174,7 +177,7 @@ def cmd_graphs(args) -> int:
 
 
 def _dict_lookup(args):
-    corpus = dict(_load_corpus(args.corpus))
+    corpus = dict(_load_corpus(args))
     if args.graph not in corpus:
         raise ValueError(f"no graph {args.graph!r} in the corpus")
     return corpus[args.graph]

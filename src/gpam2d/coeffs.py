@@ -17,7 +17,6 @@ from typing import Iterable
 # A letter is ('u',), ('du',), ('g', k) or ('h', k); a monomial is a sorted
 # tuple of (letter, power); a Poly maps monomials to rational coefficients.
 Letter = tuple
-Monomial = tuple
 
 
 def letter_g(order: int = 0) -> Letter:

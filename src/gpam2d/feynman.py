@@ -517,7 +517,3 @@ def canonical_form(graph: FeynmanGraph) -> str:
     """
     colours = {v: (_KIND_CODE[k], 1 if v == graph.root else 0) for v, k in graph.kinds.items()}
     return repr(_least_code(graph, colours))
-
-
-def isomorphic(a: FeynmanGraph, b: FeynmanGraph) -> bool:
-    return canonical_form(a) == canonical_form(b)

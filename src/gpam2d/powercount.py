@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,71 +179,59 @@ _BLOCK = 4096  # masks per evaluation: bounds memory on large graphs
 _MAX_VERTICES = 62  # int64 bitmasks
 
 
-@lru_cache(maxsize=16)
-def _weights(n: int, ends: tuple, labels: tuple) -> tuple[np.ndarray, int]:
-    """Weights of the ``n`` vertex bits, the both-ends bits of the edges
-    (given by the bit positions of their ends and their labels ``(a, r)``)
-    and a constant, by (condition, component), times the returned common
-    denominator of the labels.
+def _weights(labelled: LabelledGraph) -> tuple:
+    """A labelling's subset lattice: the bit of each vertex (in the order of
+    ``graph.vertices()``), the bits of the edge tails and heads, the weights
+    of the vertex bits, a constant and the edges' both-ends bits by
+    (condition, component), and the common label denominator that scales them.
 
     With x_t, x_h the bits of an edge's ends, its four categories are
     x_t x_h, x_t - x_t x_h, x_h - x_t x_h and x_t + x_h - 2 x_t x_h, so
     every degree is linear in the vertex bits and the both-ends bits.
     """
-    denom = math.lcm(1, *(q.denominator for a, _ in labels for q in a))
+    graph, labels = labelled.graph, labelled.labels
+    pos = {v: k for k, v in enumerate(graph.vertices())}
+    n = len(pos)
+    if n > _MAX_VERTICES:
+        raise ValueError(f"{n} vertices: power counting takes at most "
+                         f"{_MAX_VERTICES} (int64 subset bitmasks)")
+    tails, heads = np.array([(pos[e.tail], pos[e.head]) for e in graph.edges],
+                            dtype=np.int64).reshape(-1, 2).T
+    denom = math.lcm(1, *(q.denominator for label in labels for q in label.a))
     # An edge's category weights enter its two vertex weights once and its
     # both-ends weight thrice, so this bounds every partial sum of a degree.
-    limit = (2**63 - 1) // (5 * len(ends) + 2 * n + 2)
-    for i, (a, r) in enumerate(labels):
-        if denom * (max(abs(q) for q in a) + abs(r) + 1) > limit:
-            raise ValueError(f"edge {i} label ({a},{r}) overflows int64 power counting")
-    a = np.array([[int(q * denom) for q in a] for a, _ in labels],
+    limit = (2**63 - 1) // (5 * len(labels) + 2 * n + 2)
+    for i, label in enumerate(labels):
+        if denom * (max(abs(q) for q in label.a) + abs(label.r) + 1) > limit:
+            raise ValueError(f"edge {i} label {label} overflows int64 power counting")
+    a = np.array([[int(q * denom) for q in label.a] for label in labels],
                  dtype=np.int64).reshape(len(labels), 4)
-    r = np.array([r for _, r in labels], dtype=np.int64)
+    r = np.array([label.r for label in labels], dtype=np.int64)
     # cat[k, e, condition, component]: edge e's weight in category k.
     cat = _TABLES[:, None, :, 0, None] * a[None, :, None, :]
     cat[..., 0] += (_TABLES[:, None, :, 1] * r[None, :, None] + _TABLES[:, None, :, 2]) * denom
     recentred = (r > 0)[:, None, None]
     tail_only = np.where(recentred, cat[1], cat[3])
     head_only = np.where(recentred, cat[2], cat[3])
-    vertex = np.zeros((n, 3, 4), dtype=np.int64)
-    vertex[..., 0] = _PER_VERTEX * denom
-    tails, heads = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    vertex = np.zeros((n + 1, 3, 4), dtype=np.int64)  # the vertex bits, then the constant
+    vertex[:n, :, 0] = _PER_VERTEX * denom
+    vertex[n, :, 0] = _START * denom
     np.add.at(vertex, tails, tail_only)
     np.add.at(vertex, heads, head_only)
-    start = np.zeros((1, 3, 4), dtype=np.int64)
-    start[..., 0] = _START * denom
-    weights = np.concatenate([vertex, cat[0] - tail_only - head_only, start]).reshape(-1, 12)
-    weights.flags.writeable = False  # shared by every caller of the cache
-    return weights, denom
+    weights = np.concatenate([vertex, cat[0] - tail_only - head_only]).reshape(-1, 12)
+    return pos, tails, heads, weights, denom
 
 
-def _bits(masks: np.ndarray, n: int) -> np.ndarray:
-    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1 == 1
-
-
-def _degrees(labelled: LabelledGraph, masks) -> tuple[np.ndarray, int]:
-    """Degrees of conditions 2, 3 and 4 at every vertex-subset bitmask.
-
-    Bit k of a mask is the k-th vertex of ``graph.vertices()``.  Returns an
-    int64 array of shape (masks, 3, 4): per condition, the four components
-    of the degree times the common label denominator, which comes second.
-    Every condition is evaluated at every mask; which masks a condition
-    concerns is the caller's business.
+def _degrees(lattice, bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Degrees of conditions 2, 3 and 4 on a ``_weights`` lattice at every
+    row of ``bits``, a bool (subsets, vertex bits) array: an int64 array
+    (subsets, 3, 4) of the degrees' four components times the common label
+    denominator, which comes second.  Every condition is evaluated at every
+    subset; which subsets it concerns is the caller's business.
     """
-    graph = labelled.graph
-    verts = graph.vertices()
-    if len(verts) > _MAX_VERTICES:
-        raise ValueError(f"{len(verts)} vertices: power counting takes at most "
-                         f"{_MAX_VERTICES} (int64 subset bitmasks)")
-    pos = {v: k for k, v in enumerate(verts)}
-    ends = tuple((pos[e.tail], pos[e.head]) for e in graph.edges)
-    labels = tuple((label.a, label.r) for label in labelled.labels)
-    weights, denom = _weights(len(verts), ends, labels)
-    tails, heads = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    bits = _bits(np.asarray(masks, dtype=np.int64), len(verts))
+    _, tails, heads, weights, denom = lattice
     indicators = np.concatenate(
-        [bits, bits[:, tails] & bits[:, heads], np.ones((len(bits), 1), dtype=bool)], axis=1
+        [bits, np.ones((len(bits), 1), dtype=bool), bits[:, tails] & bits[:, heads]], axis=1
     ).astype(np.int64)
     # Integer products are slow in numpy: skip the components no label uses.
     live = np.flatnonzero(weights.any(axis=0))
@@ -265,13 +252,12 @@ def _ext(components, denom: int) -> ExtRational:
     return ExtRational.of(*(Fraction(int(q), denom) for q in components))
 
 
-def _mask(graph: FeynmanGraph, vbar: frozenset) -> int:
-    pos = {v: k for k, v in enumerate(graph.vertices())}
-    return sum(1 << pos[v] for v in vbar)
-
-
 def _degree_at(labelled: LabelledGraph, vbar: frozenset, cond: int) -> ExtRational:
-    degrees, denom = _degrees(labelled, [_mask(labelled.graph, vbar)])
+    lattice = _weights(labelled)
+    pos = lattice[0]
+    bits = np.zeros((1, len(pos)), dtype=bool)
+    bits[0, [pos[v] for v in vbar]] = True
+    degrees, denom = _degrees(lattice, bits)
     return _ext(degrees[0, cond], denom)
 
 
@@ -348,14 +334,16 @@ def check_conditions(labelled: LabelledGraph) -> ConditionReport:
 
     # Which masks each condition concerns: interior subsets of at least three
     # vertices, the root with at least one more, nonempty untested subsets.
-    verts = graph.vertices()
-    n = len(verts)
-    root_bit, tested_bits = _mask(graph, {root}), _mask(graph, tested)
+    lattice = _weights(labelled)
+    pos = lattice[0]
+    n = len(pos)
+    root_bit, tested_bits = 1 << pos[root], sum(1 << pos[v] for v in tested)
     found = ([], [], [])
     for first in range(0, 1 << n, _BLOCK):
         masks = np.arange(first, min(first + _BLOCK, 1 << n), dtype=np.int64)
-        degrees, denom = _degrees(labelled, masks)
-        size = _bits(masks, n).sum(axis=1)
+        bits = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1 == 1
+        degrees, denom = _degrees(lattice, bits)
+        size = bits.sum(axis=1)
         concerned = (
             (masks & root_bit == 0) & (size >= 3),
             (masks & root_bit != 0) & (size >= 2),
@@ -364,7 +352,7 @@ def check_conditions(labelled: LabelledGraph) -> ConditionReport:
         fails = ~_positive(degrees)
         for cond, entries in enumerate(found):
             for k in np.flatnonzero(concerned[cond] & fails[:, cond]):
-                vbar = tuple(v for bit, v in enumerate(verts) if int(masks[k]) >> bit & 1)
+                vbar = tuple(v for v, inside in zip(pos, bits[k]) if inside)
                 entries.append((vbar, _ext(degrees[k, cond], denom)))
     # By size, then in combinations order: the order of a scalar enumeration.
     for out, entries in zip((rep.cond2, rep.cond3, rep.cond4), found):

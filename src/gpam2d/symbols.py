@@ -10,14 +10,13 @@ kappa itself is never given a number: all comparisons are lexicographic in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Iterable, Optional
 
-from .coeffs import DU, Poly, U, letter_g, letter_h, parse_poly
+from .coeffs import DU, Poly, U, letter_g, letter_h
 from .exts import Homogeneity
 
 UNPRIMED = "unprimed"
@@ -240,20 +239,6 @@ class Expansion:
             image = iota(sym)
             if image is not None:
                 out.add(image, coeff)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(s): str(p) for s, p in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())},
-            indent=2,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Expansion":
-        data = json.loads(text)
-        out = Expansion()
-        for sym_s, poly_s in data.items():
-            out.add(parse_symbol(sym_s), parse_poly(poly_s))
         return out
 
     def __str__(self):

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -133,6 +134,25 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: 63 vertices") and err.count("\n") == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "fname,graph,count",
+        [("adhoc_labels", "adhoc-a", 3), ("bad4_patterns", "pattern-parallel", 2)],
+    )
+    def test_classify_refuses_label_lines(self, fname, graph, count, tmp_path, capsys):
+        # classify labels every graph from its edge types: a fixture's own
+        # labels would be dropped, so it names the first labelled graph and
+        # stops; validate reads the same file as before.
+        fixture = str(resources.files("gpam2d.fixtures").joinpath(f"{fname}.txt"))
+        path = tmp_path / "artifact.json"
+        code = main(["--out", str(path), "graphs", "classify", "--corpus", fixture])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: graph {graph!r} has label lines, but graphs classify "
+                       "labels every graph from its edge types\n")
+        assert not path.exists()
+        code, out = run(capsys, "graphs", "validate", "--corpus", fixture)
+        assert code == 1 and f"checked {count} graphs, {count} failures" in out
 
     @pytest.mark.parametrize(
         "argv",

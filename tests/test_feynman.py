@@ -20,7 +20,6 @@ from gpam2d.feynman import (
     canonical_r,
     edge_classes,
     fourth_cumulant_graphs,
-    isomorphic,
     validate_structure,
     wick_pairings,
 )
@@ -243,7 +242,7 @@ class TestWickPairings:
                 Edge(7, 3, EdgeType("DDRho")),
             ],
         )
-        assert any(isomorphic(g, display) for g in wick_pairings(b09, "all"))
+        assert any(canonical_form(g) == canonical_form(display) for g in wick_pairings(b09, "all"))
 
 
 def _all_matchings(items):

@@ -468,17 +468,35 @@ class TestSubsetLattice:
         for lg in classify_labellings[::25]:
             _assert_oracle_report(lg)
 
+    def test_lattice_is_built_once_per_call(self, classify_labellings, monkeypatch):
+        # One weight matrix serves every block of a check_conditions call.
+        monkeypatch.setattr(powercount, "_BLOCK", 16)
+        builds = []
+        weights = powercount._weights
+
+        def counting(*args):
+            builds.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(powercount, "_weights", counting)
+        lg = next(lg for lg in classify_labellings if 1 << len(lg.graph.vertices()) >= 64)
+        check_conditions(lg)
+        assert len(builds) == 1
+
     def test_degrees_are_exact_int64(self, classify_labellings):
         fx = load_file("adhoc_labels")["adhoc-a"]
         for lg in classify_labellings[:5] + [labelled_from_fixture(fx.graph, fx.labels)]:
-            degrees, denom = powercount._degrees(lg, np.arange(1 << len(lg.graph.kinds)))
+            n = len(lg.graph.kinds)
+            bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+            degrees, denom = powercount._degrees(powercount._weights(lg), bits)
             assert degrees.dtype == np.int64 and isinstance(denom, int)
 
     def test_fractional_labels_scale_by_common_denominator(self):
         g = load_graph("dumbbell_variance:var-straight")
         mols = sorted(edge_classes(g)["E_M"])
         lg = distributed_labelling(g, {mols[0]: Fraction(1, 2), mols[1]: Fraction(2, 3)})
-        degrees, denom = powercount._degrees(lg, [1, 2, 3])
+        bits = (np.array([1, 2, 3])[:, None] >> np.arange(len(g.kinds))) & 1 == 1
+        degrees, denom = powercount._degrees(powercount._weights(lg), bits)
         assert denom == 6 and degrees.dtype == np.int64
         _assert_oracle_report(lg)
 

@@ -262,7 +262,3 @@ class TestGrammar:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_symbol(bad)
-
-    def test_expansion_json_roundtrip(self):
-        exp = u_expansion()
-        assert Expansion.from_json(exp.to_json()) == exp

@@ -4,7 +4,8 @@ Subcommands: ``symbols``, ``graphs validate|pair|classify``, ``constants
 crho|geps|gconv`` and ``mc noise|xiixi|weighted``.  Every output artifact
 embeds the fully serialised run configuration and the toolkit version, and
 re-running a configuration reproduces the bytes.  Exit codes: 0 on success,
-1 on an assertion mismatch, 2 on usage errors.
+1 on an assertion mismatch, 2 on usage errors.  ``-v`` prints the stage
+timings and cache statistics of a run to stderr, never into the artifact.
 """
 
 from __future__ import annotations
@@ -13,14 +14,52 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
 
 
+class _Stages:
+    """Wall time of each stage of one command; a mark ends the current stage."""
+
+    def __init__(self) -> None:
+        self.times: list[tuple[str, float]] = []
+        self._since = time.perf_counter()
+
+    def mark(self, name: str) -> None:
+        now = time.perf_counter()
+        self.times.append((name, now - self._since))
+        self._since = now
+
+
+def _report(args, stages: _Stages) -> None:
+    """The ``-v`` lines: stage timings, numeric caches, default-mollifier tables."""
+    for name, seconds in stages.times:
+        print(f"stage {name}: {seconds:.3f} s", file=sys.stderr)
+    caches = {"kernels": ("_legendre", "_default_mollifier"),
+              "montecarlo": ("_spectral", "_mean_field")}
+    kernels = sys.modules.get(f"{__package__}.kernels")
+    for module, names in caches.items():
+        if loaded := sys.modules.get(f"{__package__}.{module}"):
+            for name in names:
+                print(f"cache {module}.{name}: {getattr(loaded, name).cache_info()}",
+                      file=sys.stderr)
+    if not kernels:
+        return
+    # Looked up after the statistics above, which the lookups move; a miss
+    # is a mollifier this run did not use.
+    default = kernels._default_mollifier
+    for res in sorted({getattr(args, "resolution", kernels.RESOLUTION), kernels.RESOLUTION}):
+        misses = default.cache_info().misses
+        keys = [k if isinstance(k, str) else f"{k[0]}{k[1]}" for k in default(res)._splines]
+        if default.cache_info().misses == misses:
+            print(f"default mollifier {res} tables: {', '.join(keys) or '-'}", file=sys.stderr)
+
+
 def _config_line(args: argparse.Namespace) -> str:
     blob = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "out") and v is not None}
+            if k not in ("func", "out", "verbose") and v is not None}
     return json.dumps({"tool": "gpam2d", "version": __version__, "config": blob},
                       sort_keys=True, default=str)
 
@@ -71,10 +110,11 @@ def _parse_eps_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_symbols(args) -> int:
+def cmd_symbols(args, stages: _Stages) -> int:
     from .symbols import generate, homogeneity
 
     syms = generate(args.structure, args.side)
+    stages.mark("generate")
     rows = sorted(
         ((str(s), str(homogeneity(s, args.structure))) for s in syms),
         key=lambda row: row[0],
@@ -98,18 +138,31 @@ def _load_corpus(args):
             text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"no fixture file {args.corpus!r}") from None
+    if any(line.split("#", 1)[0].split()[:1] == ["list"] for line in text.splitlines()):
+        raise ValueError(f"{args.corpus!r} is a class manifest (a 'list' file), "
+                         "not a graph fixture file")
     fixtures = parse_fixtures(text)
-    if args.action == "classify" and (labelled := [n for n, fx in fixtures.items() if fx.labels]):
-        raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
-                         "labels every graph from its edge types")
+    if args.action == "classify":
+        from .powercount import edge_classes
+
+        if labelled := [n for n, fx in fixtures.items() if fx.labels]:
+            raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
+                             "labels every graph from its edge types")
+        for name, fx in fixtures.items():
+            budget, mollifiers = fx.graph.eps_total(), len(edge_classes(fx.graph)["E_M"])
+            if budget != mollifiers:
+                raise ValueError(f"graph {name!r} spends epsilon^{budget} against {mollifiers} "
+                                 "mollifiers, but graphs classify takes second-moment "
+                                 "(Wick-paired) graphs, whose budget matches their mollifiers")
     return [(name, fx.graph) for name, fx in fixtures.items()]
 
 
-def cmd_graphs(args) -> int:
+def cmd_graphs(args, stages: _Stages) -> int:
     from .feynman import validate_structure, wick_pairings
 
     if args.action == "validate":
         corpus = _load_corpus(args)
+        stages.mark("load corpus")
         lines = []
         bad = 0
         for ref, graph in corpus:
@@ -117,6 +170,7 @@ def cmd_graphs(args) -> int:
             ok = report.ok()
             bad += not ok
             lines.append(f"{ref}: {'ok' if ok else 'FAIL ' + str(report.items)}")
+        stages.mark("validate")
         _emit(args, "\n".join(lines) + f"\nchecked {len(corpus)} graphs, {bad} failures\n")
         return 1 if bad else 0
 
@@ -126,7 +180,9 @@ def cmd_graphs(args) -> int:
         if not args.graph:
             raise ValueError("graphs pair needs --graph")
         graph = load_graph(args.graph) if ":" in args.graph else _dict_lookup(args)
+        stages.mark("load graph")
         pairs = wick_pairings(graph, args.constraint)
+        stages.mark("wick pairings")
         lines = [f"{g.name}: vertices={len(g.kinds)} edges={len(g.edges)} coeff={g.coeff}"
                  for g in pairs]
         _emit(args, "\n".join(lines) + f"\n{len(pairs)} pairings\n")
@@ -142,8 +198,11 @@ def cmd_graphs(args) -> int:
         from .feynman import canonical_form
 
         corpus = _load_corpus(args)
+        stages.mark("load corpus")
         forms = published_forms()
+        stages.mark("published forms")
         results = classify_corpus(corpus, crit_forms=forms["crit"], g2_forms=forms["g2"])
+        stages.mark("classify")
         # The published partition covers the shipped corpus only; the graphs
         # of a fixture file are checked against their `expect` lines.
         published = args.corpus is None
@@ -165,6 +224,7 @@ def cmd_graphs(args) -> int:
                                       "known": ref == PUBLISHED_DEFECT})
             report.append(entry)
         mismatch = sum(not d["known"] for d in disagreements)
+        stages.mark("compare")
         _emit(args, json.dumps({
             "counts": counts,
             "expected_from": "published partition" if published else "expect lines",
@@ -183,7 +243,7 @@ def _dict_lookup(args):
     return corpus[args.graph]
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args, stages: _Stages) -> int:
     rows = [("quantity", "eps", "resolution", "value", "error_estimate", "label")]
 
     if args.action == "crho":
@@ -193,6 +253,7 @@ def cmd_constants(args) -> int:
         values = []
         for route in routes:
             res = crho_squared(route, args.resolution)
+            stages.mark(f"crho_squared {route}")
             values.append(res.value)
             rows.append((f"crho_squared_{route}", "", str(args.resolution),
                          repr(res.value), repr(res.estimated_error), "noise-amplitude"))
@@ -207,8 +268,10 @@ def cmd_constants(args) -> int:
 
         eps_list = _parse_eps_list(args.eps)
         kernel = SquareKernel(resolution=args.resolution)
+        stages.mark("square kernel")
         for eps in eps_list:
             total = kernel.integral(eps)
+            stages.mark(f"integral eps={eps!r}")
             rows.append(("square_kernel_integral", repr(eps), str(args.resolution),
                          repr(total), "", "scale-invariance"))
         _emit(args, _csv(rows))
@@ -219,6 +282,7 @@ def cmd_constants(args) -> int:
 
         for eps in _parse_eps_list(args.eps):
             res = gconv_limits_check(eps, n=args.n, resolution=args.resolution)
+            stages.mark(f"gconv eps={eps!r}")
             for key, val in res.items():
                 rows.append((f"gconv_{key}", repr(eps), str(args.n), repr(val), "",
                              "smoothing-residual"))
@@ -232,7 +296,7 @@ def _csv(rows) -> str:
     return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args, stages: _Stages) -> int:
     import numpy as np
 
     from .kernels import crho_squared
@@ -249,6 +313,7 @@ def cmd_mc(args) -> int:
         values = []
         for s in sample_seeds(args.seed, args.samples):
             values.append(float(np.mean(sample_noise(args.n, s).xi ** 2)))
+        stages.mark("sample noise")
         stats = estimate_stats(values) if len(values) >= MIN_SAMPLES else None
         text = _csv(
             [("quantity", "n", "samples", "value", "se", "seed"),
@@ -262,6 +327,7 @@ def cmd_mc(args) -> int:
     eps_list = _parse_eps_list(args.eps)
     require_samples(args.samples)  # before the c_rho^2 quadrature too
     crho = crho_squared("spatial", args.resolution).value
+    stages.mark("crho_squared spatial")
     if args.action == "xiixi":
         which = "xiixi"
         columns = ("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
@@ -272,6 +338,7 @@ def cmd_mc(args) -> int:
                    "mean_se", "seed")
     table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
                               crho_sq=crho, which=which, j=args.axis)
+    stages.mark("convergence table")
     rows = [columns] + [
         tuple(repr(row[k]) if isinstance(row[k], float) else row[k] for k in columns)
         for row in table
@@ -296,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
+    common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                        help="print stage timings and cache statistics to stderr")
     parser = argparse.ArgumentParser(prog="gpam2d", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,18 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    stages = _Stages()
     args = build_parser().parse_args(argv)
-    if getattr(args, "resolution", 0) is None:
+    stages.mark("parse arguments")
+    if hasattr(args, "resolution"):
         # Resolved here: the symbol and graph commands skip the numeric imports.
         from .kernels import RESOLUTION
 
-        args.resolution = RESOLUTION
+        if args.resolution is None:
+            args.resolution = RESOLUTION
+        stages.mark("numeric imports")
     try:
-        return args.func(args)
+        return args.func(args, stages)
     except ValueError as exc:
         # Bad values reach the commands as ValueError: a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        stages.mark("output")
+        if getattr(args, "verbose", False):
+            _report(args, stages)
 
 
 if __name__ == "__main__":

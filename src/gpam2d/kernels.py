@@ -59,7 +59,9 @@ class Mollifier:
 
     ``profile`` is any positive radial shape supported in [0, 1); the
     constructor normalises it.  Derived objects (mass functions, self
-    convolutions, the Fourier transform) are cached per resolution.
+    convolutions, the Fourier transform, and the Hankel tables of the
+    square kernel's first summand, which ``SquareKernel`` builds) are
+    cached per resolution, in ``_splines``.
     """
 
     def __init__(self, profile=None, resolution: int = RESOLUTION):
@@ -90,8 +92,8 @@ class Mollifier:
             spline = CubicSpline(grid, self.rad(grid), extrapolate=False)
         else:
             lower = self._profile_spline(order - 1)
-            support = float(order)
-            grid = np.linspace(0.0, support, 3 * self.resolution)
+            cap = order - 1.0  # the lower support
+            grid = np.linspace(0.0, float(order), 3 * self.resolution)
             tn, tw = _gauss_nodes(0.0, 1.0, 2 * self.resolution)
             # The 512-node full-period rectangle rule (spectrally accurate for
             # the smooth periodic angular integrand), folded onto [0, pi] by
@@ -100,16 +102,28 @@ class Mollifier:
             aw = np.full(an.size, TWO_PI / 256)
             aw[[0, -1]] *= 0.5
             weights = tw * tn * self.rad(tn)
-            cos_a = np.cos(an)
+            cross, tsq = np.multiply.outer(-2.0 * tn, np.cos(an)), tn * tn
+            # One radius g per pass, so the temporaries stay in cache.  Beyond
+            # the lower support the integrand is lower(cap).  For fixed g and
+            # t, |g - t e^{ia}| grows with a on [0, pi], so the live points are
+            # a prefix of the angles, and a node t < g - cap has none.  Off the
+            # live rectangle [t0:] x [:a1] the sum is exactly lower(cap) times
+            # the weight outside it, a difference of products because the
+            # weights are a product.  The margin absorbs rounding.
+            margin = 1e-9
+            edge = float(_uniform_eval(lower, np.array(cap)))
+            total = aw.sum() * weights.sum()
             vals = np.empty_like(grid)
-            for lo in range(0, grid.size, 16):
-                g = grid[lo : lo + 16, None]
-                # |g - t e^{ia}| (its square clipped at 0), capped at the lower support.
-                dist = np.multiply.outer(-2.0 * g * tn, cos_a)
-                dist += (g * g + tn * tn)[:, :, None]
-                np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-                inner = _uniform_eval(lower, np.minimum(dist, order - 1.0, out=dist))
-                vals[lo : lo + 16] = (inner @ aw) @ weights
+            for i, g in enumerate(grid):
+                t0 = int(np.searchsorted(tn, g - cap - margin))
+                sq = cross[t0:] * g
+                sq += (g * g + tsq[t0:])[:, None]
+                live = np.flatnonzero((sq < cap * cap * (1.0 + margin)).any(axis=0))
+                a1 = int(live[-1]) + 1 if live.size else 0
+                dist = np.sqrt(np.maximum(sq[:, :a1], 0.0))
+                inner = _uniform_eval(lower, np.minimum(dist, cap, out=dist))
+                vals[i] = ((inner @ aw[:a1]) @ weights[t0:]
+                           + edge * (total - aw[:a1].sum() * weights[t0:].sum()))
             spline = CubicSpline(grid, vals, extrapolate=False)
         self._splines[key] = spline
         return spline
@@ -260,16 +274,15 @@ class SquareKernel:
     def __init__(self, mol: Mollifier | None = None, resolution: int = RESOLUTION):
         self.mol = _mollifier(mol, resolution)
         self.resolution = resolution
-        sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
-        fr2 = self.mol.fourier(sn) ** 2 * sn * sw
-        rgrid = np.linspace(0.0, 2.0, 2 * resolution)
-        h_parts = {}
-        for k in (0, 2, 4):
-            bess = jv(k, np.outer(rgrid, sn))
-            h_parts[k] = bess @ fr2
-        self._h0 = CubicSpline(rgrid, (3.0 / 8.0) * h_parts[0] / TWO_PI)
-        self._h2 = CubicSpline(rgrid, -0.5 * h_parts[2] / TWO_PI)
-        self._h4 = CubicSpline(rgrid, (1.0 / 8.0) * h_parts[4] / TWO_PI)
+        if "hankel" not in self.mol._splines:
+            # One table of the three harmonics per mollifier.
+            sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
+            fr2 = self.mol.fourier(sn) ** 2 * sn * sw
+            rgrid = np.linspace(0.0, 2.0, 2 * resolution)
+            self.mol._splines["hankel"] = tuple(
+                CubicSpline(rgrid, c * (jv(k, np.outer(rgrid, sn)) @ fr2) / TWO_PI)
+                for k, c in ((0, 3.0 / 8.0), (2, -0.5), (4, 1.0 / 8.0)))
+        self._h0, self._h2, self._h4 = self.mol._splines["hankel"]
         self._a2, self._b2 = d11_log_potential(self.mol, 2)
 
     def first_summand(self, r, theta):
@@ -337,17 +350,12 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("scales must be positive")
-    kernel = _square_kernel(_mollifier(mol, resolution))
+    kernel = SquareKernel(mol, resolution)
     far = 64.0 * max(eps, delta)
     tail_mass = kernel.abs_mass(eps, delta, far) + _square_tail(eps, far)
     l1 = kernel.abs_mass(eps, 1e-9, far) + _square_tail(eps, far)
     total = kernel.integral(eps)
     return {"l1_mass": l1, "tail_mass": tail_mass, "total_integral": total}
-
-
-@lru_cache(maxsize=4)
-def _square_kernel(mol: Mollifier) -> SquareKernel:
-    return SquareKernel(mol, mol.resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,38 @@ class TestUsageErrors:
         assert code == 1 and f"checked {count} graphs, {count} failures" in out
 
     @pytest.mark.parametrize(
+        "fname,graph,budget,mollifiers",
+        [("axis_variants", "b10j2", 2, 3), ("four_noise_a", "a01", 2, 4),
+         ("four_noise_b", "b01", 2, 4), ("ladder_pair", "ladder-recentred", 2, 4),
+         ("two_noise_tree", "chain2", 1, 2), ("weighted_tree", "wchain2", 1, 2)],
+    )
+    def test_classify_names_the_unpaired_graph(self, fname, graph, budget, mollifiers,
+                                               tmp_path, capsys):
+        # Stochastic graphs spend fewer epsilons than they have mollifiers;
+        # their Wick pairings are what classify takes.
+        fixture = str(resources.files("gpam2d.fixtures").joinpath(f"{fname}.txt"))
+        path = tmp_path / "artifact.json"
+        code = main(["--out", str(path), "graphs", "classify", "--corpus", fixture])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: graph {graph!r} spends epsilon^{budget} against {mollifiers} "
+                       "mollifiers, but graphs classify takes second-moment (Wick-paired) "
+                       "graphs, whose budget matches their mollifiers\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["crit", "g2", "g3", "g4", "van"])
+    @pytest.mark.parametrize("action", ["classify", "validate"])
+    def test_corpus_refuses_class_manifests(self, action, name, tmp_path, capsys):
+        fixture = str(resources.files("gpam2d.fixtures").joinpath(f"class_{name}.txt"))
+        path = tmp_path / "artifact.json"
+        code = main(["--out", str(path), "graphs", action, "--corpus", fixture])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {fixture!r} is a class manifest (a 'list' file), "
+                       "not a graph fixture file\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mc", "noise", "--n", "0"],
@@ -197,6 +229,31 @@ class TestOutPlacement:
         assert main(["--out", str(before)] + argv) == 0
         assert main(argv[:1] + ["--out", str(after)] + argv[1:]) == 0
         assert before.read_bytes() == after.read_bytes()
+
+
+class TestVerbose:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "crho", "--resolution", "32"],
+            ["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "16",
+             "--resolution", "32"],
+        ],
+        ids=["constants-crho", "mc-xiixi"],
+    )
+    def test_artifact_bytes_do_not_depend_on_v(self, argv, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet.out", tmp_path / "loud.out"
+        assert main(["--out", str(quiet)] + argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["-v", "--out", str(loud)] + argv) == 0
+        err = capsys.readouterr().err
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert "stage crho_squared spatial: " in err
+        assert "cache kernels._legendre: CacheInfo(" in err
+        assert "default mollifier 32 tables: profile1, profile2" in err
+        if argv[0] == "mc":
+            assert "cache montecarlo._spectral: CacheInfo(" in err
+            assert "cache montecarlo._mean_field: CacheInfo(" in err
 
 
 class TestConstantsAndMc:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.special import jv
+
+from gpam2d import kernels
 
 from gpam2d.kernels import (
     GepsGrid,
@@ -103,19 +106,24 @@ class TestQuadrature:
         assert np.max(np.abs(_uniform_eval(wavy, r) - wavy(r))) <= 1e-15
 
     def test_half_angle_rule_is_the_full_period_rule(self, small):
-        # The 512-node rectangle rule over the whole period, written out.
-        tn, tw = _gauss_nodes(0.0, 1.0, 2 * small.resolution)
-        weights = tw * tn * small.rad(tn)
-        cos_a = np.cos(np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
-        for order in (2, 3):
-            lower = small._profile_spline(order - 1)
-            grid = np.linspace(0.0, float(order), 3 * small.resolution)
-            dist = np.sqrt(np.maximum(
-                grid[:, None, None] ** 2 + tn[None, :, None] ** 2
-                - 2.0 * grid[:, None, None] * tn[None, :, None] * cos_a, 0.0))
-            inner = np.nan_to_num(lower(np.clip(dist, 0.0, order - 1.0)))
-            full = 2.0 * math.pi / 512 * np.einsum("t,gta->g", weights, inner)
-            assert np.max(np.abs(small._profile_spline(order)(grid) - full)) <= 1e-13
+        # The 512-node rectangle rule over the whole period, written out, on
+        # every point of the (t, angle) rectangle: the bump, and the flat
+        # disc, whose profile does not vanish at its edge, so the live
+        # rectangle of each radius ends where the integrand jumps.
+        disc = Mollifier(lambda r: np.ones_like(r), resolution=32)
+        for mol in (small, disc):
+            tn, tw = _gauss_nodes(0.0, 1.0, 2 * mol.resolution)
+            weights = tw * tn * mol.rad(tn)
+            cos_a = np.cos(np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+            for order in (2, 3):
+                lower = mol._profile_spline(order - 1)
+                grid = np.linspace(0.0, float(order), 3 * mol.resolution)
+                dist = np.sqrt(np.maximum(
+                    grid[:, None, None] ** 2 + tn[None, :, None] ** 2
+                    - 2.0 * grid[:, None, None] * tn[None, :, None] * cos_a, 0.0))
+                inner = np.nan_to_num(lower(np.clip(dist, 0.0, order - 1.0)))
+                full = 2.0 * math.pi / 512 * np.einsum("t,gta->g", weights, inner)
+                assert np.max(np.abs(mol._profile_spline(order)(grid) - full)) <= 1e-13
 
     @pytest.mark.parametrize("route, resolution, value", [
         ("spatial", 64, 0.21385501263536402),
@@ -163,6 +171,22 @@ class TestSquareKernel:
         for rep in reports:
             assert rep["l1_mass"] < 5.0 * crho
             assert rep["total_integral"] == pytest.approx(crho, rel=1e-3)
+
+    def test_one_hankel_table_per_mollifier(self, monkeypatch):
+        # Criterion 7's set-up: a kernel, then reports on its mollifier.
+        own = Mollifier(resolution=128)
+        first = SquareKernel(own, resolution=128)
+        calls = []
+        monkeypatch.setattr(kernels, "jv", lambda *a: calls.append(a) or jv(*a))
+        assert SquareKernel(own, resolution=128)._h0 is first._h0
+        report = approx_unity_report(0.25, 0.125, own, 128)
+        assert own._splines["hankel"][0] is first._h0
+        assert calls == []
+        # The three integrals of the build with one table per kernel.
+        pinned = {"l1_mass": 0.21640790493493736, "tail_mass": 0.11806816443094101,
+                  "total_integral": 0.21385706002162017}
+        for key, value in pinned.items():
+            assert abs(report[key] - value) <= 1e-15 * value, key
 
     def test_rejects_nonpositive_scales(self, kernel):
         with pytest.raises(ValueError):

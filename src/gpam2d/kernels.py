@@ -26,6 +26,7 @@ from scipy.special import j0, jv
 TWO_PI = 2.0 * math.pi
 
 RESOLUTION = 128  # the one default mollifier resolution
+_ROW_BLOCK = 64  # rows per real pass of a full Spectral.field; their strided lines stay in cache
 
 
 @lru_cache(maxsize=32)
@@ -387,15 +388,22 @@ def _check_grid(n: int, eps: float) -> None:
 class Spectral:
     """Fourier multipliers of the N x N unit torus at one scale, on half spectra.
 
-    A real grid field is held by its ``rfft2`` coefficients: an N x (N/2+1)
-    table of the non-negative axis-2 frequencies, the others following by
-    Hermitian symmetry.  ``s1`` (N, 1) and ``s2`` (1, N/2+1) broadcast;
-    ``frho`` is 1 at the zero mode and ``inv_lap`` drops it.  Nyquist
-    convention: the derivative multipliers ``d1 = i s1`` and ``d2 = i s2``
-    are zero on the Nyquist row and column respectively, the one choice that
-    maps real fields to real fields.  ``d1_frho`` is the multiplier of the
-    mollified axis-1 derivative.  The static helpers fix the FFT
-    normalisation.
+    A real grid field is held by its ``rfft2`` coefficients over the cell
+    count: an N x (N/2+1) table of the non-negative axis-2 frequencies, the
+    others following by Hermitian symmetry.  ``s1`` (N, 1) and ``s2``
+    (1, N/2+1) broadcast; ``frho`` is 1 at the zero mode and ``inv_lap``
+    drops it.  Nyquist convention: the derivative multipliers ``d1 = i s1``
+    and ``d2 = i s2`` are zero on the Nyquist row and column respectively, the
+    one choice that maps real fields to real fields.  ``d1_frho`` is the
+    multiplier of the mollified axis-1 derivative.
+
+    Memory order: the full tables, and the output of ``coeff``, are Fortran
+    ordered, so the complex pass along axis 1 reads contiguous lines, as the
+    real pass along axis 2 does on the C-ordered grid fields.  ``field`` can
+    return only some ``rows`` of a field, at the cost of the complex pass and
+    of the real pass on those rows alone.  The static helpers fix the FFT
+    normalisation, folded into the forward transforms (exact at powers of
+    two).
     """
 
     def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
@@ -408,9 +416,9 @@ class Spectral:
         self.s1, self.s2 = TWO_PI * m1, TWO_PI * m2
         self.d1 = 1j * np.where(2 * np.abs(m1) == n, 0.0, self.s1)
         self.d2 = 1j * np.where(2 * m2 == n, 0.0, self.s2)
-        ss = self.s1**2 + self.s2**2
+        ss = np.add(self.s1**2, self.s2**2, order="F")
         ss[0, 0] = 1.0
-        self.frho = self.mol.fourier(np.sqrt(ss) * eps)
+        self.frho = np.asfortranarray(self.mol.fourier(np.sqrt(ss) * eps))
         self.frho[0, 0] = 1.0
         self.inv_lap = np.divide(1.0, ss, out=ss)
         self.inv_lap[0, 0] = 0.0
@@ -418,13 +426,31 @@ class Spectral:
         self.origin = (0, 0)  # chart origin sits at grid index (0, 0)
 
     @staticmethod
-    def field(coeff: np.ndarray) -> np.ndarray:
+    def field(coeff: np.ndarray, rows=None) -> np.ndarray:
+        """The grid field of ``coeff``, or only its ``rows``: exactly those
+        rows of the full field, in the order given.
+
+        The complex pass runs along the lines of the transposed table; the
+        real pass runs on the rows asked for.  The full field is filled in
+        blocks of rows, so no transposed copy of the whole table is made.
+        """
         n = coeff.shape[0]
-        return np.fft.irfft2(coeff, s=(n, n)) * (n * n)
+        lines = np.fft.ifft(coeff.T, axis=1, norm="forward")  # (frequency k2, row)
+        if rows is not None:
+            return np.fft.irfft(lines[:, rows].T, n, axis=1, norm="forward")
+        out = np.empty((n, n))
+        for r in range(0, n, _ROW_BLOCK):
+            np.fft.irfft(lines[:, r:r + _ROW_BLOCK].T, n, axis=1, norm="forward",
+                         out=out[r:r + _ROW_BLOCK])
+        return out
 
     @staticmethod
     def coeff(field: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(field) / field.size
+        """``rfft2(field) / field.size``, into a Fortran-ordered table."""
+        n1, n2 = field.shape
+        out = np.empty((n1, n2 // 2 + 1), dtype=complex, order="F")
+        np.fft.rfft(field, axis=1, norm="forward", out=out)
+        return np.fft.fft(out, axis=0, norm="forward", out=out)
 
     @staticmethod
     def at_origin(coeff: np.ndarray) -> float:

@@ -12,7 +12,12 @@ is a relative 3e-6 to 3e-5 off the exact expectation; only ``mean`` moves.
 
 The two estimators are orders 0 and 1 of one recentring: ``pi_xiixi``
 recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
-``K*(x_j A)`` to order 1 with the twice-recentred kernel.
+``K*(x_j A)`` to order 1 with the twice-recentred kernel.  Both run one core,
+``_recentred_product``, on the noise's coefficients (a Fortran-ordered
+half-spectrum table, see ``Spectral``) and on the rows where the test
+function lives: the fields it only tests against phi are transformed back on
+those rows alone.  ``convergence_table`` transforms each noise once for all
+scales and pairs phi with the mean field once per scale.
 """
 
 from __future__ import annotations
@@ -36,40 +41,72 @@ def sample_noise(n: int, seed) -> NoiseSample:
     """Real white noise on the grid, variance N^2 per cell, seed-determined."""
     if n < 1 or n & (n - 1):
         raise ValueError("grid size must be a power of two")
-    rng = np.random.default_rng(seed)
-    return NoiseSample(xi=rng.standard_normal((n, n)) * n, n=n)
+    xi = np.random.default_rng(seed).standard_normal((n, n))
+    xi *= n
+    return NoiseSample(xi=xi, n=n)
 
 
 _spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
 
 
+@lru_cache(maxsize=32)
 def _coordinate(n: int, j: int):
-    """The weight of order ``j``: 1 for j = 0, else the chart coordinate x_j."""
+    """The weight of order ``j``: 1 for j = 0, else the chart coordinate x_j,
+    as a read-only (N, 1) or (1, N) array cached per N."""
     if j == 0:
         return 1.0
     x = torus_coords(n)
+    x.flags.writeable = False
     return x[:, None] if j == 1 else x[None, :]
 
 
-def _recentred_product(sample: NoiseSample, eps: float, phi: np.ndarray, j: int) -> float:
+def _check_shape(phi: np.ndarray, n: int) -> None:
+    """A test function must cover the grid: no broadcasting, no row guessing."""
+    if np.shape(phi) != (n, n):
+        raise ValueError(f"test function has shape {np.shape(phi)}, not the grid's {(n, n)}")
+
+
+def _support(phi: np.ndarray, n: int):
+    """The rows where phi lives, led by the origin row 0, and phi on them."""
+    _check_shape(phi, n)
+    rows = np.flatnonzero(np.any(phi, axis=1))
+    if not rows.size or rows[0]:
+        rows = np.concatenate(([0], rows))
+    return rows, phi[rows]
+
+
+def _paired_mean(spec: Spectral, rows: np.ndarray, phi: np.ndarray, j: int) -> float:
+    """``<phi, E[A B_j]>``, the sample-independent part, for phi on ``rows``."""
+    return float(np.sum(phi * _mean_field(spec, j)[rows])) * spec.mesh2
+
+
+def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.ndarray,
+                       phi: np.ndarray, j: int, mean: float) -> float:
     """``A * B_j`` tested against phi, less its exact Gaussian expectation.
 
-    A is the mollified axis-1 derivative of the noise and B_j is K*(w A),
-    with w the weight of order j, recentred at the origin to order 0 (j = 0)
-    or 1 (j = 1, 2).  Base-point values are coefficient sums.  One ``rfft2``
-    and two ``irfft2`` per call, and one more ``rfft2`` for the weight x_j.
+    A is the mollified axis-1 derivative of the noise, whose coefficients are
+    ``xi_hat``, and B_j is K*(w A), with w the weight of order j, recentred at
+    the origin to order 0 (j = 0) or 1 (j = 1, 2).  phi is given on ``rows``
+    (``_support``), whose first is the origin row 0, and ``mean`` is
+    ``_paired_mean``.  A and K*(w A) are transformed back on those rows only;
+    the other base-point values are coefficient sums.  So j = 0 costs two
+    inverse transforms on the rows; j > 0 needs A on the full grid, then the
+    forward transform of w A and one inverse transform on the rows.
     """
-    spec = _spectral(sample.n, eps)
-    a_hat = spec.d1_frho * spec.coeff(sample.xi)
-    a = spec.field(a_hat)
-    w_hat = spec.coeff(_coordinate(spec.n, j) * a) if j else a_hat
-    kw = spec.field(w_hat * spec.inv_lap)
-    b = kw - kw[spec.origin]
+    a_hat = spec.d1_frho * xi_hat
     if j:
-        for i, d in ((1, spec.d1), (2, spec.d2)):
-            b -= _coordinate(spec.n, i) * spec.at_origin(d * spec.inv_lap * w_hat)
+        a = spec.field(a_hat)
+        w_hat = spec.coeff(_coordinate(spec.n, j) * a)
+        a = a[rows]
+    else:
+        a = spec.field(a_hat, rows)
+        w_hat = a_hat
+    b = spec.field(w_hat * spec.inv_lap, rows)
+    b -= b[0, 0]  # rows[0] is the origin row
+    if j:
+        for x, d in ((_coordinate(spec.n, 1)[rows], spec.d1), (_coordinate(spec.n, 2), spec.d2)):
+            b -= x * spec.at_origin(d * spec.inv_lap * w_hat)
     stoch = float(np.sum(phi * a * b)) * spec.mesh2
-    mean = float(np.sum(phi * _mean_field(spec, j))) * spec.mesh2
     return eps * (stoch - mean)
 
 
@@ -77,22 +114,45 @@ def _recentred_product(sample: NoiseSample, eps: float, phi: np.ndarray, j: int)
 def _mean_field(spec: Spectral, j: int) -> np.ndarray:
     """E[A(z) B_j(z)] as a grid field, by the covariance closed forms.
 
-    With r_a the covariance of A and k_g the kernel, it is
-    ``c1 w - (w k_g)*r_a``, less ``x_i ((w d_i k_g)*r_a)`` for i = 1, 2 when
-    j > 0; for w = 1 it is R(0) - R(z) with R = E[A(z) (K*A)(0)].  r_a is
-    taken as ``s1^2 frho^2``, though ``d1`` is zero on the Nyquist row: a
-    relative 3e-6 to 3e-5 off the exact expectation at N=64 (``mean`` only).
+    For j = 0 it is R(0) - R(z) with R = E[A(z) (K*A)(0)], the field of
+    ``s1^2 inv_lap frho^2``.  For j > 0, with r_a the covariance of A and k_g
+    the kernel, it is ``c1 w - (w k_g)*r_a``, less ``x_i ((w d_i k_g)*r_a)``
+    for i = 1, 2.  r_a is taken as ``s1^2 frho^2``, though ``d1`` is zero on
+    the Nyquist row: a relative 3e-6 to 3e-5 off the exact expectation at N=64
+    (``mean`` only).
     """
+    if not j:
+        r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
+        return r[spec.origin] - r
     w = _coordinate(spec.n, j)
     r_a = spec.field(spec.s1**2 * spec.frho**2)
     k_g = spec.field(spec.inv_lap)
     c1 = float(np.sum(k_g * r_a)) * spec.mesh2
     mean = c1 * w - spec.convolve(w * k_g, r_a)
-    if j:
-        for i, d in ((1, spec.d1), (2, spec.d2)):
-            dk = spec.field(d * spec.inv_lap)
-            mean -= _coordinate(spec.n, i) * spec.convolve(w * dk, r_a)
+    for i, d in ((1, spec.d1), (2, spec.d2)):
+        dk = spec.field(d * spec.inv_lap)
+        mean -= _coordinate(spec.n, i) * spec.convolve(w * dk, r_a)
     return mean
+
+
+def _estimate(sample: NoiseSample, eps: float, phi: np.ndarray, j: int) -> float:
+    """One estimator value: the noise's coefficients, then the core."""
+    spec = _spectral(sample.n, eps)
+    rows, phi = _support(phi, sample.n)
+    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, phi, j,
+                              _paired_mean(spec, rows, phi, j))
+
+
+def _weighted(n: int, phi: np.ndarray, which: str, j: int):
+    """The test function and recentring order of a weighted estimator."""
+    _check_shape(phi, n)
+    if j not in (1, 2):
+        raise ValueError(f"axis must be 1 or 2, not {j!r}")
+    if which == "xxiixi":
+        return _coordinate(n, j) * phi, 0
+    if which != "xiixxi":
+        raise ValueError(f"unknown weighted estimator {which!r}")
+    return phi, j
 
 
 def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
@@ -101,7 +161,7 @@ def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
     Tests ``A * (K*A - (K*A)(0))`` against phi and subtracts the exact
     Gaussian expectation; A is the mollified noise derivative.
     """
-    return _recentred_product(sample, eps, phi, 0)
+    return _estimate(sample, eps, phi, 0)
 
 
 def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
@@ -112,13 +172,7 @@ def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
     estimator tested against ``x_j * phi``.  ``xiixxi``: the integration
     point weighted by ``x_j`` with the twice-recentred kernel.
     """
-    if j not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, not {j!r}")
-    if which == "xxiixi":
-        return pi_xiixi(sample, eps, _coordinate(sample.n, j) * phi)
-    if which != "xiixxi":
-        raise ValueError(f"unknown weighted estimator {which!r}")
-    return _recentred_product(sample, eps, phi, j)
+    return _estimate(sample, eps, *_weighted(sample.n, phi, which, j))
 
 
 MIN_SAMPLES = 16  # the fewest values estimate_stats takes
@@ -192,27 +246,30 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     ``x_j * phi``.  Each noise is drawn once and evaluated at every scale
     before the next is drawn (common random numbers, one field alive at a
     time), so the across-scale comparisons in the output are far more stable
-    than the per-entry error bars suggest.
+    than the per-entry error bars suggest.  Each noise is transformed once,
+    and phi is paired with the mean field once per scale.
     """
     require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
+    if which == "xiixi":
+        test, order, weight = phi, 0, phi
+    else:
+        test, order = _weighted(n, phi, which, j)
+        weight = _coordinate(n, j) * phi
+    live, test = _support(test, n)
     if crho_sq is None:
         from .kernels import crho_squared
 
         crho_sq = crho_squared("spatial", RESOLUTION).value
-    if which == "xiixi":
-        weight = phi
-        estimate = lambda noise, eps: pi_xiixi(noise, eps, phi)
-    else:
-        weight = _coordinate(n, j) * phi
-        estimate = lambda noise, eps: pi_weighted(noise, eps, phi, which, j)
     target = crho_sq * float(np.sum(weight * weight)) / (n * n)
+    specs = [_spectral(n, eps) for eps in eps_list]
+    means = [_paired_mean(spec, live, test, order) for spec in specs]
     values = np.empty((samples, len(eps_list)))
     for row, s in zip(values, sample_seeds(seed, samples)):
-        noise = sample_noise(n, s)
-        row[:] = [estimate(noise, eps) for eps in eps_list]
-        del noise  # one noise field alive at a time
+        xi_hat = Spectral.coeff(sample_noise(n, s).xi)  # the noise itself is dropped
+        row[:] = [_recentred_product(spec, eps, xi_hat, live, test, order, mean)
+                  for eps, spec, mean in zip(eps_list, specs, means)]
     rows = []
     for eps, column in zip(eps_list, values.T):
         stats = estimate_stats(column)

@@ -250,6 +250,34 @@ class TestGrid:
         assert phi[0, 0] == phi.max()
 
 
+def _orders(x):
+    return [np.ascontiguousarray(x), np.asfortranarray(x)]
+
+
+class TestSpectralTransforms:
+    """``coeff`` and ``field`` against numpy's 2-d transforms, bit for bit on
+    the installed numpy: the layout and the row path change no value."""
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_coeff_is_rfft2_over_the_cell_count(self, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        for xo in _orders(x):
+            c = Spectral.coeff(xo)
+            assert c.flags.f_contiguous and c.shape == (n, n // 2 + 1)
+            assert np.array_equal(c, np.fft.rfft2(x) / x.size)
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_rows_of_the_field_are_rows_of_the_full_field(self, n):
+        x = np.random.default_rng(n + 1).standard_normal((n, n))
+        c = Spectral.coeff(x)
+        full = np.fft.irfft2(c, s=(n, n)) * (n * n)
+        support = np.flatnonzero(bump_field(n, radius=0.25).any(axis=1))
+        for co in _orders(c):
+            assert np.array_equal(Spectral.field(co), full)
+            for rows in (support, [n // 2 - 1], np.arange(n)):
+                assert np.array_equal(Spectral.field(co, rows), full[rows])
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -47,6 +48,10 @@ class TestNoise:
         band = acc[1:, 1:]
         assert abs(band.mean() - 1.0) < 0.05
         assert band.max() < 1.6 and band.min() > 0.5
+
+    def test_stream_is_the_scaled_generator_output(self):
+        expected = np.random.default_rng(42).standard_normal((N, N)) * N
+        assert np.array_equal(sample_noise(N, 42).xi, expected)
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
@@ -132,6 +137,24 @@ class TestEstimators:
         with pytest.raises(ValueError, match="axis"):
             pi_weighted(sample_noise(N, 0), EPS, phi, which, j)
 
+    @pytest.mark.parametrize("shape", [(N, 1), (1, N), (N // 2, N // 2), (N,)])
+    def test_wrong_shaped_test_function_rejected(self, shape):
+        bad = np.ones(shape)
+        z = sample_noise(N, 0)
+        calls = [lambda: pi_xiixi(z, EPS, bad)]
+        calls += [lambda w=w, j=j: pi_weighted(z, EPS, bad, w, j)
+                  for w in ("xiixxi", "xxiixi") for j in (1, 2)]
+        calls += [lambda w=w: convergence_table([EPS], N, 16, phi=bad, crho_sq=0.2139, which=w)
+                  for w in ("xiixi", "xiixxi", "xxiixi")]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\({N}, {N}\)"):
+                call()
+
+    def test_coordinates_are_cached_read_only(self):
+        for j in (1, 2):
+            x = montecarlo._coordinate(N, j)
+            assert x is montecarlo._coordinate(N, j) and not x.flags.writeable
+
 
 def full_spectrum_estimate(xi, eps, phi, j):
     """The estimators on complex full-spectrum FFTs, written out: the oracle.
@@ -189,6 +212,29 @@ class TestHalfSpectrum:
                     expected = full_spectrum_estimate(noise.xi, eps, phi, j)
                     assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
 
+    @pytest.mark.parametrize("centre", [(0.3, 0.3), (0.0, 0.4)])
+    def test_supports_off_the_origin_row_match_the_oracle(self, centre):
+        # The base point K*(w A)(0) lives on row 0, which these test
+        # functions (and x_1 phi) do not touch.
+        phi = bump_field(N, radius=0.25, centre=centre)
+        x1 = torus_coords(N)[:, None] * np.ones((1, N))
+        for seed in sample_seeds(32, 2):
+            noise = sample_noise(N, seed)
+            for eps in (1 / 8, 1 / 16):
+                cases = [(pi_xiixi(noise, eps, phi), phi, 0),
+                         (pi_weighted(noise, eps, phi, "xxiixi", 1), x1 * phi, 0),
+                         (pi_weighted(noise, eps, phi, "xiixxi", 1), phi, 1),
+                         (pi_weighted(noise, eps, phi, "xiixxi", 2), phi, 2)]
+                for value, test, j in cases:
+                    expected = full_spectrum_estimate(noise.xi, eps, test, j)
+                    assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_estimator_tables_are_fortran_ordered(self):
+        # Both passes of every transform read contiguous lines only so.
+        spec = _spectral(N, EPS)
+        for table in (spec.frho, spec.inv_lap, spec.d1_frho, spec.coeff(sample_noise(N, 0).xi)):
+            assert table.flags.f_contiguous and table.shape == (N, N // 2 + 1)
+
     def test_derivative_multipliers_vanish_on_the_nyquist_lines(self):
         spec = _spectral(N, EPS)
         assert spec.frho.shape == spec.inv_lap.shape == (N, N // 2 + 1)
@@ -230,6 +276,29 @@ class TestConvergenceTable:
         assert rows1 == rows2
         assert [r["eps"] for r in rows1] == [1 / 4, 1 / 8]
         assert all(r["seed"] == 5 for r in rows1)
+
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, 0.3)])
+    @pytest.mark.parametrize("which,j", [("xiixi", 1), ("xiixxi", 1), ("xiixxi", 2),
+                                         ("xxiixi", 1), ("xxiixi", 2)])
+    def test_rows_are_the_stats_of_the_public_estimators(self, centre, which, j):
+        phi = bump_field(N, radius=0.25, centre=centre)
+        eps_list = [1 / 8, 1 / 16]
+        rows = convergence_table(eps_list, N, 16, phi=phi, seed=8, crho_sq=0.2139,
+                                 which=which, j=j)
+        weight = phi if which == "xiixi" else montecarlo._coordinate(N, j) * phi
+        target = 0.2139 * float(np.sum(weight * weight)) / (N * N)
+        noises = [sample_noise(N, s) for s in sample_seeds(8, 16)]
+        for eps, row in zip(eps_list, rows):
+            if which == "xiixi":
+                values = [pi_xiixi(x, eps, phi) for x in noises]
+            else:
+                values = [pi_weighted(x, eps, phi, which, j) for x in noises]
+            stats = estimate_stats(values)
+            expected = {"var_ratio": stats.variance / target, "mean": stats.mean,
+                        "k4_ratio": stats.excess_ratio, "var_se": stats.variance_se / target,
+                        "mean_se": stats.mean_se}
+            for key, value in expected.items():
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
     def test_one_noise_alive_at_a_time(self, phi, monkeypatch):
         refs, alive_at_draw = [], []

@@ -26,7 +26,7 @@ from scipy.special import j0, jv
 TWO_PI = 2.0 * math.pi
 
 RESOLUTION = 128  # the one default mollifier resolution
-_ROW_BLOCK = 64  # rows per real pass of a full Spectral.field; their strided lines stay in cache
+_ROW_BLOCK = 64  # rows per real pass of Spectral.field: the fastest of 16..256 at N = 512 and 1024
 
 
 @lru_cache(maxsize=32)
@@ -427,26 +427,28 @@ class Spectral:
 
     @staticmethod
     def field(coeff: np.ndarray, rows=None) -> np.ndarray:
-        """The grid field of ``coeff``, or only its ``rows``: exactly those
-        rows of the full field, in the order given.
+        """The grid field of ``coeff``, or only its ``rows`` (all by default):
+        exactly those rows of the full field, in the order given.
 
         The complex pass runs along the lines of the transposed table; the
-        real pass runs on the rows asked for.  The full field is filled in
-        blocks of rows, so no transposed copy of the whole table is made.
+        real pass runs on the rows asked for, in blocks, so no transposed copy
+        of the whole table is made.
         """
         n = coeff.shape[0]
         lines = np.fft.ifft(coeff.T, axis=1, norm="forward")  # (frequency k2, row)
-        if rows is not None:
-            return np.fft.irfft(lines[:, rows].T, n, axis=1, norm="forward")
-        out = np.empty((n, n))
-        for r in range(0, n, _ROW_BLOCK):
-            np.fft.irfft(lines[:, r:r + _ROW_BLOCK].T, n, axis=1, norm="forward",
-                         out=out[r:r + _ROW_BLOCK])
+        out = np.empty((n if rows is None else len(rows), n))
+        for r in range(0, len(out), _ROW_BLOCK):
+            block = slice(r, r + _ROW_BLOCK) if rows is None else rows[r:r + _ROW_BLOCK]
+            np.fft.irfft(lines[:, block].T, n, axis=1, norm="forward", out=out[r:r + _ROW_BLOCK])
         return out
 
     @staticmethod
     def coeff(field: np.ndarray) -> np.ndarray:
-        """``rfft2(field) / field.size``, into a Fortran-ordered table."""
+        """``rfft2(field) / field.size``, into a Fortran-ordered table.
+
+        The division is by each axis length in turn, so it is exact only when
+        they are powers of two; otherwise the last digits can differ.
+        """
         n1, n2 = field.shape
         out = np.empty((n1, n2 // 2 + 1), dtype=complex, order="F")
         np.fft.rfft(field, axis=1, norm="forward", out=out)

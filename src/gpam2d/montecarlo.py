@@ -60,15 +60,8 @@ def _coordinate(n: int, j: int):
     return x[:, None] if j == 1 else x[None, :]
 
 
-def _check_shape(phi: np.ndarray, n: int) -> None:
-    """A test function must cover the grid: no broadcasting, no row guessing."""
-    if np.shape(phi) != (n, n):
-        raise ValueError(f"test function has shape {np.shape(phi)}, not the grid's {(n, n)}")
-
-
-def _support(phi: np.ndarray, n: int):
+def _support(phi: np.ndarray):
     """The rows where phi lives, led by the origin row 0, and phi on them."""
-    _check_shape(phi, n)
     rows = np.flatnonzero(np.any(phi, axis=1))
     if not rows.size or rows[0]:
         rows = np.concatenate(([0], rows))
@@ -135,24 +128,29 @@ def _mean_field(spec: Spectral, j: int) -> np.ndarray:
     return mean
 
 
-def _estimate(sample: NoiseSample, eps: float, phi: np.ndarray, j: int) -> float:
-    """One estimator value: the noise's coefficients, then the core."""
-    spec = _spectral(sample.n, eps)
-    rows, phi = _support(phi, sample.n)
-    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, phi, j,
-                              _paired_mean(spec, rows, phi, j))
-
-
-def _weighted(n: int, phi: np.ndarray, which: str, j: int):
-    """The test function and recentring order of a weighted estimator."""
-    _check_shape(phi, n)
+def _estimator(n: int, phi: np.ndarray, which: str, j: int):
+    """The test function and recentring order of estimator ``which`` on axis
+    ``j``.  phi must cover the grid: no broadcasting, no row guessing."""
+    if np.shape(phi) != (n, n):
+        raise ValueError(f"test function has shape {np.shape(phi)}, not the grid's {(n, n)}")
+    if which == "xiixi":
+        return phi, 0
     if j not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, not {j!r}")
     if which == "xxiixi":
         return _coordinate(n, j) * phi, 0
     if which != "xiixxi":
-        raise ValueError(f"unknown weighted estimator {which!r}")
+        raise ValueError(f"unknown estimator {which!r}")
     return phi, j
+
+
+def _estimate(sample: NoiseSample, eps: float, phi: np.ndarray, which: str, j: int) -> float:
+    """One value of estimator ``which``: the noise's coefficients, then the core."""
+    spec = _spectral(sample.n, eps)
+    test, j = _estimator(sample.n, phi, which, j)
+    rows, test = _support(test)
+    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, test, j,
+                              _paired_mean(spec, rows, test, j))
 
 
 def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
@@ -161,7 +159,7 @@ def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
     Tests ``A * (K*A - (K*A)(0))`` against phi and subtracts the exact
     Gaussian expectation; A is the mollified noise derivative.
     """
-    return _estimate(sample, eps, phi, 0)
+    return _estimate(sample, eps, phi, "xiixi", 0)
 
 
 def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
@@ -172,7 +170,9 @@ def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
     estimator tested against ``x_j * phi``.  ``xiixxi``: the integration
     point weighted by ``x_j`` with the twice-recentred kernel.
     """
-    return _estimate(sample, eps, *_weighted(sample.n, phi, which, j))
+    if which == "xiixi":
+        raise ValueError("pi_weighted takes xxiixi or xiixxi; use pi_xiixi")
+    return _estimate(sample, eps, phi, which, j)
 
 
 MIN_SAMPLES = 16  # the fewest values estimate_stats takes
@@ -252,12 +252,9 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
-    if which == "xiixi":
-        test, order, weight = phi, 0, phi
-    else:
-        test, order = _weighted(n, phi, which, j)
-        weight = _coordinate(n, j) * phi
-    live, test = _support(test, n)
+    test, order = _estimator(n, phi, which, j)
+    weight = _coordinate(n, j) * phi if order else test  # x_j phi, but phi for xiixi
+    live, test = _support(test)
     if crho_sq is None:
         from .kernels import crho_squared
 

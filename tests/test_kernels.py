@@ -277,6 +277,16 @@ class TestSpectralTransforms:
             for rows in (support, [n // 2 - 1], np.arange(n)):
                 assert np.array_equal(Spectral.field(co, rows), full[rows])
 
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_other_sizes_agree_to_rounding(self, n):
+        """Off the powers of two the scaling is no longer exact: agreement to
+        rounding, and the row path still reads the full field bit for bit."""
+        x = np.random.default_rng(n).standard_normal((n, n))
+        c = Spectral.coeff(x)
+        np.testing.assert_allclose(c, np.fft.rfft2(x) / x.size, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Spectral.field(c), x, rtol=0, atol=1e-14)
+        assert np.array_equal(Spectral.field(c, [0, n - 1, 2]), Spectral.field(c)[[0, n - 1, 2]])
+
 
 @pytest.mark.parametrize(
     "call",

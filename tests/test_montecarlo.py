@@ -128,8 +128,9 @@ class TestEstimators:
             pi_xiixi(sample_noise(N, 0), 1 / 1024, phi)
 
     def test_unknown_estimator(self, phi):
-        with pytest.raises(ValueError):
-            pi_weighted(sample_noise(N, 0), EPS, phi, "nope")
+        for which in ("nope", "xiixi"):
+            with pytest.raises(ValueError):
+                pi_weighted(sample_noise(N, 0), EPS, phi, which)
 
     @pytest.mark.parametrize("which", ["xiixxi", "xxiixi"])
     @pytest.mark.parametrize("j", [0, 3, -1])

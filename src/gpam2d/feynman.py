@@ -158,24 +158,15 @@ class FeynmanGraph:
         return self.prefactor + sum((e.eps for e in self.edges), Fraction(0))
 
     def renamed(self, mapping: dict[int, int], name: str | None = None) -> "FeynmanGraph":
-        return FeynmanGraph(
-            kinds={mapping[v]: k for v, k in self.kinds.items()},
-            edges=[replace(e, tail=mapping[e.tail], head=mapping[e.head]) for e in self.edges],
-            prefactor=self.prefactor,
-            coeff=self.coeff,
-            name=name if name is not None else self.name,
-            expect=self.expect,
-        )
+        edges = [replace(e, tail=mapping[e.tail], head=mapping[e.head]) for e in self.edges]
+        return self._copy(name, {mapping[v]: k for v, k in self.kinds.items()}, edges)
 
     def with_edges(self, edges: list[Edge], name: str | None = None) -> "FeynmanGraph":
-        return FeynmanGraph(
-            kinds=dict(self.kinds),
-            edges=list(edges),
-            prefactor=self.prefactor,
-            coeff=self.coeff,
-            name=name if name is not None else self.name,
-            expect=self.expect,
-        )
+        return self._copy(name, dict(self.kinds), list(edges))
+
+    def _copy(self, name: str | None, kinds: dict[int, str], edges: list[Edge]) -> "FeynmanGraph":
+        """This graph with new vertices and edges; every other field carries over."""
+        return replace(self, kinds=kinds, edges=edges, name=self.name if name is None else name)
 
 
 # ---------------------------------------------------------------------------

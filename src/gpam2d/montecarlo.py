@@ -6,9 +6,10 @@ kernels act as Fourier multipliers (the inverse Laplacian drops its zero
 mode), the mollifier enters through its continuum radial transform sampled
 at grid frequencies, and the subtracted counterterm is the Gaussian
 expectation of the stochastic part, computed in Fourier space rather than
-estimated empirically.  It takes A's covariance as ``s1^2 frho^2``, though
-A's multiplier ``d1`` is zero on the Nyquist row, so at N=64 the counterterm
-is a relative 3e-6 to 3e-5 off the exact expectation; only ``mean`` moves.
+estimated empirically.  One field per scale, R = E[A(z) (K*A)(0)], feeds it
+at both orders, and A's covariance enters as the multiplier ``s1^2 frho^2``,
+though A's ``d1`` is zero on the Nyquist row: at N=64 the counterterm is a
+relative 3e-6 to 3e-5 off the exact expectation; only ``mean`` moves.
 
 The two estimators are orders 0 and 1 of one recentring: ``pi_xiixi``
 recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
@@ -16,8 +17,9 @@ recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
 ``_recentred_product``, on the noise's coefficients (a Fortran-ordered
 half-spectrum table, see ``Spectral``) and on the rows where the test
 function lives: the fields it only tests against phi are transformed back on
-those rows alone.  ``convergence_table`` transforms each noise once for all
-scales and pairs phi with the mean field once per scale.
+those rows alone, which ``_plan`` resolves once per input.
+``convergence_table`` transforms each noise once for all scales and pairs phi
+with the mean field once per scale.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import RESOLUTION, Spectral, bump_field, torus_coords
+from .kernels import Spectral, bump_field, torus_coords
 
 
 @dataclass
@@ -60,14 +62,6 @@ def _coordinate(n: int, j: int):
     return x[:, None] if j == 1 else x[None, :]
 
 
-def _support(phi: np.ndarray):
-    """The rows where phi lives, led by the origin row 0, and phi on them."""
-    rows = np.flatnonzero(np.any(phi, axis=1))
-    if not rows.size or rows[0]:
-        rows = np.concatenate(([0], rows))
-    return rows, phi[rows]
-
-
 def _paired_mean(spec: Spectral, rows: np.ndarray, phi: np.ndarray, j: int) -> float:
     """``<phi, E[A B_j]>``, the sample-independent part, for phi on ``rows``."""
     return float(np.sum(phi * _mean_field(spec, j)[rows])) * spec.mesh2
@@ -80,7 +74,7 @@ def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.
     A is the mollified axis-1 derivative of the noise, whose coefficients are
     ``xi_hat``, and B_j is K*(w A), with w the weight of order j, recentred at
     the origin to order 0 (j = 0) or 1 (j = 1, 2).  phi is given on ``rows``
-    (``_support``), whose first is the origin row 0, and ``mean`` is
+    (``_plan``), whose first is the origin row 0, and ``mean`` is
     ``_paired_mean``.  A and K*(w A) are transformed back on those rows only;
     the other base-point values are coefficient sums.  So j = 0 costs two
     inverse transforms on the rows; j > 0 needs A on the full grid, then the
@@ -105,52 +99,61 @@ def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.
 
 @lru_cache(maxsize=32)
 def _mean_field(spec: Spectral, j: int) -> np.ndarray:
-    """E[A(z) B_j(z)] as a grid field, by the covariance closed forms.
+    """E[A(z) B_j(z)] as a grid field, from one covariance field per scale.
 
-    For j = 0 it is R(0) - R(z) with R = E[A(z) (K*A)(0)], the field of
-    ``s1^2 inv_lap frho^2``.  For j > 0, with r_a the covariance of A and k_g
-    the kernel, it is ``c1 w - (w k_g)*r_a``, less ``x_i ((w d_i k_g)*r_a)``
-    for i = 1, 2.  r_a is taken as ``s1^2 frho^2``, though ``d1`` is zero on
-    the Nyquist row: a relative 3e-6 to 3e-5 off the exact expectation at N=64
+    R = E[A(z) (K*A)(0)] is the field of ``s1^2 inv_lap frho^2``; order 0 is
+    R(0) - R(z).  Order j > 0, with w the weight of order j, is
+    ``R(0) w - (w K)*r_a`` less ``x_i ((w d_i K)*r_a)`` for i = 1, 2: R(0) is
+    <K, r_a> by Parseval, and each convolution with A's covariance r_a is its
+    multiplier ``s1^2 frho^2``.  That ignores that ``d1`` is zero on the
+    Nyquist row: a relative 3e-6 to 3e-5 off the exact expectation at N=64
     (``mean`` only).
     """
+    r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
     if not j:
-        r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
         return r[spec.origin] - r
-    w = _coordinate(spec.n, j)
-    r_a = spec.field(spec.s1**2 * spec.frho**2)
-    k_g = spec.field(spec.inv_lap)
-    c1 = float(np.sum(k_g * r_a)) * spec.mesh2
-    mean = c1 * w - spec.convolve(w * k_g, r_a)
-    for i, d in ((1, spec.d1), (2, spec.d2)):
-        dk = spec.field(d * spec.inv_lap)
-        mean -= _coordinate(spec.n, i) * spec.convolve(w * dk, r_a)
+    w, cov = _coordinate(spec.n, j), spec.s1**2 * spec.frho**2
+
+    def weighted_r_a(kernel):  # (w field(kernel))*r_a
+        return spec.field(spec.coeff(w * spec.field(kernel)) * cov)
+
+    mean = r[spec.origin] * w - weighted_r_a(spec.inv_lap)
+    for x, d in ((_coordinate(spec.n, 1), spec.d1), (_coordinate(spec.n, 2), spec.d2)):
+        mean -= x * weighted_r_a(d * spec.inv_lap)
     return mean
 
 
-def _estimator(n: int, phi: np.ndarray, which: str, j: int):
-    """The test function and recentring order of estimator ``which`` on axis
-    ``j``.  phi must cover the grid: no broadcasting, no row guessing."""
+def _plan(n: int, phi: np.ndarray, which: str, j: int):
+    """Estimator ``which`` on axis ``j`` against phi, resolved once.
+
+    Returns the rows where its test function lives, led by the origin row 0;
+    the test function on those rows; the recentring order; and the weight
+    whose square the limiting variance integrates, ``x_j phi`` (phi for
+    ``xiixi``).  phi must cover the grid: no broadcasting, no row guessing.
+    """
     if np.shape(phi) != (n, n):
         raise ValueError(f"test function has shape {np.shape(phi)}, not the grid's {(n, n)}")
     if which == "xiixi":
-        return phi, 0
-    if j not in (1, 2):
+        test, order, weight = phi, 0, phi
+    elif j not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, not {j!r}")
-    if which == "xxiixi":
-        return _coordinate(n, j) * phi, 0
-    if which != "xiixxi":
+    elif which in ("xxiixi", "xiixxi"):
+        weight = _coordinate(n, j) * phi
+        test, order = (weight, 0) if which == "xxiixi" else (phi, j)
+    else:
         raise ValueError(f"unknown estimator {which!r}")
-    return phi, j
+    rows = np.flatnonzero(np.any(test, axis=1))
+    if not rows.size or rows[0]:
+        rows = np.concatenate(([0], rows))
+    return rows, test[rows], order, weight
 
 
 def _estimate(sample: NoiseSample, eps: float, phi: np.ndarray, which: str, j: int) -> float:
     """One value of estimator ``which``: the noise's coefficients, then the core."""
     spec = _spectral(sample.n, eps)
-    test, j = _estimator(sample.n, phi, which, j)
-    rows, test = _support(test)
-    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, test, j,
-                              _paired_mean(spec, rows, test, j))
+    rows, test, order = _plan(sample.n, phi, which, j)[:3]  # the weight is dropped at once
+    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, test, order,
+                              _paired_mean(spec, rows, test, order))
 
 
 def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
@@ -237,7 +240,7 @@ def sample_seeds(master_seed: int, count: int):
 
 
 def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = None,
-                      seed: int = 7, crho_sq: float | None = None, which: str = "xiixi",
+                      seed: int = 7, *, crho_sq: float, which: str = "xiixi",
                       j: int = 1) -> list[dict]:
     """Variance ratio, mean and kurtosis across scales, common noise per row.
 
@@ -247,19 +250,20 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     before the next is drawn (common random numbers, one field alive at a
     time), so the across-scale comparisons in the output are far more stable
     than the per-entry error bars suggest.  Each noise is transformed once,
-    and phi is paired with the mean field once per scale.
+    and phi is paired with the mean field once per scale.  A test function
+    that vanishes off the origin, or a zero target, is refused before any
+    noise is drawn.
     """
     require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
-    test, order = _estimator(n, phi, which, j)
-    weight = _coordinate(n, j) * phi if order else test  # x_j phi, but phi for xiixi
-    live, test = _support(test)
-    if crho_sq is None:
-        from .kernels import crho_squared
-
-        crho_sq = crho_squared("spatial", RESOLUTION).value
+    live, test, order, weight = _plan(n, phi, which, j)
     target = crho_sq * float(np.sum(weight * weight)) / (n * n)
+    if not test.ravel()[1:].any():  # test[0, 0] is the origin, where every product vanishes
+        raise ValueError(f"the test function vanishes off the origin of the {n} x {n} grid, "
+                         "so every sample is the same constant")
+    if not target:
+        raise ValueError("the target variance is zero: nothing to compare the samples with")
     specs = [_spectral(n, eps) for eps in eps_list]
     means = [_paired_mean(spec, live, test, order) for spec in specs]
     values = np.empty((samples, len(eps_list)))

@@ -115,13 +115,7 @@ def canonical_labelling(graph: FeynmanGraph) -> LabelledGraph:
         raise ValueError(
             f"budget mismatch: epsilon^{budget} against {len(classes['E_M'])} mollifiers"
         )
-    labels = []
-    for i, e in enumerate(graph.edges):
-        if i in classes["E_M"]:
-            labels.append(spent_label(e.etype, 1))
-        else:
-            labels.append(base_label(e.etype))
-    return LabelledGraph(graph, labels, EXT_ZERO)
+    return distributed_labelling(graph, dict.fromkeys(classes["E_M"], 1))
 
 
 def distributed_labelling(

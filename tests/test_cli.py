@@ -105,12 +105,21 @@ class TestUsageErrors:
             ["constants", "geps", "--eps", "1/4..1/10"],
             ["mc", "xiixi", "--samples", "15"],
             ["mc", "weighted", "--samples", "1"],
+            ["mc", "xiixi", "--eps", "1", "--n", "4", "--samples", "16", "--resolution", "8"],
+            ["mc", "weighted", "--eps", "1", "--n", "4", "--samples", "16", "--resolution", "8"],
+            ["mc", "weighted", "--eps", "1", "--n", "4", "--samples", "16", "--resolution", "8",
+             "--which", "xxiixi"],
+            ["mc", "weighted", "--eps", "1", "--n", "4", "--samples", "16", "--resolution", "8",
+             "--axis", "2"],
+            ["mc", "weighted", "--eps", "2", "--n", "2", "--samples", "16", "--resolution", "8"],
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
              "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2",
              "constraint-sides-unequal", "constraint-repeated-digit", "constraint-two-dashes",
              "range-end-off-grid", "range-overshoots-end", "xiixi-samples-below-16",
-             "weighted-samples-below-16"],
+             "weighted-samples-below-16", "xiixi-bump-only-at-origin",
+             "weighted-bump-only-at-origin", "xxiixi-bump-only-at-origin",
+             "weighted-axis-2-bump-only-at-origin", "weighted-grid-of-2"],
     )
     def test_one_error_line_no_artifact_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "artifact.txt"

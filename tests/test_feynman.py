@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -356,6 +357,19 @@ class TestCanonicalForm:
             wick_pairings(relabeled, "all")
         )
 
+
+    def test_copies_carry_every_other_field(self, chain2):
+        # renamed and with_edges replace kinds, edges and (if given) name;
+        # every other field, one added later too, carries over.
+        g = dataclasses.replace(chain2, prefactor=Fraction(1, 2), coeff=Fraction(-3),
+                                expect="vanishing")
+        shift = {v: v + 3 for v in g.kinds}
+        for copy in (g.renamed(shift), g.with_edges(g.edges[::-1]), g.with_edges(g.edges, "x")):
+            for f in dataclasses.fields(g):
+                if f.name not in ("kinds", "edges", "name"):
+                    assert getattr(copy, f.name) == getattr(g, f.name), f.name
+        assert g.renamed(shift).name == g.name and g.with_edges(g.edges, "x").name == "x"
+        assert g.renamed(shift).root == g.root + 3
 
 class TestManifests:
     def test_class_lists_resolve(self):

@@ -108,6 +108,23 @@ class TestEstimators:
         gap = np.max(np.abs(_mean_field(spec, 0) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_order_j_mean_field_is_the_convolution_form(self, j, eps):
+        # c1 w - (w k_g)*r_a - sum_i x_i (w d_i k_g)*r_a, with A's covariance
+        # r_a and the kernel k_g built as grid fields and c1 = <k_g, r_a>:
+        # checked at every grid point, not only where phi lives.
+        spec = _spectral(N, eps)
+        w = montecarlo._coordinate(N, j)
+        r_a = spec.field(spec.s1**2 * spec.frho**2)
+        k_g = spec.field(spec.inv_lap)
+        expected = float(np.sum(k_g * r_a)) * spec.mesh2 * w - spec.convolve(w * k_g, r_a)
+        for i, d in ((1, spec.d1), (2, spec.d2)):
+            dk = spec.field(d * spec.inv_lap)
+            expected -= montecarlo._coordinate(N, i) * spec.convolve(w * dk, r_a)
+        gap = np.max(np.abs(_mean_field(spec, j) - expected))
+        assert gap <= 1e-12 * np.max(np.abs(expected))
+
     def test_counterterm_centres_the_estimator(self, phi):
         values = np.array(
             [pi_xiixi(sample_noise(N, s), EPS, phi) for s in sample_seeds(21, 600)]
@@ -321,6 +338,23 @@ class TestConvergenceTable:
         small = convergence_table([1 / 8], N, 64, phi=phi, seed=6, crho_sq=0.2139)[0]
         large = convergence_table([1 / 8], N, 256, phi=phi, seed=6, crho_sq=0.2139)[0]
         assert large["var_se"] < small["var_se"]
+
+    @pytest.mark.parametrize("which,j", [("xiixi", 1), ("xiixxi", 1), ("xxiixi", 2)])
+    def test_degenerate_test_function_rejected_before_any_noise(self, which, j, monkeypatch):
+        # At the origin every recentred product vanishes: a test function
+        # living there alone makes every sample the same constant.  On row 0,
+        # x_1 phi vanishes and so does the xiixxi target on axis 1.
+        def no_draw(n, seed):
+            raise AssertionError("noise drawn for a degenerate test function")
+
+        monkeypatch.setattr(montecarlo, "sample_noise", no_draw)
+        origin, row0 = np.zeros((N, N)), np.zeros((N, N))
+        origin[0, 0] = row0[0, :8] = 1.0
+        with pytest.raises(ValueError, match="vanishes off the origin of the 64 x 64 grid"):
+            convergence_table([1 / 8], N, 16, phi=origin, crho_sq=0.2139, which=which, j=j)
+        if which == "xiixxi":
+            with pytest.raises(ValueError, match="target variance is zero"):
+                convergence_table([1 / 8], N, 16, phi=row0, crho_sq=0.2139, which=which, j=j)
 
     @pytest.mark.parametrize("samples", [1, 15])
     def test_too_few_samples_rejected_before_any_noise(self, phi, samples, monkeypatch):

@@ -173,12 +173,8 @@ def classify(
     )
 
 
-def manifest_forms(entries) -> frozenset:
-    forms = set()
-    for entry in entries:
-        for g in entry.expand():
-            forms.add(canonical_form(g))
-    return frozenset(forms)
+def manifest_forms(graphs) -> frozenset:
+    return frozenset(canonical_form(g) for g in graphs)
 
 
 def published_forms() -> dict[str, frozenset]:

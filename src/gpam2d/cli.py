@@ -76,8 +76,8 @@ def _emit(args, text: str) -> None:
 def _parse_eps_list(text: str) -> list[float]:
     """Either a single value (``1/8``, ``0.125``, ``2^-3``) or ``2^-3..2^-6``.
 
-    Scales must be finite and positive, and a range must descend by halving
-    from its start to its end.
+    Scales must be finite and positive with a square that is a normal float,
+    and a range must descend by halving from its start to its end.
     """
 
     def one(tok: str) -> float:
@@ -87,13 +87,15 @@ def _parse_eps_list(text: str) -> list[float]:
                 value = float(base) ** float(expo)
             else:
                 value = float(Fraction(tok))
-        except (ZeroDivisionError, OverflowError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             value = math.nan
         if not (isinstance(value, float) and math.isfinite(value) and value > 0):
             raise ValueError(f"scale {tok!r} is not a finite positive number")
+        if not sys.float_info.min <= value * value <= sys.float_info.max:
+            raise ValueError(f"the square of scale {tok!r} over- or underflows a float")
         return value
 
-    if ".." in text:
+    if text.count("..") == 1:  # more than one '..' is a single unparseable scale
         lo, hi = text.split("..")
         v0, v1 = one(lo), one(hi)
         if v0 < v1:
@@ -129,7 +131,7 @@ def cmd_symbols(args, stages: _Stages) -> int:
 
 
 def _load_corpus(args):
-    from .corpus import classification_corpus, parse_fixtures
+    from .corpus import classification_corpus, directives, parse_fixtures
 
     if args.corpus is None:
         return classification_corpus()
@@ -138,7 +140,7 @@ def _load_corpus(args):
             text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"no fixture file {args.corpus!r}") from None
-    if any(line.split("#", 1)[0].split()[:1] == ["list"] for line in text.splitlines()):
+    if any(fields[0] == "list" for _, _, fields in directives(text)):
         raise ValueError(f"{args.corpus!r} is a class manifest (a 'list' file), "
                          "not a graph fixture file")
     fixtures = parse_fixtures(text)

@@ -4,6 +4,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
 
     graph <name>
     ref <free text>
+    expect <verdict>
     coeff <rational>
     prefactor <rational>
     v <vertex-name> root|int|noise
@@ -13,7 +14,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
 Vertex names are file-local; they are mapped to integer ids in declaration
 order, and noise numbering is declaration order as well.  Every directive
 belongs to the ``graph`` line above it, and a label names an edge declared
-above it.  Class membership files are manifests over graph fixtures::
+above it.  ``ref`` lines are free text the reader skips.  Class membership files are manifests over graph fixtures::
 
     list <name>
     member <file>:<graph>
@@ -29,117 +30,115 @@ from importlib import resources
 from .exts import ExtRational, parse_ext
 from .feynman import INT, NOISE, ROOT, Edge, FeynmanGraph, parse_edge_type, wick_pairings
 
-# Fewest fields on a line, directive included.
-_ARITY = {"graph": 2, "ref": 1, "expect": 2, "coeff": 2, "prefactor": 2, "v": 3, "e": 4,
-          "label": 2}
+# Fewest fields after the directive.
+_ARITY = {"graph": 1, "ref": 0, "expect": 1, "coeff": 1, "prefactor": 1, "v": 2, "e": 3,
+          "label": 1}
 
 
 @dataclass
 class Fixture:
     graph: FeynmanGraph
     labels: dict[int, tuple[ExtRational, int]] = field(default_factory=dict)
-    ref: str = ""
 
 
 def _read_text(name: str) -> str:
     return resources.files("gpam2d.fixtures").joinpath(f"{name}.txt").read_text()
 
 
+def directives(text: str):
+    """``(line number, raw line, fields)`` of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if fields := raw.split("#", 1)[0].split():
+            yield lineno, raw, fields
+
+
+def _bad(line, why: str) -> ValueError:
+    return ValueError(f"fixture line {line[0]}: {why}: {line[1]!r}")
+
+
+def _value(line, parse, text: str):
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        raise _bad(line, f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise _bad(line, f"bad field {text!r} ({exc})") from None
+
+
 def parse_fixtures(text: str) -> dict[str, Fixture]:
-    fixtures: dict[str, Fixture] = {}
-    current: str | None = None
+    """Every graph of a fixture file, by name.
+
+    Each line's directive and field count are checked first, in file order;
+    then each graph is built from its block in file order, its lines' fields
+    first and the whole-graph rules (named at the ``graph`` line) last.
+    """
+    blocks: dict[str, list] = {}
+    for line in directives(text):
+        _, _, (head, *fields) = line
+        if head not in _ARITY:
+            raise _bad(line, "unknown directive")
+        if len(fields) < _ARITY[head]:
+            raise _bad(line, f"{head} needs {_ARITY[head]} field(s)")
+        if head == "graph":
+            if fields[0] in blocks:
+                raise _bad(line, f"duplicate graph {fields[0]!r}")
+            blocks[fields[0]] = block = [line]
+        elif not blocks:
+            raise _bad(line, "directive before the first graph line")
+        else:
+            block.append(line)
+    return {name: _fixture(name, block) for name, block in blocks.items()}
+
+
+def _fixture(name: str, block: list) -> Fixture:
+    """One graph from its ``graph`` line and the lines below it; ``ref`` is skipped."""
     vmap: dict[str, int] = {}
     kinds: dict[int, str] = {}
     edges: list[Edge] = []
     labels: dict[int, tuple[ExtRational, int]] = {}
     meta: dict = {}
-
-    def flush():
-        nonlocal current, vmap, kinds, edges, labels, meta
-        if current is None:
-            return
-        try:
-            graph = FeynmanGraph(
-                kinds=dict(kinds),
-                edges=list(edges),
-                prefactor=meta.get("prefactor", Fraction(0)),
-                coeff=meta.get("coeff", Fraction(1)),
-                name=current,
-                expect=meta.get("expect"),
-            )
-        except ValueError as exc:  # a whole-graph rule: name the graph line
-            raise bad(str(exc), header) from None
-        fixtures[current] = Fixture(graph=graph, labels=dict(labels), ref=meta.get("ref", ""))
-        current, vmap, kinds, edges, labels, meta = None, {}, {}, [], {}, {}
-
-    def bad(why: str, line: tuple[int, str] | None = None) -> ValueError:
-        number, text = line or (lineno, raw)
-        return ValueError(f"fixture line {number}: {why}: {text!r}")
-
-    def value(parse, text: str):
-        try:
-            return parse(text)
-        except ZeroDivisionError:
-            raise bad(f"zero denominator in {text!r}") from None
-        except ValueError as exc:
-            raise bad(f"bad field {text!r} ({exc})") from None
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0]
-        if head not in _ARITY:
-            raise bad("unknown directive")
-        if len(parts) < _ARITY[head]:
-            raise bad(f"{head} needs {_ARITY[head] - 1} field(s)")
-        if current is None and head != "graph":
-            raise bad("directive before the first graph line")
-        if head == "graph":
-            flush()
-            current, header = parts[1], (lineno, raw)
-            if current in fixtures:
-                raise bad(f"duplicate graph {current!r}")
-        elif head == "ref":
-            meta["ref"] = " ".join(parts[1:])
-        elif head == "expect":
-            meta["expect"] = parts[1]
+    for line in block[1:]:
+        _, _, (head, *fields) = line
+        if head == "expect":
+            meta["expect"] = fields[0]
         elif head in ("coeff", "prefactor"):
-            meta[head] = value(Fraction, parts[1])
+            meta[head] = _value(line, Fraction, fields[0])
         elif head == "v":
-            name, kind = parts[1], parts[2]
+            vname, kind = fields[:2]
             if kind not in (ROOT, INT, NOISE):
-                raise bad(f"unknown vertex kind {kind!r}")
-            if name in vmap:
-                raise bad(f"duplicate vertex {name!r}")
-            vmap[name] = len(vmap)
-            kinds[vmap[name]] = kind
+                raise _bad(line, f"unknown vertex kind {kind!r}")
+            if vname in vmap:
+                raise _bad(line, f"duplicate vertex {vname!r}")
+            vmap[vname] = len(vmap)
+            kinds[vmap[vname]] = kind
         elif head == "e":
-            tail, headv, tag = parts[1], parts[2], parts[3]
-            for name in (tail, headv):
-                if name not in vmap:
-                    raise bad(f"undeclared vertex {name!r}")
+            for vname in fields[:2]:
+                if vname not in vmap:
+                    raise _bad(line, f"undeclared vertex {vname!r}")
             eps = Fraction(0)
-            for extra in parts[4:]:
+            for extra in fields[3:]:
                 if extra.startswith("eps="):
-                    eps = value(Fraction, extra[4:])
-            edges.append(Edge(vmap[tail], vmap[headv], value(parse_edge_type, tag), eps))
+                    eps = _value(line, Fraction, extra[4:])
+            edges.append(Edge(vmap[fields[0]], vmap[fields[1]],
+                              _value(line, parse_edge_type, fields[2]), eps))
         elif head == "label":
-            idx = value(int, parts[1])
+            idx = _value(line, int, fields[0])
             if not 0 <= idx < len(edges):
-                raise bad(f"no edge {idx}")
+                raise _bad(line, f"no edge {idx}")
             a = r = None
-            for extra in parts[2:]:
+            for extra in fields[1:]:
                 if extra.startswith("a="):
-                    a = value(parse_ext, extra[2:])
+                    a = _value(line, parse_ext, extra[2:])
                 elif extra.startswith("r="):
-                    r = value(int, extra[2:])
+                    r = _value(line, int, extra[2:])
             if a is None or r is None:
-                raise bad("label needs both a= and r=")
+                raise _bad(line, "label needs both a= and r=")
             labels[idx] = (a, r)
-    flush()
-    return fixtures
+    try:
+        graph = FeynmanGraph(kinds=kinds, edges=edges, name=name, **meta)
+    except ValueError as exc:  # a whole-graph rule: name the graph line
+        raise _bad(block[0], str(exc)) from None
+    return Fixture(graph=graph, labels=labels)
 
 
 def load_file(name: str) -> dict[str, Fixture]:
@@ -158,39 +157,18 @@ def load_graph(spec: str) -> FeynmanGraph:
     return fixtures[gname].graph
 
 
-@dataclass
-class ManifestEntry:
-    kind: str  # 'member' | 'family'
-    source: str  # file:graph
-    constraint: str = "all"
-
-    def expand(self) -> list[FeynmanGraph]:
-        graph = load_graph(self.source)
-        if self.kind == "member":
-            return [graph]
-        return wick_pairings(graph, self.constraint)
-
-
-def parse_manifest(text: str) -> list[ManifestEntry]:
-    entries = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "list":
-            continue
-        if parts[0] == "member":
-            entries.append(ManifestEntry("member", parts[1]))
-        elif parts[0] == "family":
-            entries.append(ManifestEntry("family", parts[1], parts[2]))
-        else:
-            raise ValueError(f"bad manifest line: {raw!r}")
-    return entries
-
-
-def load_manifest(name: str) -> list[ManifestEntry]:
-    return parse_manifest(_read_text(name))
+def load_manifest(name: str) -> list[FeynmanGraph]:
+    """The graphs a shipped class manifest lists, in file order: each
+    ``member`` itself, each ``family`` as its Wick pairings."""
+    graphs = []
+    for lineno, raw, fields in directives(_read_text(name)):
+        if fields[0] == "member" and len(fields) >= 2:
+            graphs.append(load_graph(fields[1]))
+        elif fields[0] == "family" and len(fields) >= 3:
+            graphs += wick_pairings(load_graph(fields[1]), fields[2])
+        elif fields[0] != "list":
+            raise ValueError(f"bad manifest line {lineno}: {raw!r}")
+    return graphs
 
 
 # The main corpus: every graph generated by squaring the stochastic graphs of

@@ -317,9 +317,14 @@ class SquareKernel:
         """Honest quadrature of the epsilon-scale kernel over the plane.
 
         A fixed outer radius keeps the node placement independent of the
-        scale, so agreement across scales is a real numerical statement.
+        scale, so agreement across scales is a real numerical statement.  The
+        closed-form tail beyond it is exact while the compact part (radius
+        2 eps) lies inside it, so eps may be at most 32.
         """
         rmax = 64.0
+        if eps > rmax / 2:
+            raise ValueError(f"scale {eps} is above 32: the square kernel integral "
+                             "is exact only up to half its outer radius 64")
         n = 6 * self.resolution
         body = self._polar_integral(
             lambda r, t: self.value(r / eps, t) / (eps * eps), 1e-9, rmax, n
@@ -345,17 +350,19 @@ def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,
                         resolution: int = RESOLUTION) -> dict:
     """Masses quantifying the approximation-of-unity behaviour.
 
-    Any positive scales are accepted; the tail statement is informative for
-    every ratio and the report is routinely taken across a whole scale range.
-    The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
+    Any positive delta, and any positive eps up to 32 (the bound of
+    ``SquareKernel.integral``), are accepted; the tail statement is informative
+    for every ratio and the report is routinely taken across a whole scale
+    range.  The resolution is that of ``mol`` (default: the mollifier at
+    ``resolution``).
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("scales must be positive")
     kernel = SquareKernel(mol, resolution)
+    total = kernel.integral(eps)  # first: it refuses eps above 32
     far = 64.0 * max(eps, delta)
     tail_mass = kernel.abs_mass(eps, delta, far) + _square_tail(eps, far)
     l1 = kernel.abs_mass(eps, 1e-9, far) + _square_tail(eps, far)
-    total = kernel.integral(eps)
     return {"l1_mass": l1, "tail_mass": tail_mass, "total_integral": total}
 
 

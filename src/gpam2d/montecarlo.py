@@ -251,8 +251,9 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     time), so the across-scale comparisons in the output are far more stable
     than the per-entry error bars suggest.  Each noise is transformed once,
     and phi is paired with the mean field once per scale.  A test function
-    that vanishes off the origin, or a zero target, is refused before any
-    noise is drawn.
+    that vanishes off the origin, a scale at which the mollified noise
+    vanishes on the grid, or a zero target, is refused before any noise is
+    drawn.
     """
     require_samples(samples)
     if phi is None:
@@ -265,6 +266,10 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     if not target:
         raise ValueError("the target variance is zero: nothing to compare the samples with")
     specs = [_spectral(n, eps) for eps in eps_list]
+    for eps, spec in zip(eps_list, specs):
+        if not spec.d1_frho.any():  # every grid frequency lies past the mollifier cut-off
+            raise ValueError(f"the mollified noise vanishes on the {n} x {n} grid at scale "
+                             f"{eps}, so every sample is the same constant")
     means = [_paired_mean(spec, live, test, order) for spec in specs]
     values = np.empty((samples, len(eps_list)))
     for row, s in zip(values, sample_seeds(seed, samples)):

@@ -284,8 +284,7 @@ def shipped_graphs() -> list[tuple[str, object]]:
     graphs of the two 5-vertex chains."""
     out = list(classification_corpus())
     for name in MANIFESTS:
-        members = [g for entry in load_manifest(name) for g in entry.expand()]
-        out += [(f"{name}#{i}", g) for i, g in enumerate(members)]
+        out += [(f"{name}#{i}", g) for i, g in enumerate(load_manifest(name))]
     for fname in FIXTURE_FILES:
         for gname, fx in load_file(fname).items():
             out.append((f"{fname}:{gname}", fx.graph))

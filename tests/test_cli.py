@@ -112,6 +112,15 @@ class TestUsageErrors:
             ["mc", "weighted", "--eps", "1", "--n", "4", "--samples", "16", "--resolution", "8",
              "--axis", "2"],
             ["mc", "weighted", "--eps", "2", "--n", "2", "--samples", "16", "--resolution", "8"],
+            ["mc", "xiixi", "--eps", "80", "--n", "16", "--samples", "16", "--resolution", "8"],
+            ["mc", "weighted", "--eps", "80", "--n", "16", "--samples", "16", "--resolution", "8"],
+            ["constants", "gconv", "--eps", "1e300", "--n", "8", "--resolution", "8"],
+            ["constants", "geps", "--eps", "1e160"],
+            ["constants", "geps", "--eps", "1e-160", "--resolution", "8"],
+            ["constants", "geps", "--eps", "nan"],
+            ["constants", "geps", "--eps", "2^x"],
+            ["constants", "geps", "--eps", "1..1/4..1/8"],
+            ["constants", "geps", "--eps", "64", "--resolution", "8"],
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
              "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2",
@@ -119,7 +128,10 @@ class TestUsageErrors:
              "range-end-off-grid", "range-overshoots-end", "xiixi-samples-below-16",
              "weighted-samples-below-16", "xiixi-bump-only-at-origin",
              "weighted-bump-only-at-origin", "xxiixi-bump-only-at-origin",
-             "weighted-axis-2-bump-only-at-origin", "weighted-grid-of-2"],
+             "weighted-axis-2-bump-only-at-origin", "weighted-grid-of-2",
+             "xiixi-mollified-noise-vanishes", "weighted-mollified-noise-vanishes",
+             "gconv-square-overflows", "geps-square-overflows", "geps-square-underflows",
+             "nan-scale", "bad-exponent", "two-range-dots", "geps-above-32"],
     )
     def test_one_error_line_no_artifact_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "artifact.txt"

@@ -8,6 +8,7 @@ import pytest
 from conftest import permutation_search_form, shipped_graphs
 from gpam2d.corpus import (
     classification_corpus,
+    directives,
     load_file,
     load_graph,
     load_manifest,
@@ -75,16 +76,36 @@ class TestFixtures:
             ("graph g\nv o root\nv p root\n", "line 1: g: need exactly one root"),
             ("graph g\nv o root\nv x int\ne o x Test\ngraph h\nv o root\n",
              "line 1: g: test edges must point at the root"),
+            ("graph g\nv o root\n\ngraph h\nv o root\ne x o Test\n",
+             "line 6: undeclared vertex 'x'"),
+            ("graph g\nv o root\nv p root\ngraph h\nv o root\n",
+             "line 1: g: need exactly one root"),
+            ("graph g\nv o root\nv p root\ngraph h\nbogus\n", "line 5: unknown directive"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
              "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
              "label-out-of-range", "vertex-before-graph", "zero-coeff-denominator",
              "zero-prefactor-denominator", "zero-eps-denominator", "zero-label-denominator",
-             "bad-axis-index", "no-root", "two-roots", "test-edge-off-root"],
+             "bad-axis-index", "no-root", "two-roots", "test-edge-off-root",
+             "undeclared-vertex-in-second-graph", "two-roots-in-first-of-two",
+             "line-checks-before-graph-checks"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_fixtures(text)
+
+    def test_ref_expect_and_comments_inside_a_block(self):
+        # ref is free text, so its fields are never read as a directive.
+        text = ("graph g  # the header\nv o root\nref see e x o K, v z blob\n"
+                "# v z blob\nexpect InG2\nv x int\n\ne x o Test  # the test edge\n")
+        graph = parse_fixtures(text)["g"].graph
+        assert graph.expect == "InG2"
+        assert graph.kinds == {0: "root", 1: "int"} and len(graph.edges) == 1
+
+    def test_directives_skip_blank_and_comment_lines(self):
+        text = "# head\n\ngraph g # tail\n   \n  v o root\n"
+        assert list(directives(text)) == [(3, "graph g # tail", ["graph", "g"]),
+                                          (5, "  v o root", ["v", "o", "root"])]
 
 
 class TestEdgeClasses:
@@ -375,23 +396,24 @@ class TestManifests:
     def test_class_lists_resolve(self):
         sizes = {}
         for name in ("class_g2", "class_g3", "class_g4", "class_crit", "class_van"):
-            graphs = [g for entry in load_manifest(name) for g in entry.expand()]
-            sizes[name] = len(graphs)
+            sizes[name] = len(load_manifest(name))
         assert sizes["class_g3"] == 1
         assert sizes["class_crit"] == 20
         assert sizes["class_g2"] == 24
         assert sizes["class_g4"] == 8
         assert sizes["class_van"] == 13
 
+    def test_members_and_families_in_file_order(self):
+        # class_crit interleaves members with families: each line's graphs
+        # come back where the line stands.
+        expected = []
+        for tree in ("four_noise_a:a0", "four_noise_b:b0"):
+            expected += [load_graph(f"{tree}2"), load_graph(f"{tree}3")]
+            for constraint in ("12-12", "12-34"):
+                expected += wick_pairings(load_graph(f"{tree}1"), constraint)
+        assert load_manifest("class_crit") == expected
+
     def test_crit_subset_of_g2(self):
-        g2 = {
-            canonical_form(g)
-            for entry in load_manifest("class_g2")
-            for g in entry.expand()
-        }
-        crit = {
-            canonical_form(g)
-            for entry in load_manifest("class_crit")
-            for g in entry.expand()
-        }
+        g2 = {canonical_form(g) for g in load_manifest("class_g2")}
+        crit = {canonical_form(g) for g in load_manifest("class_crit")}
         assert crit <= g2

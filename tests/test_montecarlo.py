@@ -356,6 +356,20 @@ class TestConvergenceTable:
             with pytest.raises(ValueError, match="target variance is zero"):
                 convergence_table([1 / 8], N, 16, phi=row0, crho_sq=0.2139, which=which, j=j)
 
+    @pytest.mark.parametrize("which", ["xiixi", "xiixxi"])
+    def test_scale_where_the_mollified_noise_vanishes_rejected_before_any_noise(
+            self, phi, which, monkeypatch):
+        # The default mollifier's transform is cut off at 40 sqrt(128); above
+        # eps ~ 72 even the lowest grid frequency 2 pi lies beyond it, so A
+        # vanishes and every sample is the same constant.
+        def no_draw(n, seed):
+            raise AssertionError("noise drawn at a scale where the mollified noise vanishes")
+
+        monkeypatch.setattr(montecarlo, "sample_noise", no_draw)
+        assert not _spectral(N, 80.0).d1_frho.any() and _spectral(N, 64.0).d1_frho.any()
+        with pytest.raises(ValueError, match="vanishes on the 64 x 64 grid at scale 80.0"):
+            convergence_table([64.0, 80.0], N, 16, phi=phi, crho_sq=0.2139, which=which)
+
     @pytest.mark.parametrize("samples", [1, 15])
     def test_too_few_samples_rejected_before_any_noise(self, phi, samples, monkeypatch):
         def no_draw(n, seed):

@@ -145,13 +145,22 @@ def load_file(name: str) -> dict[str, Fixture]:
     return parse_fixtures(_read_text(name))
 
 
-def load_graph(spec: str) -> FeynmanGraph:
-    """Load ``file:graph`` from the shipped fixtures."""
-    fname, gname = spec.split(":")
-    try:
-        fixtures = load_file(fname)
-    except FileNotFoundError:
-        raise ValueError(f"no fixture file {fname!r}") from None
+def load_graph(spec: str, files: dict | None = None) -> FeynmanGraph:
+    """Load ``file:graph`` from the shipped fixtures.
+
+    ``files`` (file name -> its fixtures) holds the files already parsed;
+    a file parsed here is added to it.
+    """
+    fname, colon, gname = spec.partition(":")
+    if not colon or ":" in gname:
+        raise ValueError(f"graph spec {spec!r} is not of the form file:graph")
+    files = {} if files is None else files
+    if fname not in files:
+        try:
+            files[fname] = load_file(fname)
+        except FileNotFoundError:
+            raise ValueError(f"no fixture file {fname!r}") from None
+    fixtures = files[fname]
     if gname not in fixtures:
         raise ValueError(f"no graph {gname!r} in {fname}")
     return fixtures[gname].graph
@@ -160,12 +169,12 @@ def load_graph(spec: str) -> FeynmanGraph:
 def load_manifest(name: str) -> list[FeynmanGraph]:
     """The graphs a shipped class manifest lists, in file order: each
     ``member`` itself, each ``family`` as its Wick pairings."""
-    graphs = []
+    graphs, files = [], {}
     for lineno, raw, fields in directives(_read_text(name)):
         if fields[0] == "member" and len(fields) >= 2:
-            graphs.append(load_graph(fields[1]))
+            graphs.append(load_graph(fields[1], files))
         elif fields[0] == "family" and len(fields) >= 3:
-            graphs += wick_pairings(load_graph(fields[1]), fields[2])
+            graphs += wick_pairings(load_graph(fields[1], files), fields[2])
         elif fields[0] != "list":
             raise ValueError(f"bad manifest line {lineno}: {raw!r}")
     return graphs

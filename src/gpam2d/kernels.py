@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import j0, jv
 
 TWO_PI = 2.0 * math.pi
@@ -39,20 +38,66 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _uniform_eval(spline: CubicSpline, r: np.ndarray) -> np.ndarray:
-    """``spline(r)`` for a spline on a uniform grid from 0, with r inside it.
+def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> list:
+    """First derivatives at the knots of scipy's not-a-knot ``CubicSpline``.
 
-    The piece is read off as ``floor(r / h)`` instead of searched for, and is
-    evaluated by Horner's rule on the spline's coefficients.
+    Two knots give the chord and three the parabola through them; more give
+    scipy's tridiagonal system, solved here by one Thomas sweep without
+    pivoting (on a uniform grid of spacing h every pivot is at least 0.4 h).
     """
-    x, c = spline.x, spline.c
-    piece = np.minimum((r * ((x.size - 1) / x[-1])).astype(np.intp), x.size - 2)
-    d = r - x.take(piece)
-    out = c[0].take(piece)
-    for k in (1, 2, 3):
-        out *= d
-        out += c[k].take(piece)
-    return out
+    n = x.size
+    if n < 4:
+        mid = (dx[-1] * slope[0] + dx[0] * slope[-1]) / (dx[0] + dx[-1])
+        return [2.0 * slope[0] - mid, mid, 2.0 * slope[-1] - mid][:n]
+    lower, diag, upper = np.empty(n), np.empty(n), np.empty(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs = np.empty(n)
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    lo, di, up, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        w = lo[i] / di[i - 1]
+        di[i] -= w * up[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= di[-1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - up[i] * b[i + 1]) / di[i]
+    return b
+
+
+class Spline:
+    """Not-a-knot cubic spline through ``(x, y)``, for a uniform grid ``x`` from 0.
+
+    The fit is scipy's ``CubicSpline`` (its default boundary condition).
+    ``c[k, i]`` is the coefficient of ``(r - x[i])**(3 - k)`` on piece i.  A
+    call reads the piece off as ``floor(r / h)`` instead of searching for it,
+    and evaluates it by Horner's rule; r must lie inside ``[0, x[-1]]``.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        s = np.array(_knot_slopes(x, dx, slope))
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, r) -> np.ndarray:
+        x, c = self.x, self.c
+        r = np.asarray(r, dtype=float)
+        piece = np.minimum((r * ((x.size - 1) / x[-1])).astype(np.intp), x.size - 2)
+        d = r - x.take(piece)
+        out = c[0].take(piece)
+        for k in (1, 2, 3):
+            out *= d
+            out += c[k].take(piece)
+        return out
 
 
 class Mollifier:
@@ -83,14 +128,14 @@ class Mollifier:
 
     # -- radial profiles of self-convolutions --------------------------------
 
-    def _profile_spline(self, order: int) -> CubicSpline:
+    def _profile_spline(self, order: int) -> Spline:
         """Radial profile of the ``order``-fold self-convolution (order 1, 2, 3)."""
         key = ("profile", order)
         if key in self._splines:
             return self._splines[key]
         if order == 1:
             grid = np.linspace(0.0, 1.0, 4 * self.resolution)
-            spline = CubicSpline(grid, self.rad(grid), extrapolate=False)
+            spline = Spline(grid, self.rad(grid))
         else:
             lower = self._profile_spline(order - 1)
             cap = order - 1.0  # the lower support
@@ -112,7 +157,7 @@ class Mollifier:
             # the weight outside it, a difference of products because the
             # weights are a product.  The margin absorbs rounding.
             margin = 1e-9
-            edge = float(_uniform_eval(lower, np.array(cap)))
+            edge = float(lower(cap))
             total = aw.sum() * weights.sum()
             vals = np.empty_like(grid)
             for i, g in enumerate(grid):
@@ -122,10 +167,10 @@ class Mollifier:
                 live = np.flatnonzero((sq < cap * cap * (1.0 + margin)).any(axis=0))
                 a1 = int(live[-1]) + 1 if live.size else 0
                 dist = np.sqrt(np.maximum(sq[:, :a1], 0.0))
-                inner = _uniform_eval(lower, np.minimum(dist, cap, out=dist))
+                inner = lower(np.minimum(dist, cap, out=dist))
                 vals[i] = ((inner @ aw[:a1]) @ weights[t0:]
                            + edge * (total - aw[:a1].sum() * weights[t0:].sum()))
-            spline = CubicSpline(grid, vals, extrapolate=False)
+            spline = Spline(grid, vals)
         self._splines[key] = spline
         return spline
 
@@ -134,7 +179,7 @@ class Mollifier:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = (r >= 0.0) & (r < float(order))
-        out[inside] = _uniform_eval(spline, r[inside])
+        out[inside] = spline(r[inside])
         return out
 
     def mass(self, order: int, r):
@@ -146,10 +191,10 @@ class Mollifier:
             cumulative = np.concatenate(
                 [[0.0], np.cumsum(TWO_PI * 0.5 * (dens[1:] * grid[1:] + dens[:-1] * grid[:-1]) * np.diff(grid))]
             )
-            self._splines[key] = CubicSpline(grid, cumulative, extrapolate=False)
+            self._splines[key] = Spline(grid, cumulative)
         spline = self._splines[key]
         r = np.asarray(r, dtype=float)
-        return np.where(r >= float(order), 1.0, _uniform_eval(spline, np.clip(r, 0.0, float(order))))
+        return np.where(r >= float(order), 1.0, spline(np.clip(r, 0.0, float(order))))
 
     # -- Fourier transform ----------------------------------------------------
 
@@ -162,7 +207,7 @@ class Mollifier:
             vals = TWO_PI * np.einsum(
                 "t,st->s", tw * tn * self.rad(tn), j0(np.outer(sig_grid, tn))
             )
-            self._splines[key] = (sig_grid[-1], CubicSpline(sig_grid, vals))
+            self._splines[key] = (sig_grid[-1], Spline(sig_grid, vals))
         cap, spline = self._splines[key]
         sigma = np.asarray(sigma, dtype=float)
         return np.where(np.abs(sigma) <= cap, spline(np.clip(np.abs(sigma), 0.0, cap)), 0.0)
@@ -276,13 +321,14 @@ class SquareKernel:
         self.mol = _mollifier(mol, resolution)
         self.resolution = resolution
         if "hankel" not in self.mol._splines:
-            # One table of the three harmonics per mollifier.
+            # One table of the three harmonics per mollifier; j0 is the fast jv(0, .).
             sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
             fr2 = self.mol.fourier(sn) ** 2 * sn * sw
             rgrid = np.linspace(0.0, 2.0, 2 * resolution)
+            arg = np.outer(rgrid, sn)
+            bessel = ((j0, 3.0 / 8.0), (lambda z: jv(2, z), -0.5), (lambda z: jv(4, z), 1.0 / 8.0))
             self.mol._splines["hankel"] = tuple(
-                CubicSpline(rgrid, c * (jv(k, np.outer(rgrid, sn)) @ fr2) / TWO_PI)
-                for k, c in ((0, 3.0 / 8.0), (2, -0.5), (4, 1.0 / 8.0)))
+                Spline(rgrid, c * (j(arg) @ fr2) / TWO_PI) for j, c in bessel)
         self._h0, self._h2, self._h4 = self.mol._splines["hankel"]
         self._a2, self._b2 = d11_log_potential(self.mol, 2)
 

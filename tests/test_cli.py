@@ -95,6 +95,8 @@ class TestUsageErrors:
             ["graphs", "pair", "--graph", "nosuch"],
             ["graphs", "pair", "--graph", "four_noise_a:nosuch"],
             ["graphs", "pair", "--graph", "nofile:x"],
+            ["graphs", "pair", "--graph", "four_noise_a:a01:x"],
+            ["graphs", "pair", "--graph", "four_noise_a::a01"],
             ["constants", "geps", "--eps", "0"],
             ["constants", "geps", "--eps", "1/4..1"],
             ["mc", "noise", "--n", "100"],
@@ -123,7 +125,8 @@ class TestUsageErrors:
             ["constants", "geps", "--eps", "64", "--resolution", "8"],
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
-             "unknown-fixture-file", "zero-scale", "ascending-range", "grid-not-power-of-2",
+             "unknown-fixture-file", "graph-spec-two-colons", "graph-spec-double-colon",
+             "zero-scale", "ascending-range", "grid-not-power-of-2",
              "constraint-sides-unequal", "constraint-repeated-digit", "constraint-two-dashes",
              "range-end-off-grid", "range-overshoots-end", "xiixi-samples-below-16",
              "weighted-samples-below-16", "xiixi-bump-only-at-origin",

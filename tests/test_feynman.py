@@ -413,6 +413,22 @@ class TestManifests:
                 expected += wick_pairings(load_graph(f"{tree}1"), constraint)
         assert load_manifest("class_crit") == expected
 
+    def test_each_fixture_file_parsed_once_per_manifest(self, monkeypatch):
+        from gpam2d import corpus
+
+        parsed = []
+        real = corpus.load_file
+        monkeypatch.setattr(corpus, "load_file", lambda name: parsed.append(name) or real(name))
+        for name in ("class_g2", "class_g3", "class_g4", "class_crit"):
+            parsed.clear()
+            load_manifest(name)
+            assert sorted(parsed) == sorted(set(parsed)), name
+
+    @pytest.mark.parametrize("spec", ["four_noise_a:a01:x", "four_noise_a", "four_noise_a::a01"])
+    def test_graph_spec_not_file_colon_graph_named(self, spec):
+        with pytest.raises(ValueError, match=f"graph spec '{spec}' is not of the form file:graph"):
+            load_graph(spec)
+
     def test_crit_subset_of_g2(self):
         g2 = {canonical_form(g) for g in load_manifest("class_g2")}
         crit = {canonical_form(g) for g in load_manifest("class_crit")}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.special import jv
+from scipy.special import j0, jv
 
 from gpam2d import kernels
 
@@ -12,8 +12,8 @@ from gpam2d.kernels import (
     Mollifier,
     Spectral,
     SquareKernel,
+    Spline,
     _gauss_nodes,
-    _uniform_eval,
     approx_unity_report,
     bump_field,
     crho_squared,
@@ -94,16 +94,35 @@ class TestQuadrature:
     def small(self):
         return Mollifier(resolution=32)
 
-    def test_uniform_eval_is_the_spline(self, small):
+    def test_uniform_eval_is_the_spline(self, monkeypatch):
+        # Every table the package builds, and a wavy one, against scipy's
+        # not-a-knot spline through the same data, at knots and between them.
+        built = []
+
+        class Recording(Spline):
+            def __init__(self, x, y):
+                super().__init__(x, y)
+                built.append((self, np.asarray(x), np.asarray(y)))
+
+        monkeypatch.setattr(kernels, "Spline", Recording)
+        for resolution in (1, 2, 32):
+            mol = Mollifier(resolution=resolution)
+            SquareKernel(mol, resolution=resolution)
+            for order in (1, 2, 3):
+                mol.mass(order, 0.5)
+            assert len(mol._splines) == 8  # profiles and masses 1-3, fourier, hankel
+        assert len(built) == 3 * 10
+        grid = np.linspace(0.0, 5.0, 77)
+        wavy = Spline(grid, np.sin(6.0 * grid))
+        built.append((wavy, grid, np.sin(6.0 * grid)))
         rng = np.random.default_rng(11)
-        for order in (1, 2, 3):
-            small.mass(order, 0.5)
-            for spline in (small._profile_spline(order), small._splines[("mass", order)]):
-                r = rng.uniform(0.0, spline.x[-1], 4000)
-                assert np.max(np.abs(_uniform_eval(spline, r) - spline(r))) <= 1e-15
-        wavy = CubicSpline(np.linspace(0.0, 5.0, 77), np.sin(np.linspace(0.0, 30.0, 77)))
+        for spline, x, y in built:
+            r = np.concatenate([x, rng.uniform(0.0, x[-1], 4000)])
+            gap = np.max(np.abs(spline(r) - CubicSpline(x, y)(r)))
+            assert gap <= 1e-15 * np.max(np.abs(y)), x.size
         r = rng.uniform(0.0, 5.0, (7, 9, 11))
-        assert np.max(np.abs(_uniform_eval(wavy, r) - wavy(r))) <= 1e-15
+        assert wavy(r).shape == r.shape
+        assert np.max(np.abs(wavy(r) - CubicSpline(grid, np.sin(6.0 * grid))(r))) <= 1e-15
 
     def test_half_angle_rule_is_the_full_period_rule(self, small):
         # The 512-node rectangle rule over the whole period, written out, on
@@ -178,6 +197,7 @@ class TestSquareKernel:
         first = SquareKernel(own, resolution=128)
         calls = []
         monkeypatch.setattr(kernels, "jv", lambda *a: calls.append(a) or jv(*a))
+        monkeypatch.setattr(kernels, "j0", lambda *a: calls.append(a) or j0(*a))
         assert SquareKernel(own, resolution=128)._h0 is first._h0
         report = approx_unity_report(0.25, 0.125, own, 128)
         assert own._splines["hankel"][0] is first._h0

@@ -14,7 +14,11 @@ Grammar (one directive per line, ``#`` starts a comment)::
 Vertex names are file-local; they are mapped to integer ids in declaration
 order, and noise numbering is declaration order as well.  Every directive
 belongs to the ``graph`` line above it, and a label names an edge declared
-above it.  ``ref`` lines are free text the reader skips.  Class membership files are manifests over graph fixtures::
+above it.  ``ref`` lines are free text the reader skips.  Any other line
+with more fields than its directive takes, or with a ``key=`` field that
+is not its directive's or comes twice, is rejected.
+
+Class membership files are manifests over graph fixtures::
 
     list <name>
     member <file>:<graph>
@@ -30,9 +34,9 @@ from importlib import resources
 from .exts import ExtRational, parse_ext
 from .feynman import INT, NOISE, ROOT, Edge, FeynmanGraph, parse_edge_type, wick_pairings
 
-# Fewest fields after the directive.
-_ARITY = {"graph": 1, "ref": 0, "expect": 1, "coeff": 1, "prefactor": 1, "v": 2, "e": 3,
-          "label": 1}
+# Fewest and most fields after the directive; ``ref`` is free text.
+_ARITY = {"graph": (1, 1), "ref": (0, None), "expect": (1, 1), "coeff": (1, 1),
+          "prefactor": (1, 1), "v": (2, 2), "e": (3, 4), "label": (1, 3)}
 
 
 @dataclass
@@ -65,6 +69,19 @@ def _value(line, parse, text: str):
         raise _bad(line, f"bad field {text!r} ({exc})") from None
 
 
+def _keyed(line, fields, keys) -> dict[str, str]:
+    """The ``key=value`` fields of a line: each key one of ``keys``, given once."""
+    out = {}
+    for text in fields:
+        key, eq, value = text.partition("=")
+        if not eq or key not in keys:
+            raise _bad(line, f"unknown field {text!r}")
+        if key in out:
+            raise _bad(line, f"repeated field {key}=")
+        out[key] = value
+    return out
+
+
 def parse_fixtures(text: str) -> dict[str, Fixture]:
     """Every graph of a fixture file, by name.
 
@@ -77,8 +94,11 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
         _, _, (head, *fields) = line
         if head not in _ARITY:
             raise _bad(line, "unknown directive")
-        if len(fields) < _ARITY[head]:
-            raise _bad(line, f"{head} needs {_ARITY[head]} field(s)")
+        fewest, most = _ARITY[head]
+        if len(fields) < fewest:
+            raise _bad(line, f"{head} needs {fewest} field(s)")
+        if most is not None and len(fields) > most:
+            raise _bad(line, f"{head} takes at most {most} field(s)")
         if head == "graph":
             if fields[0] in blocks:
                 raise _bad(line, f"duplicate graph {fields[0]!r}")
@@ -104,7 +124,7 @@ def _fixture(name: str, block: list) -> Fixture:
         elif head in ("coeff", "prefactor"):
             meta[head] = _value(line, Fraction, fields[0])
         elif head == "v":
-            vname, kind = fields[:2]
+            vname, kind = fields
             if kind not in (ROOT, INT, NOISE):
                 raise _bad(line, f"unknown vertex kind {kind!r}")
             if vname in vmap:
@@ -115,25 +135,17 @@ def _fixture(name: str, block: list) -> Fixture:
             for vname in fields[:2]:
                 if vname not in vmap:
                     raise _bad(line, f"undeclared vertex {vname!r}")
-            eps = Fraction(0)
-            for extra in fields[3:]:
-                if extra.startswith("eps="):
-                    eps = _value(line, Fraction, extra[4:])
+            eps = _value(line, Fraction, _keyed(line, fields[3:], ("eps",)).get("eps", "0"))
             edges.append(Edge(vmap[fields[0]], vmap[fields[1]],
                               _value(line, parse_edge_type, fields[2]), eps))
         elif head == "label":
             idx = _value(line, int, fields[0])
             if not 0 <= idx < len(edges):
                 raise _bad(line, f"no edge {idx}")
-            a = r = None
-            for extra in fields[1:]:
-                if extra.startswith("a="):
-                    a = _value(line, parse_ext, extra[2:])
-                elif extra.startswith("r="):
-                    r = _value(line, int, extra[2:])
-            if a is None or r is None:
+            keyed = _keyed(line, fields[1:], ("a", "r"))
+            if len(keyed) < 2:
                 raise _bad(line, "label needs both a= and r=")
-            labels[idx] = (a, r)
+            labels[idx] = (_value(line, parse_ext, keyed["a"]), _value(line, int, keyed["r"]))
     try:
         graph = FeynmanGraph(kinds=kinds, edges=edges, name=name, **meta)
     except ValueError as exc:  # a whole-graph rule: name the graph line

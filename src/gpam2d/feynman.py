@@ -19,16 +19,17 @@ INT = "int"
 NOISE = "noise"
 
 # Base labels ``(a_e, r_e)`` at zero spending, one row per kernel tag: the
-# singularity as ``(q0, q_kb)`` (``q_kb`` is the auxiliary whisker) and the
-# renormalisation order.  DTest edges are normalised away before labelling,
-# so only the order of their row is read (by the structural checks).
+# singularity ``a_e``, an extended rational that is an integer at zero
+# spending, and the renormalisation order ``r_e``.  DTest edges are normalised
+# away before labelling, so only the order of their row is read (by the
+# structural checks).
 BASE_LABEL = {
-    "K": ((0, 1), 0), "K1": ((0, 1), 1), "K2": ((0, 1), 2),
-    "dK": ((1, 0), 0), "dK1": ((1, 0), 1), "dK2": ((1, 0), 2), "ddK": ((2, 0), -1),
-    "MulX": ((-1, 0), 0), "XK": ((-1, 1), 0), "XdK": ((0, 0), 0),
-    "Test": ((0, 0), 0), "DTest": ((1, 0), 0), "XTest": ((-1, 0), 0),
-    "Rho": ((2, 0), -1), "DRho": ((3, 0), -2), "DDRho": ((4, 0), -3),
-    "Reps": ((4, 1), -2), "Geps": ((2, 0), -1),
+    "K": (0, 0), "K1": (0, 1), "K2": (0, 2),
+    "dK": (1, 0), "dK1": (1, 1), "dK2": (1, 2), "ddK": (2, -1),
+    "MulX": (-1, 0), "XK": (-1, 0), "XdK": (0, 0),
+    "Test": (0, 0), "DTest": (1, 0), "XTest": (-1, 0),
+    "Rho": (2, -1), "DRho": (3, -2), "DDRho": (4, -3),
+    "Reps": (4, -2), "Geps": (2, -1),
 }
 ALL_TAGS = frozenset(BASE_LABEL)
 

@@ -33,65 +33,31 @@ from .feynman import (
     order_rule_offenders,
 )
 
-# Moment tables for the renormalised kernels (zero-spending convention).
-IK_TABLES = {
-    "ddK": {(0, 0): Fraction(0)},
-    "Rho": {(0, 0): Fraction(1)},
-    "DRho": {(0, 0): Fraction(0), (1, 0): Fraction(1), (0, 1): Fraction(0)},
-    "DDRho": {
-        (0, 0): Fraction(0),
-        (1, 0): Fraction(0),
-        (0, 1): Fraction(0),
-        (2, 0): Fraction(2),
-        (1, 1): Fraction(0),
-        (0, 2): Fraction(0),
-    },
-    "Reps": {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0)},
-    "Geps": {(0, 0): None},  # the kernel's own integral
-}
-
-
 @dataclass(frozen=True)
 class EdgeLabel:
     a: ExtRational
     r: int
-    ik: tuple | None = None
-
-    def __post_init__(self):
-        if (self.r < 0) != (self.ik is not None):
-            raise ValueError("moment table present exactly when r < 0")
 
     def __str__(self):
         return f"({self.a},{self.r})"
 
 
-def _ik_for(tag: str, r: int):
-    if r >= 0:
-        return None
-    table = IK_TABLES.get(tag, {})
-    return tuple(sorted((k, v) for k, v in table.items() if sum(k) < -r))
-
-
-def base_label(etype: EdgeType, kbar: bool = False) -> EdgeLabel:
-    """The zero-spending label; ``kbar`` keeps the auxiliary whisker."""
+def base_label(etype: EdgeType) -> EdgeLabel:
+    """The zero-spending label."""
     if etype.tag == "DTest":
         raise ValueError("normalise DTest edges away before labelling")
-    (q0, qk), r = BASE_LABEL[etype.tag]
-    a = ExtRational.of(q0, 0, qk if kbar else 0, 0)
-    return EdgeLabel(a, r, _ik_for(etype.tag, r))
+    q0, r = BASE_LABEL[etype.tag]
+    return EdgeLabel(ExtRational.of(q0), r)
 
 
-def spent_label(etype: EdgeType, gamma, kbar: bool = False) -> EdgeLabel:
+def spent_label(etype: EdgeType, gamma) -> EdgeLabel:
     """Label of a mollifier-family edge after spending ``epsilon**gamma``."""
     gamma = as_ext(gamma)
     if etype.tag not in MOLLIFIER_TAGS:
         raise ValueError(f"{etype} is not a mollifier-family edge")
     if not gamma.is_positive():
-        return base_label(etype, kbar)
-    (q0, qk), _ = BASE_LABEL[etype.tag]
-    a = ExtRational.of(q0, 0, qk if kbar else 0, 0) - gamma
-    r = SPENT_R[etype.tag]
-    return EdgeLabel(a, r, _ik_for(etype.tag, r))
+        return base_label(etype)
+    return EdgeLabel(base_label(etype).a - gamma, SPENT_R[etype.tag])
 
 
 @dataclass
@@ -118,37 +84,28 @@ def canonical_labelling(graph: FeynmanGraph) -> LabelledGraph:
     return distributed_labelling(graph, dict.fromkeys(classes["E_M"], 1))
 
 
-def distributed_labelling(
-    graph: FeynmanGraph, spends: dict[int, ExtRational], kbar: bool = False
-) -> LabelledGraph:
+def distributed_labelling(graph: FeynmanGraph, spends: dict[int, ExtRational]) -> LabelledGraph:
     """Label with an explicit epsilon distribution over mollifier edges."""
-    classes = edge_classes(graph)
-    total = EXT_ZERO
-    labels = []
-    for i, e in enumerate(graph.edges):
-        if i in classes["E_M"]:
-            gamma = as_ext(spends.get(i, 0))
-            total = total + gamma
-            labels.append(spent_label(e.etype, gamma, kbar))
-        else:
-            if i in spends:
-                raise ValueError(f"edge {i} is not a mollifier")
-            labels.append(base_label(e.etype, kbar))
-    leftover = ExtRational.of(graph.eps_total()) - total
-    if ExtRational.of(0) > leftover:
+    mollifiers = edge_classes(graph)["E_M"]
+    spends = {i: as_ext(gamma) for i, gamma in spends.items()}
+    for i, gamma in spends.items():
+        if i not in mollifiers:
+            raise ValueError(f"edge {i} is not a mollifier" if 0 <= i < len(graph.edges)
+                             else f"no edge {i}")
+        if EXT_ZERO > gamma:
+            raise ValueError(f"edge {i}: negative spend epsilon^{gamma}")
+    leftover = ExtRational.of(graph.eps_total()) - sum(spends.values(), EXT_ZERO)
+    if EXT_ZERO > leftover:
         raise ValueError("epsilon distribution exceeds the available budget")
+    labels = [spent_label(e.etype, spends[i]) if i in spends else base_label(e.etype)
+              for i, e in enumerate(graph.edges)]
     return LabelledGraph(graph, labels, leftover)
 
 
 def labelled_from_fixture(graph: FeynmanGraph, overrides) -> LabelledGraph:
     """Attach explicit ``(a, r)`` labels from a fixture's label lines."""
-    labels = []
-    for i, e in enumerate(graph.edges):
-        if i in overrides:
-            a, r = overrides[i]
-            labels.append(EdgeLabel(a, r, _ik_for(e.etype.tag, r)))
-        else:
-            labels.append(base_label(e.etype))
+    labels = [EdgeLabel(*overrides[i]) if i in overrides else base_label(e.etype)
+              for i, e in enumerate(graph.edges)]
     return LabelledGraph(graph, labels)
 
 
@@ -526,11 +483,10 @@ def adjusted_labelling(graph_ibp: FeynmanGraph, estar_set) -> LabelledGraph:
                 c = SQRT_KB
             else:
                 c = -KB
-            labels.append(EdgeLabel(canonical.a + c, canonical.r, canonical.ik))
+            labels.append(EdgeLabel(canonical.a + c, canonical.r))
             leftover = leftover + c
         elif i in classes["E_K0"]:
-            base = base_label(e.etype)
-            labels.append(EdgeLabel(KB2, base.r, base.ik))
+            labels.append(EdgeLabel(KB2, base_label(e.etype).r))
         else:
             labels.append(base_label(e.etype))
     return LabelledGraph(graph_ibp, labels, leftover)

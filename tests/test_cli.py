@@ -159,6 +159,18 @@ class TestUsageErrors:
         assert err.startswith("error: 63 vertices") and err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("action", ["validate", "classify"])
+    def test_stray_fixture_field_names_its_line(self, action, tmp_path, capsys):
+        fixture = tmp_path / "stray.txt"
+        fixture.write_text("graph g\nv o root\nv x int\ne x o Test foo=1\n")
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path), "graphs", action, "--corpus", str(fixture)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: fixture line 4: unknown field 'foo=1'")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "fname,graph,count",
         [("adhoc_labels", "adhoc-a", 3), ("bad4_patterns", "pattern-parallel", 2)],

@@ -81,6 +81,21 @@ class TestFixtures:
             ("graph g\nv o root\nv p root\ngraph h\nv o root\n",
              "line 1: g: need exactly one root"),
             ("graph g\nv o root\nv p root\ngraph h\nbogus\n", "line 5: unknown directive"),
+            ("graph g\nv o root\nv x int\ne x o Test foo=1\n", "line 4: unknown field 'foo=1'"),
+            ("graph g\nv o root\nv x int\ne x o Test eps\n", "line 4: unknown field 'eps'"),
+            ("graph g\nv o root\nv x int\ne x o Test eps=1 eps=2\n",
+             "line 4: e takes at most 4 field"),
+            ("graph g\nv o root\nv b int stray\n", "line 3: v takes at most 2 field"),
+            ("graph g h\n", "line 1: graph takes at most 1 field"),
+            ("graph g\ncoeff 1 2\n", "line 2: coeff takes at most 1 field"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 a=1\n",
+             "line 5: repeated field a="),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 r=0 r=1\n",
+             "line 5: repeated field r="),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 r=0 r=1\n",
+             "line 5: label takes at most 3 field"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 eps=1\n",
+             "line 5: unknown field 'eps=1'"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
              "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
@@ -88,7 +103,9 @@ class TestFixtures:
              "zero-prefactor-denominator", "zero-eps-denominator", "zero-label-denominator",
              "bad-axis-index", "no-root", "two-roots", "test-edge-off-root",
              "undeclared-vertex-in-second-graph", "two-roots-in-first-of-two",
-             "line-checks-before-graph-checks"],
+             "line-checks-before-graph-checks", "stray-edge-field", "edge-field-without-value",
+             "repeated-eps", "stray-vertex-field", "stray-graph-field", "stray-coeff-field",
+             "repeated-a", "repeated-r", "label-field-count", "stray-label-field"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from importlib import resources
@@ -11,6 +12,7 @@ from gpam2d.corpus import classification_corpus, load_file, load_graph, parse_fi
 from gpam2d.exts import EXT_ZERO, KB, SQRT_KB, ExtRational, parse_ext
 from gpam2d.feynman import EdgeType, edge_classes, validate_structure
 from gpam2d.powercount import (
+    EdgeLabel,
     adjusted_labelling,
     base_label,
     canonical_labelling,
@@ -62,17 +64,28 @@ class TestLabels:
         assert (base_label(EdgeType("K1")).a, base_label(EdgeType("K1")).r) == (E(0), 1)
         assert base_label(EdgeType("Test")).a == E(0)
         assert base_label(EdgeType("XTest", j=1)).a == E(-1)
-        assert base_label(EdgeType("Reps"), kbar=True).a == E(4, 0, 1)
         assert base_label(EdgeType("Geps")).r == -1
-
-    def test_moment_tables_present_iff_renormalised(self):
-        for tag in ("K", "K1", "dK1", "ddK", "Rho", "DRho", "DDRho", "Reps"):
+        orders = {"K": 0, "K1": 1, "dK1": 1, "ddK": -1, "Rho": -1, "DRho": -2, "DDRho": -3,
+                  "Reps": -2}
+        for tag, r in orders.items():
             et = EdgeType(tag, j=1) if tag in ("dK1",) else EdgeType(tag)
-            label = base_label(et)
-            assert (label.r < 0) == (label.ik is not None)
-        assert dict(base_label(EdgeType("Rho")).ik) == {(0, 0): Fraction(1)}
-        assert dict(base_label(EdgeType("DRho")).ik)[(1, 0)] == 1
-        assert dict(base_label(EdgeType("DDRho")).ik)[(2, 0)] == 2
+            assert base_label(et).r == r, tag
+
+    def test_label_is_the_pair(self):
+        assert [f.name for f in dataclasses.fields(EdgeLabel)] == ["a", "r"]
+
+    @pytest.mark.parametrize(
+        "spends, message",
+        [({8: -1}, "edge 8: negative spend"), ({99: 1}, "no edge 99"),
+         ({0: 1}, "edge 0 is not a mollifier")],
+        ids=["negative-spend", "missing-edge", "not-a-mollifier"],
+    )
+    def test_distributed_labelling_refuses_bad_spends(self, spends, message):
+        (graph,) = [g for ref, g in classification_corpus()
+                    if ref == "four_noise_a:a01|1234"]
+        assert graph.eps_total() == 4 and 8 in edge_classes(graph)["E_M"]
+        with pytest.raises(ValueError, match=message):
+            distributed_labelling(graph, spends)
 
     def test_canonical_budget_mismatch(self):
         g = load_graph("two_noise_tree:chain2-mean")  # budget 1, no mollifier spend
@@ -173,12 +186,11 @@ class TestSquareKernelGraphs:
             # The square kernel is neither a mollifier nor a plain kernel.
             assert not set(geps_edges) & (classes["E_M"] | classes["E_K"])
 
-    def test_geps_label_is_renormalised_with_integral_moment(self):
+    def test_geps_label_is_renormalised(self):
         from gpam2d.feynman import EdgeType
 
         label = base_label(EdgeType("Geps"))
         assert (label.a, label.r) == (E(2), -1)
-        assert dict(label.ik) == {(0, 0): None}
 
 
 class TestCriticalSubgraphs:

@@ -9,9 +9,23 @@ from hypothesis import Phase, given, settings, strategies as st
 from conftest import FIXTURE_FILES, scalar_check_conditions
 from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h, parse_poly
 from gpam2d.corpus import classification_corpus, load_file, load_graph
-from gpam2d.exts import ExtRational, format_ext, parse_ext
-from gpam2d.feynman import NOISE, canonical_form, fourth_cumulant_graphs, wick_pairings
-from gpam2d.powercount import EdgeLabel, LabelledGraph, check_conditions
+from gpam2d.exts import EXT_ZERO, ExtRational, format_ext, parse_ext
+from gpam2d.feynman import (
+    NOISE,
+    SPENT_R,
+    canonical_form,
+    edge_classes,
+    fourth_cumulant_graphs,
+    wick_pairings,
+)
+from gpam2d.powercount import (
+    EdgeLabel,
+    LabelledGraph,
+    base_label,
+    canonical_labelling,
+    check_conditions,
+    distributed_labelling,
+)
 from gpam2d.symbols import PRIMED, RHS, SOL, UNPRIMED, generate, parse_symbol
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -124,6 +138,45 @@ def test_symbol_str_parse_round_trip(symbol):
 
 
 @st.composite
+def spent_corpus_graph(draw):
+    """A corpus graph and non-negative spends on its mollifiers, each at most
+    its share of the epsilon budget, some with whiskers either way."""
+    ref, graph = draw(st.sampled_from(CORPUS))
+    mollifiers = sorted(edge_classes(graph)["E_M"])
+    share = Fraction(graph.eps_total(), len(mollifiers))
+    spends = {}
+    for i in mollifiers:
+        quarters = draw(st.integers(0, 4))
+        whisker = ExtRational.of(0, *draw(st.tuples(*[st.integers(-1, 1)] * 3)))
+        if (quarters == 0 and EXT_ZERO > whisker) or (quarters == 4 and whisker > EXT_ZERO):
+            whisker = -whisker
+        if draw(st.booleans()):
+            spends[i] = ExtRational.of(share * Fraction(quarters, 4)) + whisker
+    return ref, graph, spends
+
+
+@PROPERTY
+@given(spent_corpus_graph())
+def test_spending_moves_only_the_spent_labels(case):
+    ref, graph, spends = case
+    labelled = distributed_labelling(graph, spends)
+    assert labelled.leftover + sum(spends.values(), EXT_ZERO) == ExtRational.of(
+        graph.eps_total()), ref
+    for i, e in enumerate(graph.edges):
+        spend = spends.get(i, EXT_ZERO)
+        base = base_label(e.etype)
+        if spend.is_positive():
+            assert labelled.labels[i] == EdgeLabel(base.a - spend, SPENT_R[e.etype.tag]), ref
+        else:
+            assert labelled.labels[i] == base, ref
+
+
+def test_canonical_labelling_spends_the_whole_budget():
+    for ref, graph in CORPUS:
+        assert canonical_labelling(graph).leftover == EXT_ZERO, ref
+
+
+@st.composite
 def randomly_labelled(draw):
     """A corpus graph shape with arbitrary labels: small numerators, so that
     leading components often cancel and later ones decide the sign."""
@@ -133,7 +186,7 @@ def randomly_labelled(draw):
     for _ in graph.edges:
         a = ExtRational.of(*draw(st.tuples(component, component, component, component)))
         r = draw(st.integers(-3, 2))
-        labels.append(EdgeLabel(a, r, () if r < 0 else None))
+        labels.append(EdgeLabel(a, r))
     return ref, LabelledGraph(graph, labels)
 
 

@@ -183,11 +183,11 @@ def load_manifest(name: str) -> list[FeynmanGraph]:
     ``member`` itself, each ``family`` as its Wick pairings."""
     graphs, files = [], {}
     for lineno, raw, fields in directives(_read_text(name)):
-        if fields[0] == "member" and len(fields) >= 2:
+        if fields[0] == "member" and len(fields) == 2:
             graphs.append(load_graph(fields[1], files))
-        elif fields[0] == "family" and len(fields) >= 3:
+        elif fields[0] == "family" and len(fields) == 3:
             graphs += wick_pairings(load_graph(fields[1], files), fields[2])
-        elif fields[0] != "list":
+        elif fields[0] != "list" or len(fields) != 2:
             raise ValueError(f"bad manifest line {lineno}: {raw!r}")
     return graphs
 

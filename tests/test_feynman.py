@@ -446,6 +446,18 @@ class TestManifests:
         with pytest.raises(ValueError, match=f"graph spec '{spec}' is not of the form file:graph"):
             load_graph(spec)
 
+    @pytest.mark.parametrize("line", ["member four_noise_a:a01 junk", "member",
+                                      "family four_noise_a:a01 all extra",
+                                      "family four_noise_a:a01", "list x y", "list"])
+    def test_manifest_line_with_wrong_field_count_named(self, line, monkeypatch):
+        from gpam2d import corpus
+
+        real = corpus._read_text
+        text = f"list x\n{line}\n"
+        monkeypatch.setattr(corpus, "_read_text", lambda name: text if name == "x" else real(name))
+        with pytest.raises(ValueError, match="bad manifest line"):
+            load_manifest("x")
+
     def test_crit_subset_of_g2(self):
         g2 = {canonical_form(g) for g in load_manifest("class_g2")}
         crit = {canonical_form(g) for g in load_manifest("class_crit")}

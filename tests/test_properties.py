@@ -147,7 +147,8 @@ def spent_corpus_graph(draw):
     spends = {}
     for i in mollifiers:
         quarters = draw(st.integers(0, 4))
-        whisker = ExtRational.of(0, *draw(st.tuples(*[st.integers(-1, 1)] * 3)))
+        whisker = ExtRational.of(0, *draw(st.one_of(st.just((0, 0, 0)),
+                                                     st.tuples(*[st.integers(-1, 1)] * 3))))
         if (quarters == 0 and EXT_ZERO > whisker) or (quarters == 4 and whisker > EXT_ZERO):
             whisker = -whisker
         if draw(st.booleans()):

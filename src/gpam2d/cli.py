@@ -145,8 +145,14 @@ def _load_corpus(args):
                          "not a graph fixture file")
     fixtures = parse_fixtures(text)
     if args.action == "classify":
+        from .classify import CRITICAL, IN_G2, IN_G3, IN_G4, UNCLASSIFIED, VANISHES
         from .powercount import edge_classes
 
+        verdicts = (VANISHES, IN_G2, IN_G3, IN_G4, CRITICAL, UNCLASSIFIED)
+        for name, fx in fixtures.items():
+            if fx.graph.expect not in (None, *verdicts):
+                raise ValueError(f"graph {name!r} expects {fx.graph.expect!r}, which is not "
+                                 f"a verdict ({', '.join(verdicts)})")
         if labelled := [n for n, fx in fixtures.items() if fx.labels]:
             raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
                              "labels every graph from its edge types")
@@ -286,7 +292,7 @@ def cmd_constants(args, stages: _Stages) -> int:
             res = gconv_limits_check(eps, n=args.n, resolution=args.resolution)
             stages.mark(f"gconv eps={eps!r}")
             for key, val in res.items():
-                rows.append((f"gconv_{key}", repr(eps), str(args.n), repr(val), "",
+                rows.append((f"gconv_{key}", repr(eps), str(args.resolution), repr(val), "",
                              "smoothing-residual"))
         _emit(args, _csv(rows))
         return 0
@@ -314,7 +320,7 @@ def cmd_mc(args, stages: _Stages) -> int:
     if args.action == "noise":
         values = []
         for s in sample_seeds(args.seed, args.samples):
-            values.append(float(np.mean(sample_noise(args.n, s).xi ** 2)))
+            values.append(float(np.mean(sample_noise(args.n, s) ** 2)))
         stages.mark("sample noise")
         stats = estimate_stats(values) if len(values) >= MIN_SAMPLES else None
         text = _csv(

@@ -240,8 +240,6 @@ def _square_tail(eps: float, rmax: float) -> float:
 @dataclass
 class CrhoResult:
     value: float
-    route: str
-    resolution: int
     estimated_error: float
 
 
@@ -285,7 +283,7 @@ def crho_squared(route: str = "spatial", resolution: int = RESOLUTION, mol: Moll
     value = pieces(8 * resolution)
     # Refinement-based error estimate: redo both pieces at half the node count.
     coarse = pieces(4 * resolution)
-    return CrhoResult(value, route, resolution, abs(value - coarse))
+    return CrhoResult(value, abs(value - coarse))
 
 
 @lru_cache(maxsize=4)
@@ -319,7 +317,6 @@ class SquareKernel:
 
     def __init__(self, mol: Mollifier | None = None, resolution: int = RESOLUTION):
         self.mol = _mollifier(mol, resolution)
-        self.resolution = resolution
         if "hankel" not in self.mol._splines:
             # One table of the three harmonics per mollifier; j0 is the fast jv(0, .).
             sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
@@ -371,14 +368,14 @@ class SquareKernel:
         if eps > rmax / 2:
             raise ValueError(f"scale {eps} is above 32: the square kernel integral "
                              "is exact only up to half its outer radius 64")
-        n = 6 * self.resolution
+        n = 6 * self.mol.resolution
         body = self._polar_integral(
             lambda r, t: self.value(r / eps, t) / (eps * eps), 1e-9, rmax, n
         )
         return body + _square_tail(eps, rmax)
 
     def abs_mass(self, eps: float, r_lo: float, r_hi: float) -> float:
-        n = 6 * self.resolution
+        n = 6 * self.mol.resolution
         return self._polar_integral(
             lambda r, t: np.abs(self.value(r / eps, t)) / (eps * eps), r_lo, r_hi, n
         )
@@ -529,29 +526,18 @@ class Spectral:
         return Spectral.field(Spectral.coeff(f) * Spectral.coeff(g).conj())
 
 
-class GepsGrid:
-    """FFT evaluation of the epsilon-scale kernel on the unit torus.
+def geps_field(n: int, eps: float, mol: Mollifier | None = None) -> np.ndarray:
+    """The epsilon-scale kernel on the N x N unit torus, by FFT.
 
     The spectral second derivative of the log kernel is the multiplier
     ``-s1^2/|s|^2`` (zero mode dropped), and the mollifier enters through its
     continuum Fourier transform sampled at grid frequencies.  The multiplier
     table is not kept: it would double the grid's memory.
     """
-
-    def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
-        spec = Spectral(n, eps, mol)
-        self.n, self.eps, self.mol = n, eps, spec.mol
-        conv_sq = spec.field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
-        self.field = eps * eps * (conv_sq * spec.field(spec.frho**2)
-                                  + spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2) ** 2)
-
-    def value(self, x) -> float:
-        i = int(round(float(x[0]) * self.n)) % self.n
-        j = int(round(float(x[1]) * self.n)) % self.n
-        return float(self.field[i, j])
-
-    def convolve(self, f: np.ndarray) -> np.ndarray:
-        return Spectral.convolve(self.field, f)
+    spec = Spectral(n, eps, mol)
+    conv_sq = spec.field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
+    return eps * eps * (conv_sq * spec.field(spec.frho**2)
+                        + spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2) ** 2)
 
 
 def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
@@ -568,9 +554,9 @@ def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
         return {"limit1": 0.0, "limit2": 0.0, "limit3": 0.0}
     phi = bump_field(n, radius=0.25)
     crho_sq = crho_squared("spatial", resolution, mol).value
-    grid = GepsGrid(n, eps, grid_mol)
+    geps = geps_field(n, eps, grid_mol)
     mesh2 = 1.0 / (n * n)
-    gf = grid.convolve(f)
+    gf = Spectral.convolve(geps, f)
 
     lhs1 = float(np.sum(phi * gf)) * mesh2
     rhs1 = crho_sq * float(np.sum(phi * f)) * mesh2
@@ -580,7 +566,7 @@ def gconv_limits_check(eps: float, f: np.ndarray | None = None, n: int = 512,
     rhs2 = crho_sq * crho_sq * float(np.sum(f * f * corr_phi)) * mesh2
 
     corr_gf_f = Spectral.correlate(gf, f)
-    lhs3 = float(np.sum(grid.field * corr_gf_f * corr_phi)) * mesh2
+    lhs3 = float(np.sum(geps * corr_gf_f * corr_phi)) * mesh2
     rhs3 = crho_sq * crho_sq * float(np.sum(phi * phi)) * mesh2 * float(np.sum(f * f)) * mesh2
 
     rel = lambda lhs, rhs: abs(lhs - rhs) / abs(rhs) if rhs else abs(lhs)

@@ -33,19 +33,13 @@ import numpy as np
 from .kernels import Spectral, bump_field, torus_coords
 
 
-@dataclass
-class NoiseSample:
-    xi: np.ndarray
-    n: int
-
-
-def sample_noise(n: int, seed) -> NoiseSample:
-    """Real white noise on the grid, variance N^2 per cell, seed-determined."""
+def sample_noise(n: int, seed) -> np.ndarray:
+    """Real white noise on the N x N grid, variance N^2 per cell, seed-determined."""
     if n < 1 or n & (n - 1):
         raise ValueError("grid size must be a power of two")
     xi = np.random.default_rng(seed).standard_normal((n, n))
     xi *= n
-    return NoiseSample(xi=xi, n=n)
+    return xi
 
 
 _spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
@@ -53,10 +47,8 @@ _spectral = lru_cache(maxsize=16)(Spectral)  # one table per (N, eps)
 
 @lru_cache(maxsize=32)
 def _coordinate(n: int, j: int):
-    """The weight of order ``j``: 1 for j = 0, else the chart coordinate x_j,
-    as a read-only (N, 1) or (1, N) array cached per N."""
-    if j == 0:
-        return 1.0
+    """The chart coordinate x_j (j = 1 or 2), the weight of order j, as a
+    read-only (N, 1) or (1, N) array cached per N."""
     x = torus_coords(n)
     x.flags.writeable = False
     return x[:, None] if j == 1 else x[None, :]
@@ -148,24 +140,25 @@ def _plan(n: int, phi: np.ndarray, which: str, j: int):
     return rows, test[rows], order, weight
 
 
-def _estimate(sample: NoiseSample, eps: float, phi: np.ndarray, which: str, j: int) -> float:
-    """One value of estimator ``which``: the noise's coefficients, then the core."""
-    spec = _spectral(sample.n, eps)
-    rows, test, order = _plan(sample.n, phi, which, j)[:3]  # the weight is dropped at once
-    return _recentred_product(spec, eps, spec.coeff(sample.xi), rows, test, order,
+def _estimate(xi: np.ndarray, eps: float, phi: np.ndarray, which: str, j: int) -> float:
+    """One value of estimator ``which`` on the noise xi: its coefficients, then the core."""
+    n = len(xi)
+    spec = _spectral(n, eps)
+    rows, test, order = _plan(n, phi, which, j)[:3]  # the weight is dropped at once
+    return _recentred_product(spec, eps, spec.coeff(xi), rows, test, order,
                               _paired_mean(spec, rows, test, order))
 
 
-def pi_xiixi(sample: NoiseSample, eps: float, phi: np.ndarray) -> float:
+def pi_xiixi(xi: np.ndarray, eps: float, phi: np.ndarray) -> float:
     """The renormalised product of the noise with its integrated copy.
 
     Tests ``A * (K*A - (K*A)(0))`` against phi and subtracts the exact
     Gaussian expectation; A is the mollified noise derivative.
     """
-    return _estimate(sample, eps, phi, "xiixi", 0)
+    return _estimate(xi, eps, phi, "xiixi", 0)
 
 
-def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
+def pi_weighted(xi: np.ndarray, eps: float, phi: np.ndarray, which: str,
                 j: int = 1) -> float:
     """Coordinate-weighted renormalised products.
 
@@ -175,7 +168,7 @@ def pi_weighted(sample: NoiseSample, eps: float, phi: np.ndarray, which: str,
     """
     if which == "xiixi":
         raise ValueError("pi_weighted takes xxiixi or xiixxi; use pi_xiixi")
-    return _estimate(sample, eps, phi, which, j)
+    return _estimate(xi, eps, phi, which, j)
 
 
 MIN_SAMPLES = 16  # the fewest values estimate_stats takes
@@ -273,7 +266,7 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     means = [_paired_mean(spec, live, test, order) for spec in specs]
     values = np.empty((samples, len(eps_list)))
     for row, s in zip(values, sample_seeds(seed, samples)):
-        xi_hat = Spectral.coeff(sample_noise(n, s).xi)  # the noise itself is dropped
+        xi_hat = Spectral.coeff(sample_noise(n, s))  # the noise itself is dropped
         row[:] = [_recentred_product(spec, eps, xi_hat, live, test, order, mean)
                   for eps, spec, mean in zip(eps_list, specs, means)]
     rows = []

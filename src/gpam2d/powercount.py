@@ -55,6 +55,8 @@ def spent_label(etype: EdgeType, gamma) -> EdgeLabel:
     gamma = as_ext(gamma)
     if etype.tag not in MOLLIFIER_TAGS:
         raise ValueError(f"{etype} is not a mollifier-family edge")
+    if EXT_ZERO > gamma:
+        raise ValueError(f"negative spend epsilon^{gamma}")
     if not gamma.is_positive():
         return base_label(etype)
     return EdgeLabel(base_label(etype).a - gamma, SPENT_R[etype.tag])

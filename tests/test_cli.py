@@ -6,6 +6,7 @@ import pytest
 from gpam2d import montecarlo
 from gpam2d.classify import IN_G4, PUBLISHED_DEFECT, VANISHES
 from gpam2d.cli import main
+from gpam2d.kernels import gconv_limits_check
 
 
 def run(capsys, *argv):
@@ -44,6 +45,18 @@ class TestGraphs:
                         "--constraint", "12-34")
         assert code == 0
         assert "4 pairings" in out
+
+    def test_pair_from_corpus_file_matches_file_graph_spec(self, capsys):
+        fixture = str(resources.files("gpam2d.fixtures").joinpath("ladder_pair.txt"))
+        code, by_name = run(capsys, "graphs", "pair", "--corpus", fixture,
+                            "--graph", "ladder-recentred", "--constraint", "12-34")
+        assert code == 0
+        code, by_spec = run(capsys, "graphs", "pair", "--graph", "ladder_pair:ladder-recentred",
+                            "--constraint", "12-34")
+        assert code == 0
+        lines = by_name.splitlines()[1:]
+        assert lines == by_spec.splitlines()[1:] and lines[-1] == "4 pairings"
+        assert len(lines) == 5
 
     def test_classify_mismatch_exit(self, tmp_path, capsys):
         # A critical graph annotated as vanishing must be flagged.
@@ -210,6 +223,17 @@ class TestUsageErrors:
                        "graphs, whose budget matches their mollifiers\n")
         assert not path.exists()
 
+    def test_classify_refuses_an_unknown_expect_word(self, tmp_path, capsys):
+        fixture = tmp_path / "typo.txt"
+        fixture.write_text("graph typo\nexpect Bogus\nv o root\nv x int\ne x o Test\n")
+        path = tmp_path / "artifact.json"
+        code = main(["--out", str(path), "graphs", "classify", "--corpus", str(fixture)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: graph 'typo' expects 'Bogus', which is not a verdict")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
     @pytest.mark.parametrize("name", ["crit", "g2", "g3", "g4", "van"])
     @pytest.mark.parametrize("action", ["classify", "validate"])
     def test_corpus_refuses_class_manifests(self, action, name, tmp_path, capsys):
@@ -301,6 +325,18 @@ class TestConstantsAndMc:
         vals = [float(l.split(",")[3]) for l in lines]
         assert len(vals) == 2
         assert abs(vals[0] - vals[1]) < 1e-3 * vals[0]
+
+    def test_gconv_rows_match_the_limits_check(self, capsys):
+        argv = ["constants", "gconv", "--eps", "2^-4", "--n", "64", "--resolution", "16"]
+        code1, out1 = run(capsys, *argv)
+        code2, out2 = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        expected = gconv_limits_check(2**-4, n=64, resolution=16)
+        rows = [line.split(",") for line in out1.splitlines()[2:]]
+        assert rows == [[f"gconv_{key}", "0.0625", "16", repr(val), "", "smoothing-residual"]
+                        for key, val in expected.items()]
+        assert [row[0] for row in rows] == ["gconv_limit1", "gconv_limit2", "gconv_limit3"]
 
     def test_mc_reproducible_bytes(self, tmp_path, capsys):
         argv = ["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "32",

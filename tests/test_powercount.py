@@ -60,6 +60,11 @@ class TestLabels:
         label = spent_label(EdgeType(tag), gamma)
         assert (label.a, label.r) == (a, r)
 
+    @pytest.mark.parametrize("gamma", [-1, E(0, -1)])
+    def test_spent_label_refuses_negative_spend(self, gamma):
+        with pytest.raises(ValueError, match="negative spend"):
+            spent_label(EdgeType("Rho"), gamma)
+
     def test_base_table(self):
         assert (base_label(EdgeType("K1")).a, base_label(EdgeType("K1")).r) == (E(0), 1)
         assert base_label(EdgeType("Test")).a == E(0)

@@ -148,15 +148,14 @@ def _load_corpus(args):
         from .classify import CRITICAL, IN_G2, IN_G3, IN_G4, UNCLASSIFIED, VANISHES
         from .powercount import edge_classes
 
+        if labelled := [n for n, fx in fixtures.items() if fx.labels]:
+            raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
+                             "labels every graph from its edge types")
         verdicts = (VANISHES, IN_G2, IN_G3, IN_G4, CRITICAL, UNCLASSIFIED)
         for name, fx in fixtures.items():
             if fx.graph.expect not in (None, *verdicts):
                 raise ValueError(f"graph {name!r} expects {fx.graph.expect!r}, which is not "
                                  f"a verdict ({', '.join(verdicts)})")
-        if labelled := [n for n, fx in fixtures.items() if fx.labels]:
-            raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
-                             "labels every graph from its edge types")
-        for name, fx in fixtures.items():
             budget, mollifiers = fx.graph.eps_total(), len(edge_classes(fx.graph)["E_M"])
             if budget != mollifiers:
                 raise ValueError(f"graph {name!r} spends epsilon^{budget} against {mollifiers} "

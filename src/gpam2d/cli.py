@@ -276,12 +276,19 @@ def cmd_constants(args, stages: _Stages) -> int:
         eps_list = _parse_eps_list(args.eps)
         kernel = SquareKernel(resolution=args.resolution)
         stages.mark("square kernel")
+        unresolved = []
         for eps in eps_list:
-            total = kernel.integral(eps)
+            total, error = kernel.integral_estimate(eps)
             stages.mark(f"integral eps={eps!r}")
             rows.append(("square_kernel_integral", repr(eps), str(args.resolution),
-                         repr(total), "", "scale-invariance"))
+                         repr(total), repr(error), "scale-invariance"))
+            if not error <= 1e-4 * abs(total):
+                unresolved.append(repr(eps))
         _emit(args, _csv(rows))
+        if unresolved:
+            print(f"error: square-kernel integral unresolved at eps {', '.join(unresolved)}: "
+                  "error estimate above 1e-4 of the value", file=sys.stderr)
+            return 1
         return 0
 
     if args.action == "gconv":

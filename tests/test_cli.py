@@ -338,6 +338,29 @@ class TestConstantsAndMc:
                         for key, val in expected.items()]
         assert [row[0] for row in rows] == ["gconv_limit1", "gconv_limit2", "gconv_limit3"]
 
+    @pytest.mark.parametrize("scales, code, flagged", [
+        (None, 0, []), ("2^-10", 1, ["0.0009765625"]), ("1e-150", 1, ["1e-150"]),
+    ], ids=["default", "2^-10", "1e-150"])
+    def test_geps_states_its_error_and_flags_what_it_misses(self, scales, code, flagged,
+                                                             tmp_path, capsys):
+        # The default scales are resolved; at 2^-10 the rule does not resolve
+        # the kernel (it prints 0.35 against 0.214), and at 1e-150 all of it
+        # lies inside the rule's inner radius (it prints 9.7e-306).
+        path = tmp_path / "geps.csv"
+        argv = ["constants", "geps", "--resolution", "64"] + (["--eps", scales] if scales else [])
+        assert main(["--out", str(path)] + argv) == code
+        err = capsys.readouterr().err
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert len(rows) == (3 if scales is None else 1)
+        over = [eps for _, eps, _, value, error, _ in rows if float(error) > 1e-4 * float(value)]
+        assert over == flagged
+        assert all(float(row[4]) > 0 for row in rows)
+        if flagged:
+            assert err == (f"error: square-kernel integral unresolved at eps {flagged[0]}: "
+                           "error estimate above 1e-4 of the value\n")
+        else:
+            assert err == ""
+
     def test_mc_reproducible_bytes(self, tmp_path, capsys):
         argv = ["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "32",
                 "--seed", "7", "--resolution", "64"]

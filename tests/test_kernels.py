@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.special import j0, jv
 
 from gpam2d import kernels
 
@@ -196,8 +195,8 @@ class TestSquareKernel:
         own = Mollifier(resolution=128)
         first = SquareKernel(own, resolution=128)
         calls = []
-        monkeypatch.setattr(kernels, "jv", lambda *a: calls.append(a) or jv(*a))
-        monkeypatch.setattr(kernels, "j0", lambda *a: calls.append(a) or j0(*a))
+        bessel = kernels._bessel
+        monkeypatch.setattr(kernels, "_bessel", lambda *a: calls.append(a) or bessel(*a))
         assert SquareKernel(own, resolution=128)._h0 is first._h0
         report = approx_unity_report(0.25, 0.125, own, 128)
         assert own._splines["hankel"][0] is first._h0

@@ -5,7 +5,9 @@ by parts so that every resulting graph passes all counting conditions under
 the adjusted labelling, with a positive epsilon exponent left over.  The
 exceptional classes are: no admissible edge at all (either one of the
 critical graphs feeding the limit, or one of the square-kernel graphs
-handled by direct kernel bounds), a failure of the root-anchored condition
+handled by direct kernel bounds; no rule on the graph alone is known to
+separate the two, so a manifest given must list the graph, or it stays
+unclassified), a failure of the root-anchored condition
 already under canonical labels, and failures of the interior condition that
 no admissible rewrite repairs.
 """
@@ -135,13 +137,12 @@ def classify(
     candidates = admissible_rewrite_edges(graph)
     if not candidates:
         form = canonical_form(graph)
-        if crit_forms is not None and form in crit_forms:
-            return Classification(CRITICAL, alpha, detail="no admissible rewrite edge")
-        if g2_forms is not None and form not in g2_forms:
-            return Classification(
-                UNCLASSIFIED, alpha, detail="no admissible rewrite edge, not listed"
-            )
-        return Classification(IN_G2, alpha, detail="no admissible rewrite edge")
+        for name, verdict, forms in (("crit", CRITICAL, crit_forms), ("g2", IN_G2, g2_forms)):
+            if forms is not None and form in forms:
+                return Classification(verdict, alpha, detail=(
+                    f"no admissible rewrite edge; listed in the published {name} manifest"))
+        return Classification(UNCLASSIFIED, alpha, detail=(
+            "no admissible rewrite edge, and no manifest given lists it"))
 
     root_failures = check_conditions(canonical).cond3
     if root_failures:

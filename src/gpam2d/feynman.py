@@ -47,9 +47,7 @@ EDGE_FAMILIES = {
     "E_K": KERNEL_TAGS,
     "E_*": TEST_TAGS,
     "E_M3": {"DDRho", "Reps"},
-    "E_M1": {"Rho"},
     "E_K0": {"K", "K1", "K2"},
-    "E_K1": {"dK", "dK1", "dK2"},
 }
 
 

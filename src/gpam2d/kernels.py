@@ -8,9 +8,9 @@ potential is ``a(r) + b(r)cos(2 theta)`` with ``a = -dens/2`` and
 exact self-similarity, which pins its integral to a single number: the
 squared amplitude of the emergent white noise.
 
-Two independent quadrature routes compute that number: a physical-space
-route through radial overlap integrals, and a Fourier route through Hankel
-transforms of the mollifier profile.
+Two quadrature routes that share no term compute that number: a
+physical-space route through a radial squared norm, and a Fourier route
+through the Hankel transform of the mollifier profile.
 """
 
 from __future__ import annotations
@@ -369,46 +369,42 @@ class CrhoResult:
     estimated_error: float
 
 
-def _overlap_integral(mol: Mollifier, order_left: int, order_right: int, rmax: float, n: int):
-    """Physical-space overlap of two second-derivative log potentials.
+def _overlap_integral(mol: Mollifier, rmax: float, n: int):
+    """Squared norm over the plane of the twice-mollified second derivative.
 
-    Computes the full-plane integral of the product, using the exact angular
-    reduction and the exact tail beyond ``rmax``.
+    The angular integral is exact, and so is the tail beyond ``rmax``.
     """
-    a1, b1 = d11_log_potential(mol, order_left)
-    a2, b2 = d11_log_potential(mol, order_right)
+    a, b = d11_log_potential(mol, 2)
     nodes, weights = _gauss_nodes(0.0, rmax, n)
-    body = np.sum(
-        (TWO_PI * a1(nodes) * a2(nodes) + math.pi * b1(nodes) * b2(nodes)) * nodes * weights
-    )
+    body = np.sum((TWO_PI * a(nodes) ** 2 + math.pi * b(nodes) ** 2) * nodes * weights)
     return float(body + _square_tail(1.0, rmax))
 
 
 def crho_squared(route: str = "spatial", resolution: int = RESOLUTION, mol: Mollifier | None = None) -> CrhoResult:
-    """The limiting noise amplitude squared, by two independent routes.
+    """The limiting noise amplitude squared, by two routes that share no term.
 
-    The spatial route integrates the square kernel at unit scale through
-    radial overlap integrals; the Fourier route evaluates the closed
-    frequency-side expression for the first summand via Hankel quadrature,
-    plus the same physical-space second summand.  The resolution is that of
-    ``mol`` (default: the mollifier at ``resolution``).
+    With ``Phi_k`` the log potential of the k-fold self-convolution of the
+    mollifier, the square kernel integrates to ``<d11 Phi_1, d11 Phi_3> +
+    ||d11 Phi_2||^2``.  The mollifier is radial, so both summands equal
+    ``3/(16 pi) int fourier^4 sigma dsigma``.  The spatial route is twice the
+    squared norm, by radial quadrature in physical space; the Fourier route
+    is ``3/(8 pi)`` times the Hankel-side integral.  The resolution is that
+    of ``mol`` (default: the mollifier at ``resolution``).
     """
     if route not in ("spatial", "fourier"):
         raise ValueError(f"unknown route {route!r}")
     mol = _mollifier(mol, resolution)
     rmax = 16.0 + resolution / 16.0
 
-    def pieces(n: int) -> float:
+    def integral(n: int) -> float:
         if route == "spatial":
-            first = _overlap_integral(mol, 1, 3, rmax, n)
-        else:
-            sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), n)
-            first = 3.0 / (16.0 * math.pi) * float(np.sum(mol.fourier(sn) ** 4 * sn * sw))
-        return first + _overlap_integral(mol, 2, 2, rmax, n)
+            return 2.0 * _overlap_integral(mol, rmax, n)
+        sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), n)
+        return 3.0 / (8.0 * math.pi) * float(np.sum(mol.fourier(sn) ** 4 * sn * sw))
 
-    value = pieces(8 * resolution)
-    # Refinement-based error estimate: redo both pieces at half the node count.
-    coarse = pieces(4 * resolution)
+    value = integral(8 * resolution)
+    # Refinement-based error estimate: redo the integral at half the node count.
+    coarse = integral(4 * resolution)
     return CrhoResult(value, abs(value - coarse))
 
 
@@ -471,13 +467,6 @@ class SquareKernel:
     def value(self, r, theta):
         return self.first_summand(r, theta) + self.second_summand(r, theta)
 
-    def eps_value(self, x, eps: float) -> float:
-        """The epsilon-scale kernel via exact self-similarity."""
-        x = np.asarray(x, dtype=float)
-        r = float(np.hypot(x[0], x[1]))
-        theta = float(np.arctan2(x[1], x[0]))
-        return float(self.value(np.asarray(r / eps), theta)) / (eps * eps)
-
     def _polar_integral(self, integrand, r_lo: float, r_hi: float, n: int) -> float:
         nodes, weights = _gauss_nodes(r_lo, r_hi, n)
         thetas = np.linspace(0.0, TWO_PI, 64, endpoint=False)
@@ -526,14 +515,6 @@ class SquareKernel:
         return self._polar_integral(
             lambda r, t: np.abs(self.value(r / eps, t)) / (eps * eps), r_lo, r_hi, n
         )
-
-    def bound_constant(self, eps: float) -> float:
-        """Fitted constant in |G_eps(x)| <= C eps^2 (|x|+eps)^-4 over a sample grid."""
-        rr = np.linspace(1e-3, 8.0 * eps, 400)
-        tt = np.linspace(0.0, TWO_PI, 32, endpoint=False)
-        vals = np.abs(self.value(rr[:, None] / eps, tt[None, :])) / (eps * eps)
-        envelope = eps * eps * (rr[:, None] + eps) ** -4.0
-        return float(np.max(vals / envelope))
 
 
 def approx_unity_report(eps: float, delta: float, mol: Mollifier | None = None,

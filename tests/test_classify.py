@@ -8,6 +8,7 @@ from gpam2d.classify import (
     IN_G2,
     IN_G3,
     IN_G4,
+    UNCLASSIFIED,
     VANISHES,
     _try_witness,
     admissible_rewrite_edges,
@@ -98,6 +99,24 @@ class TestCorpusPartition:
             assert results[ref].verdict == IN_G4, ref
         assert results["four_noise_a:a02"].verdict == CRITICAL
         assert results["four_noise_a:a03"].verdict == CRITICAL
+
+    def test_critical_and_g2_details_name_their_manifest(self, corpus_results):
+        corpus, results = corpus_results
+        for verdict, name in ((CRITICAL, "crit"), (IN_G2, "g2")):
+            details = {r.detail for r in results.values() if r.verdict == verdict}
+            assert details == {f"no admissible rewrite edge; listed in the published {name} manifest"}
+
+    def test_without_manifests_nothing_is_critical_or_g2(self, corpus_results):
+        # The manifests alone tell Critical from InG2; without them the
+        # graphs with no admissible rewrite edge stay unclassified.
+        corpus, results = corpus_results
+        bare = classify_corpus(corpus)
+        listed = {ref for ref, r in results.items() if r.verdict in (CRITICAL, IN_G2)}
+        assert {ref for ref, r in bare.items() if r.verdict == UNCLASSIFIED} == listed
+        assert {bare[ref].detail for ref in listed} == {
+            "no admissible rewrite edge, and no manifest given lists it"}
+        assert all(bare[ref].verdict == results[ref].verdict
+                   for ref in results if ref not in listed)
 
     def test_root_condition_verdict_names_its_subset_and_margin(self, corpus_results):
         # The Reps pair joined to the root has root degree exactly zero.

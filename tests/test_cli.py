@@ -1,9 +1,10 @@
 import json
+from functools import lru_cache
 from importlib import resources
 
 import pytest
 
-from gpam2d import montecarlo
+from gpam2d import kernels, montecarlo
 from gpam2d.classify import IN_G4, PUBLISHED_DEFECT, VANISHES
 from gpam2d.cli import main
 from gpam2d.kernels import gconv_limits_check
@@ -292,16 +293,23 @@ class TestOutPlacement:
 
 
 class TestVerbose:
+    @pytest.fixture(autouse=True)
+    def fresh_default_mollifiers(self, monkeypatch):
+        # The tables line lists what this test's runs built, not what earlier
+        # tests left on the process-wide default mollifiers.
+        monkeypatch.setattr(kernels, "_default_mollifier",
+                            lru_cache(maxsize=4)(kernels._default_mollifier.__wrapped__))
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, tables",
         [
-            ["constants", "crho", "--resolution", "32"],
-            ["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "16",
-             "--resolution", "32"],
+            (["constants", "crho", "--resolution", "32"], "profile1, profile2, mass2, fourier"),
+            (["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "16",
+              "--resolution", "32"], "profile1, profile2, mass2"),
         ],
         ids=["constants-crho", "mc-xiixi"],
     )
-    def test_artifact_bytes_do_not_depend_on_v(self, argv, tmp_path, capsys):
+    def test_artifact_bytes_do_not_depend_on_v(self, argv, tables, tmp_path, capsys):
         quiet, loud = tmp_path / "quiet.out", tmp_path / "loud.out"
         assert main(["--out", str(quiet)] + argv) == 0
         assert capsys.readouterr().err == ""
@@ -310,10 +318,16 @@ class TestVerbose:
         assert quiet.read_bytes() == loud.read_bytes()
         assert "stage crho_squared spatial: " in err
         assert "cache kernels._legendre: CacheInfo(" in err
-        assert "default mollifier 32 tables: profile1, profile2" in err
+        assert f"default mollifier 32 tables: {tables}" in err.splitlines()
         if argv[0] == "mc":
             assert "cache montecarlo._spectral: CacheInfo(" in err
             assert "cache montecarlo._mean_field: CacheInfo(" in err
+
+    def test_fourier_route_builds_the_fourier_table_alone(self, tmp_path, capsys):
+        argv = ["-v", "--out", str(tmp_path / "crho.out"), "constants", "crho",
+                "--route", "fourier", "--resolution", "32"]
+        assert main(argv) == 0
+        assert "default mollifier 32 tables: fourier" in capsys.readouterr().err.splitlines()
 
 
 class TestConstantsAndMc:

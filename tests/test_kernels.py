@@ -15,6 +15,7 @@ from gpam2d.kernels import (
     approx_unity_report,
     bump_field,
     crho_squared,
+    d11_log_potential,
     gconv_limits_check,
     geps_field,
     torus_coords,
@@ -36,6 +37,29 @@ def kernel(mol):
 @pytest.fixture(scope="module")
 def crho(mol):
     return crho_squared("spatial", RES, mol).value
+
+
+GAUSS_S = 0.15  # the width of the Gaussian profile, whose c_rho^2 is 3/(32 pi s^2)
+
+
+@pytest.fixture(scope="module")
+def gaussian():
+    return Mollifier(profile=lambda r: np.exp(-r * r / (2 * GAUSS_S**2)), resolution=RES)
+
+
+def eps_value(kernel, x, eps):
+    """The epsilon-scale kernel at the point x, by exact self-similarity."""
+    r, theta = float(np.hypot(x[0], x[1])), float(np.arctan2(x[1], x[0]))
+    return float(kernel.value(np.asarray(r / eps), theta)) / eps**2
+
+
+def bound_constant(kernel, eps):
+    """Fitted constant in |G_eps(x)| <= C eps^2 (|x|+eps)^-4 over a sample grid."""
+    rr = np.linspace(1e-3, 8.0 * eps, 400)
+    tt = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    vals = np.abs(kernel.value(rr[:, None] / eps, tt[None, :])) / eps**2
+    envelope = eps * eps * (rr[:, None] + eps) ** -4.0
+    return float(np.max(vals / envelope))
 
 
 class TestMollifier:
@@ -72,13 +96,30 @@ class TestCrho:
         assert spatial.value > 0 and fourier.value > 0
         assert abs(spatial.value - fourier.value) < 1e-3 * spatial.value
 
-    def test_gaussian_profile_oracle(self):
-        # For a Gaussian shape the closed form is 3/(32 pi s^2).
-        s = 0.15
-        gmol = Mollifier(profile=lambda r: np.exp(-r * r / (2 * s * s)), resolution=RES)
-        got = crho_squared("spatial", RES, gmol).value
-        exact = 3.0 / (32.0 * math.pi * s * s)
+    def test_gaussian_profile_oracle(self, gaussian):
+        got = crho_squared("spatial", RES, gaussian).value
+        exact = 3.0 / (32.0 * math.pi * GAUSS_S**2)
         assert abs(got - exact) < 2e-4 * exact
+
+    def test_gaussian_profile_oracle_fourier_route(self, gaussian):
+        got = crho_squared("fourier", RES, gaussian).value
+        exact = 3.0 / (32.0 * math.pi * GAUSS_S**2)
+        assert abs(got - exact) < 1e-8 * exact
+
+    @pytest.mark.parametrize("profile", ["mol", "gaussian"])
+    def test_cross_overlap_is_the_squared_norm(self, profile, request):
+        # <d11 Phi_1, d11 Phi_3> = ||d11 Phi_2||^2 for a radial mollifier, the
+        # identity that lets the spatial route double one integral.  The cross
+        # overlap is computed here on the same nodes, as the reference.
+        m = request.getfixturevalue(profile)
+        rmax, n = 16.0 + RES / 16.0, 8 * RES
+        nodes, weights = _gauss_nodes(0.0, rmax, n)
+        (a1, b1), (a3, b3) = d11_log_potential(m, 1), d11_log_potential(m, 3)
+        cross = float(np.sum((2.0 * math.pi * a1(nodes) * a3(nodes)
+                              + math.pi * b1(nodes) * b3(nodes)) * nodes * weights))
+        cross += 1.0 / (8.0 * math.pi * rmax**2)
+        square = kernels._overlap_integral(m, rmax, n)
+        assert abs(cross - square) < 1e-4 * square
 
     def test_self_convergence(self, mol):
         coarse = crho_squared("spatial", RES // 2, Mollifier(resolution=RES // 2)).value
@@ -144,13 +185,13 @@ class TestQuadrature:
                 assert np.max(np.abs(mol._profile_spline(order)(grid) - full)) <= 1e-13
 
     @pytest.mark.parametrize("route, resolution, value", [
-        ("spatial", 64, 0.21385501263536402),
-        ("fourier", 64, 0.2138563166779222),
-        ("spatial", 128, 0.2138567340125781),
-        ("fourier", 128, 0.21385705927329168),
+        ("spatial", 64, 0.21385533278255586),
+        ("fourier", 64, 0.21385730057328864),
+        ("spatial", 128, 0.21385681413033134),
+        ("fourier", 128, 0.2138573044162522),
     ])
     def test_crho_pinned(self, route, resolution, value):
-        # Values of the scipy-evaluated, full-period quadrature.
+        # Values of the full-period quadrature, one integral per route.
         got = crho_squared(route, resolution).value
         assert abs(got - value) <= 1e-12 * value
 
@@ -167,12 +208,12 @@ class TestSquareKernel:
     def test_first_summand_supported_in_twice_the_scale(self, kernel):
         assert kernel.first_summand(np.asarray(2.01), 0.3) == 0.0
         x = np.asarray([0.3, 0.0])
-        assert kernel.eps_value(x, 0.125) == pytest.approx(
+        assert eps_value(kernel, x, 0.125) == pytest.approx(
             kernel.second_summand(np.asarray(0.3 / 0.125), 0.0) / 0.125**2
         )
 
     def test_envelope_constant_stable_across_scales(self, kernel):
-        consts = [kernel.bound_constant(eps) for eps in (0.5, 0.25, 0.125)]
+        consts = [bound_constant(kernel, eps) for eps in (0.5, 0.25, 0.125)]
         assert max(consts) < 10.0 * min(consts)
         assert all(np.isfinite(consts))
 
@@ -219,7 +260,7 @@ class TestGrid:
         n, eps = 256, 1 / 16
         field = geps_field(n, eps, mol)
         for point in ([0.05, 0.0], [0.0, 0.04], [0.03, 0.03]):
-            radial = kernel.eps_value(np.asarray(point), eps)
+            radial = eps_value(kernel, point, eps)
             i, j = (round(x * n) % n for x in point)
             assert field[i, j] == pytest.approx(radial, rel=0.25, abs=2.0)
 

@@ -54,7 +54,6 @@ PUBLISHED_DEFECT = "four_noise_b:b16"
 @dataclass
 class WitnessCase:
     moves: dict
-    graph: FeynmanGraph
     labelled: LabelledGraph
     report: ConditionReport
     scale_shift: int
@@ -119,7 +118,7 @@ def _try_witness(graph: FeynmanGraph, estar_set) -> tuple[bool, list[WitnessCase
         normalised, shift = dtest_normalise(rewritten)
         labelled = adjusted_labelling(normalised, estar_set)
         report = check_conditions(labelled)
-        cases.append(WitnessCase(moves, normalised, labelled, report, shift))
+        cases.append(WitnessCase(moves, labelled, report, shift))
         if not report.ok():
             return False, cases
     return bool(cases), cases

@@ -10,9 +10,7 @@ by the product rule.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import Iterable
 
 # A letter is ('u',), ('du',), ('g', k) or ('h', k); a monomial is a sorted
 # tuple of (letter, power); a Poly maps monomials to rational coefficients.
@@ -64,14 +62,6 @@ class Poly:
     @staticmethod
     def letter(letter: Letter, c=1) -> "Poly":
         return Poly({((letter, 1),): Fraction(c)})
-
-    @staticmethod
-    def word(letters: Iterable[Letter], c=1) -> "Poly":
-        counts: dict[Letter, int] = {}
-        for letter in letters:
-            counts[letter] = counts.get(letter, 0) + 1
-        mono = tuple(sorted(counts.items()))
-        return Poly({mono: Fraction(c)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -136,33 +126,3 @@ class Poly:
 
     __repr__ = __str__
 
-
-def parse_poly(text: str) -> Poly:
-    """Parse the ``str`` form of a :class:`Poly` (sums of ``*``-monomials)."""
-    total = Poly.zero()
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if not chunk or chunk == "0":
-            continue
-        coeff = Fraction(1)
-        letters: list[Letter] = []
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if re.fullmatch(r"-?\d+(/\d+)?", factor):
-                coeff *= Fraction(factor)
-                continue
-            m = re.fullmatch(r"([a-z]+)('*)(?:\^(\d+))?", factor)
-            if not m:
-                raise ValueError(f"bad coefficient factor: {factor!r}")
-            name, primes, power = m.group(1), m.group(2), m.group(3)
-            if name in ("u", "du"):
-                if primes:
-                    raise ValueError(f"{name} cannot be differentiated: {factor!r}")
-                letter: Letter = (name,)
-            elif name in ("g", "h"):
-                letter = (name, len(primes))
-            else:
-                raise ValueError(f"unknown letter {name!r}")
-            letters.extend([letter] * (int(power) if power else 1))
-        total = total + Poly.word(letters, coeff)
-    return total

@@ -307,12 +307,10 @@ def _merge_mollifiers(e1: Edge, p1: int, e2: Edge, p2: int) -> tuple[Edge, int]:
     return Edge(p2, p1, EdgeType(tag), e1.eps + e2.eps), sign
 
 
-def _parse_sigma_constraint(constraint, n: int):
+def _parse_sigma_constraint(constraint: str, n: int):
     """``all``, or ``<lhs>-<rhs>``: sigma maps the noises in ``lhs`` onto those in ``rhs``."""
     if constraint in (None, "all"):
         return lambda sigma: True
-    if not isinstance(constraint, str):
-        return constraint
     sides = constraint.split("-")
     if not (len(sides) == 2 and len(sides[0]) == len(sides[1])
             and all(side.isdecimal() and len(set(side)) == len(side) for side in sides)):
@@ -369,7 +367,7 @@ def _contract(stochastic: FeynmanGraph, copies: list[FeynmanGraph], pairs, name:
     )
 
 
-def wick_pairings(stochastic: FeynmanGraph, constraint="all") -> list[FeynmanGraph]:
+def wick_pairings(stochastic: FeynmanGraph, constraint: str = "all") -> list[FeynmanGraph]:
     """Second-moment pairings: one Feynman graph per admitted permutation.
 
     Two copies are taken, noise node i of the first is paired with node

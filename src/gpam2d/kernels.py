@@ -308,19 +308,25 @@ class Mollifier:
         out[inside] = spline(r[inside])
         return out
 
-    def mass(self, order: int, r):
-        """Mass of the order-fold self-convolution inside radius r."""
-        key = ("mass", order)
+    def _disc_mean(self, order: int, r):
+        """Mean density of the order-fold self-convolution over the disc of radius r.
+
+        Tabulated on the support, whose end clips r; at r = 0 the table holds
+        the density there, the mean's limit, so nothing is divided by r^2.
+        """
+        key = ("mean", order)
         if key not in self._splines:
             grid = np.linspace(0.0, float(order), 6 * self.resolution)
             dens = self.conv_profile(order, grid)
-            cumulative = np.concatenate(
-                [[0.0], np.cumsum(TWO_PI * 0.5 * (dens[1:] * grid[1:] + dens[:-1] * grid[:-1]) * np.diff(grid))]
-            )
-            self._splines[key] = Spline(grid, cumulative)
-        spline = self._splines[key]
+            cumulative = np.cumsum(TWO_PI * 0.5 * (dens[1:] * grid[1:] + dens[:-1] * grid[:-1]) * np.diff(grid))
+            mean = np.concatenate([dens[:1], cumulative / (math.pi * grid[1:] ** 2)])
+            self._splines[key] = Spline(grid, mean)
+        return self._splines[key](np.clip(r, 0.0, float(order)))
+
+    def mass(self, order: int, r):
+        """Mass of the order-fold self-convolution inside radius r."""
         r = np.asarray(r, dtype=float)
-        return np.where(r >= float(order), 1.0, spline(np.clip(r, 0.0, float(order))))
+        return np.where(r >= float(order), 1.0, math.pi * r * r * self._disc_mean(order, r))
 
     # -- Fourier transform ----------------------------------------------------
 
@@ -352,8 +358,10 @@ def d11_log_potential(mol: Mollifier, order: int):
 
     def b(r):
         r = np.asarray(r, dtype=float)
-        safe = np.clip(r, 1e-12, None)
-        return mol.mass(order, r) / (TWO_PI * safe * safe) - 0.5 * mol.conv_profile(order, r)
+        inside = r < float(order)
+        far = np.where(inside, float(order), r)
+        return np.where(inside, 0.5 * (mol._disc_mean(order, r) - mol.conv_profile(order, r)),
+                        1.0 / (TWO_PI * far * far))
 
     return a, b
 

@@ -187,7 +187,6 @@ class StatReport:
     variance: float
     fourth_cumulant: float
     excess_ratio: float
-    count: int
     mean_se: float
     variance_se: float
     fourth_cumulant_se: float
@@ -221,7 +220,6 @@ def estimate_stats(values) -> StatReport:
         variance=var,
         fourth_cumulant=k4,
         excess_ratio=ratio,
-        count=n,
         mean_se=float(ses[0]),
         variance_se=float(ses[1]),
         fourth_cumulant_se=float(ses[2]),

@@ -316,70 +316,3 @@ def u_expansion() -> Expansion:
     exp.add(I(mul(X2, XI)), g1 * du)
     return exp
 
-
-# ---------------------------------------------------------------------------
-# Text grammar
-
-
-# Longest words first, so that ``Xi'`` is not read as ``Xi`` and a stray ``'``.
-_WORDS = sorted([*LEAVES, "I"], key=len, reverse=True)
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()*":
-            tokens.append(ch)
-            i += 1
-            continue
-        for word in _WORDS:
-            if text.startswith(word, i):
-                tokens.append(word)
-                i += len(word)
-                break
-        else:
-            raise ValueError(f"bad symbol text at {text[i:]!r}")
-    return tokens
-
-
-def parse_symbol(text: str) -> Symbol:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError(f"symbol text ends early: {text!r}")
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_expr():
-        nonlocal pos
-        factors = [parse_atom()]
-        while pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            factors.append(parse_atom())
-        return product(factors)
-
-    def parse_atom():
-        tok = take()
-        if tok in LEAVES:
-            return LEAVES[tok]
-        if tok == "I":
-            if take() != "(":
-                raise ValueError("expected '(' after I")
-            inner = parse_expr()
-            if take() != ")":
-                raise ValueError("unbalanced parentheses")
-            return I(inner)
-        raise ValueError(f"unexpected token {tok!r}")
-
-    sym = parse_expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return sym

@@ -303,9 +303,9 @@ class TestVerbose:
     @pytest.mark.parametrize(
         "argv, tables",
         [
-            (["constants", "crho", "--resolution", "32"], "profile1, profile2, mass2, fourier"),
+            (["constants", "crho", "--resolution", "32"], "profile1, profile2, mean2, fourier"),
             (["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "16",
-              "--resolution", "32"], "profile1, profile2, mass2"),
+              "--resolution", "32"], "profile1, profile2, mean2"),
         ],
         ids=["constants-crho", "mc-xiixi"],
     )

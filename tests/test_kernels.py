@@ -74,6 +74,16 @@ class TestMollifier:
         assert abs(float(mol.mass(2, 2.0)) - 1.0) < 1e-8
         assert abs(float(mol.mass(3, 3.0)) - 1.0) < 1e-7
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the disc-mean table comes from a trapezoid cumulative mass, short by "
+        "1.2e-6, 3.4e-6 and 5.3e-6 at the support edge (RES = 96); integrating "
+        "the profile spline exactly, piece by piece, waits for a benchmark change "
+        "that re-records the gconv references"))
+    @pytest.mark.parametrize("order, bound", [(1, 1e-10), (2, 1e-8), (3, 1e-7)])
+    def test_unit_mass_just_inside_the_support_edge(self, mol, order, bound):
+        # mass(k, k) is 1.0 by definition, so the edge is read from inside.
+        assert abs(float(mol.mass(order, order * (1.0 - 1e-12))) - 1.0) < bound
+
     def test_fourier_bounded_by_value_at_zero(self, mol):
         sig = np.linspace(0, 60, 500)
         vals = mol.fourier(sig)
@@ -150,7 +160,7 @@ class TestQuadrature:
             SquareKernel(mol, resolution=resolution)
             for order in (1, 2, 3):
                 mol.mass(order, 0.5)
-            assert len(mol._splines) == 8  # profiles and masses 1-3, fourier, hankel
+            assert len(mol._splines) == 8  # profiles and disc means 1-3, fourier, hankel
         assert len(built) == 3 * 10
         grid = np.linspace(0.0, 5.0, 77)
         wavy = Spline(grid, np.sin(6.0 * grid))
@@ -185,7 +195,7 @@ class TestQuadrature:
                 assert np.max(np.abs(mol._profile_spline(order)(grid) - full)) <= 1e-13
 
     @pytest.mark.parametrize("route, resolution, value", [
-        ("spatial", 64, 0.21385533278255586),
+        ("spatial", 64, 0.21385533278427032),
         ("fourier", 64, 0.21385730057328864),
         ("spatial", 128, 0.21385681413033134),
         ("fourier", 128, 0.2138573044162522),
@@ -243,10 +253,33 @@ class TestSquareKernel:
         assert own._splines["hankel"][0] is first._h0
         assert calls == []
         # The three integrals of the build with one table per kernel.
-        pinned = {"l1_mass": 0.21640790493493736, "tail_mass": 0.11806816443094101,
-                  "total_integral": 0.21385706002162017}
+        pinned = {"l1_mass": 0.21640790493499085, "tail_mass": 0.11806816443100884,
+                  "total_integral": 0.21385706002169325}
         for key, value in pinned.items():
             assert abs(report[key] - value) <= 1e-15 * value, key
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_value_at_the_origin_is_its_limit(self, kernel, mol, theta):
+        # b vanishes at the origin and J_2, J_4 do, so the limit is
+        # h0(0) rho2(0) + (rho2(0)/2)^2.
+        rho2 = float(mol.conv_profile(2, np.asarray(0.0)))
+        limit = float(kernel._h0(np.asarray(0.0))) * rho2 + 0.25 * rho2 * rho2
+        assert float(kernel.value(np.asarray(0.0), theta)) == pytest.approx(limit, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-6, 1e-4, 1e-3])
+    def test_value_continuous_at_the_origin(self, kernel, r):
+        at_zero = float(kernel.value(np.asarray(0.0), 0.0))
+        for theta in (0.0, 0.7):
+            assert abs(float(kernel.value(np.asarray(r), theta)) / at_zero - 1.0) <= 1e-5
+
+    def test_b_vanishes_at_the_origin(self, mol):
+        for order in (1, 2, 3):
+            assert float(d11_log_potential(mol, order)[1](np.asarray(0.0))) == 0.0
+
+    def test_b_outside_the_support_is_the_point_mass_field(self, mol):
+        for order in (1, 2, 3):
+            r = np.array([order, order + 0.5, 7.0, 40.0])
+            assert np.array_equal(d11_log_potential(mol, order)[1](r), 1.0 / (2.0 * math.pi * r * r))
 
     def test_rejects_nonpositive_scales(self, kernel):
         with pytest.raises(ValueError):

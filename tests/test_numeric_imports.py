@@ -96,5 +96,5 @@ def test_fresh_interpreter_leaves_scipy_unloaded():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[0] == (
-        "[('mass', 1), ('mass', 2), ('mass', 3), ('profile', 1), ('profile', 2), "
+        "[('mean', 1), ('mean', 2), ('mean', 3), ('profile', 1), ('profile', 2), "
         "('profile', 3), 'fourier', 'hankel'] []")

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) for canonical forms, Wick contraction, power
-counting and the parse/format round trips of the exact types."""
+counting, the parse/format round trip of extended rationals, and the
+faithful printing of symbols and polynomials."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import FIXTURE_FILES, scalar_check_conditions
-from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h, parse_poly
+from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h
 from gpam2d.corpus import classification_corpus, load_file, load_graph
 from gpam2d.exts import EXT_ZERO, ExtRational, format_ext, parse_ext
 from gpam2d.feynman import (
@@ -26,7 +27,7 @@ from gpam2d.powercount import (
     check_conditions,
     distributed_labelling,
 )
-from gpam2d.symbols import PRIMED, RHS, SOL, UNPRIMED, generate, parse_symbol
+from gpam2d.symbols import PRIMED, RHS, SOL, UNPRIMED, generate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -97,7 +98,8 @@ def test_wick_coefficient_is_square_times_second_stub_signs(data):
     ref, graph = data.draw(st.sampled_from(STOCHASTIC))
     noises = graph.noise_vertices()
     sigma = tuple(data.draw(st.permutations(range(1, len(noises) + 1))))
-    (paired,) = wick_pairings(graph, lambda s: s == sigma)
+    suffix = "|" + "".join(map(str, sigma))
+    (paired,) = [g for g in wick_pairings(graph, "all") if g.name.endswith(suffix)]
     # Node i of the first copy meets node sigma(i) of the second, whose stub
     # is a copy of the stub at noises[sigma(i) - 1].
     sign = math.prod((-1) ** _stub_derivs(graph, noises[j - 1]) for j in sigma)
@@ -122,19 +124,32 @@ def test_ext_rational_format_parse_round_trip(components):
     assert parse_ext(format_ext(x)) == x
 
 
-@PROPERTY
-@given(st.lists(st.tuples(st.lists(LETTERS, max_size=4), RATIONALS), max_size=5))
-def test_poly_str_parse_round_trip(terms):
-    p = Poly.zero()
+TERMS = st.lists(st.tuples(st.lists(LETTERS, max_size=4), RATIONALS), max_size=5)
+
+
+def _poly(terms) -> Poly:
+    total = Poly.zero()
     for letters, coeff in terms:
-        p = p + Poly.word(letters, coeff)
-    assert parse_poly(str(p)) == p
+        monomial = Poly({(): 1})
+        for letter in letters:
+            monomial = monomial * Poly.letter(letter)
+        total = total + monomial.scale(coeff)
+    return total
 
 
 @PROPERTY
-@given(st.sampled_from(SYMBOLS))
-def test_symbol_str_parse_round_trip(symbol):
-    assert parse_symbol(str(symbol)) == symbol
+@given(st.data())
+def test_poly_str_is_faithful(data):
+    # The second polynomial is the first summed in another order, or a fresh
+    # draw, so both equal and unequal pairs occur.
+    terms = data.draw(TERMS)
+    other = data.draw(st.one_of(st.permutations(terms), TERMS))
+    p, q = _poly(terms), _poly(other)
+    assert (str(p) == str(q)) == (p == q)
+
+
+def test_symbol_str_is_faithful():
+    assert len(SYMBOLS) == len({str(s) for s in SYMBOLS}) == 28
 
 
 @st.composite

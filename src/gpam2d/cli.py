@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: ``symbols``, ``graphs validate|pair|classify``, ``constants
-crho|geps|gconv`` and ``mc noise|xiixi|weighted``.  Every output artifact
-embeds the fully serialised run configuration and the toolkit version, and
-re-running a configuration reproduces the bytes.  Exit codes: 0 on success,
+crho|geps|gconv`` and ``mc noise|xiixi|weighted``, each action with its own
+parser and handler.  Every output artifact embeds the run configuration (the
+options its action takes) and the toolkit version, and re-running a configuration reproduces the bytes.  Exit codes: 0 on success,
 1 on an assertion mismatch, 2 on usage errors.  ``-v`` prints the stage
 timings and cache statistics of a run to stderr, never into the artifact.
 """
@@ -164,194 +164,168 @@ def _load_corpus(args):
     return [(name, fx.graph) for name, fx in fixtures.items()]
 
 
-def cmd_graphs(args, stages: _Stages) -> int:
-    from .feynman import validate_structure, wick_pairings
+def graphs_validate(args, stages: _Stages) -> int:
+    from .feynman import validate_structure
 
-    if args.action == "validate":
-        corpus = _load_corpus(args)
-        stages.mark("load corpus")
-        lines = []
-        bad = 0
-        for ref, graph in corpus:
-            report = validate_structure(graph)
-            ok = report.ok()
-            bad += not ok
-            lines.append(f"{ref}: {'ok' if ok else 'FAIL ' + str(report.items)}")
-        stages.mark("validate")
-        _emit(args, "\n".join(lines) + f"\nchecked {len(corpus)} graphs, {bad} failures\n")
-        return 1 if bad else 0
-
-    if args.action == "pair":
-        from .corpus import load_graph
-
-        if not args.graph:
-            raise ValueError("graphs pair needs --graph")
-        graph = load_graph(args.graph) if ":" in args.graph else _dict_lookup(args)
-        stages.mark("load graph")
-        pairs = wick_pairings(graph, args.constraint)
-        stages.mark("wick pairings")
-        lines = [f"{g.name}: vertices={len(g.kinds)} edges={len(g.edges)} coeff={g.coeff}"
-                 for g in pairs]
-        _emit(args, "\n".join(lines) + f"\n{len(pairs)} pairings\n")
-        return 0
-
-    if args.action == "classify":
-        from .classify import (
-            PUBLISHED_DEFECT,
-            classify_corpus,
-            published_forms,
-            published_verdict,
-        )
-        from .feynman import canonical_form
-
-        corpus = _load_corpus(args)
-        stages.mark("load corpus")
-        forms = published_forms()
-        stages.mark("published forms")
-        results = classify_corpus(corpus, crit_forms=forms["crit"], g2_forms=forms["g2"])
-        stages.mark("classify")
-        # The published partition covers the shipped corpus only; the graphs
-        # of a fixture file are checked against their `expect` lines.
-        published = args.corpus is None
-        graphs = dict(corpus)
-        counts: dict[str, int] = {}
-        disagreements = []
-        report = []
-        for ref, res in sorted(results.items()):
-            counts[res.verdict] = counts.get(res.verdict, 0) + 1
-            graph = graphs[ref]
-            expected = graph.expect
-            if published and not expected:
-                expected = published_verdict(canonical_form(graph), forms)
-            entry = {"graph_ref": ref} | res.to_dict()
-            if expected and expected != res.verdict:
-                entry["expected"] = expected
-                disagreements.append({"graph_ref": ref, "verdict": res.verdict,
-                                      "expected": expected,
-                                      "known": ref == PUBLISHED_DEFECT})
-            report.append(entry)
-        mismatch = sum(not d["known"] for d in disagreements)
-        stages.mark("compare")
-        _emit(args, json.dumps({
-            "counts": counts,
-            "expected_from": "published partition" if published else "expect lines",
-            "agrees": not disagreements, "disagreements": disagreements,
-            "mismatches": mismatch, "verdicts": report,
-        }, indent=2) + "\n")
-        return 1 if mismatch else 0
-
-    return 2
+    corpus = _load_corpus(args)
+    stages.mark("load corpus")
+    lines = []
+    bad = 0
+    for ref, graph in corpus:
+        report = validate_structure(graph)
+        ok = report.ok()
+        bad += not ok
+        lines.append(f"{ref}: {'ok' if ok else 'FAIL ' + report.failures()}")
+    stages.mark("validate")
+    _emit(args, "\n".join(lines) + f"\nchecked {len(corpus)} graphs, {bad} failures\n")
+    return 1 if bad else 0
 
 
-def _dict_lookup(args):
-    corpus = dict(_load_corpus(args))
-    if args.graph not in corpus:
+def graphs_pair(args, stages: _Stages) -> int:
+    from .corpus import load_graph
+    from .feynman import wick_pairings
+
+    if not args.graph:
+        raise ValueError("graphs pair needs --graph")
+    if ":" in args.graph:
+        graph = load_graph(args.graph)
+    elif (graph := dict(_load_corpus(args)).get(args.graph)) is None:
         raise ValueError(f"no graph {args.graph!r} in the corpus")
-    return corpus[args.graph]
+    stages.mark("load graph")
+    pairs = wick_pairings(graph, args.constraint)
+    stages.mark("wick pairings")
+    lines = [f"{g.name}: vertices={len(g.kinds)} edges={len(g.edges)} coeff={g.coeff}"
+             for g in pairs]
+    _emit(args, "\n".join(lines) + f"\n{len(pairs)} pairings\n")
+    return 0
 
 
-def cmd_constants(args, stages: _Stages) -> int:
-    rows = [("quantity", "eps", "resolution", "value", "error_estimate", "label")]
+def graphs_classify(args, stages: _Stages) -> int:
+    from .classify import PUBLISHED_DEFECT, classify_corpus, published_forms, published_verdict
+    from .feynman import canonical_form
 
-    if args.action == "crho":
-        from .kernels import crho_squared
+    corpus = _load_corpus(args)
+    stages.mark("load corpus")
+    forms = published_forms()
+    stages.mark("published forms")
+    results = classify_corpus(corpus, crit_forms=forms["crit"], g2_forms=forms["g2"])
+    stages.mark("classify")
+    # The published partition covers the shipped corpus only; the graphs
+    # of a fixture file are checked against their `expect` lines.
+    published = args.corpus is None
+    graphs = dict(corpus)
+    counts: dict[str, int] = {}
+    disagreements = []
+    report = []
+    for ref, res in sorted(results.items()):
+        counts[res.verdict] = counts.get(res.verdict, 0) + 1
+        expected = graphs[ref].expect
+        if published and not expected:
+            expected = published_verdict(canonical_form(graphs[ref]), forms)
+        entry = {"graph_ref": ref} | res.to_dict()
+        if expected and expected != res.verdict:
+            entry["expected"] = expected
+            disagreements.append({"graph_ref": ref, "verdict": res.verdict,
+                                  "expected": expected,
+                                  "known": ref == PUBLISHED_DEFECT})
+        report.append(entry)
+    mismatch = sum(not d["known"] for d in disagreements)
+    stages.mark("compare")
+    _emit(args, json.dumps({
+        "counts": counts,
+        "expected_from": "published partition" if published else "expect lines",
+        "agrees": not disagreements, "disagreements": disagreements,
+        "mismatches": mismatch, "verdicts": report,
+    }, indent=2) + "\n")
+    return 1 if mismatch else 0
 
-        routes = ("spatial", "fourier") if args.route == "both" else (args.route,)
-        values = []
-        for route in routes:
-            res = crho_squared(route, args.resolution)
-            stages.mark(f"crho_squared {route}")
-            values.append(res.value)
-            rows.append((f"crho_squared_{route}", "", str(args.resolution),
-                         repr(res.value), repr(res.estimated_error), "noise-amplitude"))
-        _emit(args, _csv(rows))
-        if len(values) == 2 and abs(values[0] - values[1]) > 1e-3 * abs(values[0]):
-            print("error: quadrature routes disagree", file=sys.stderr)
-            return 1
-        return 0
 
-    if args.action == "geps":
-        from .kernels import SquareKernel
+_CONSTANTS_HEADER = ("quantity", "eps", "resolution", "value", "error_estimate", "label")
 
-        eps_list = _parse_eps_list(args.eps)
-        kernel = SquareKernel(resolution=args.resolution)
-        stages.mark("square kernel")
-        unresolved = []
-        for eps in eps_list:
-            total, error = kernel.integral_estimate(eps)
-            stages.mark(f"integral eps={eps!r}")
-            rows.append(("square_kernel_integral", repr(eps), str(args.resolution),
-                         repr(total), repr(error), "scale-invariance"))
-            if not error <= 1e-4 * abs(total):
-                unresolved.append(repr(eps))
-        _emit(args, _csv(rows))
-        if unresolved:
-            print(f"error: square-kernel integral unresolved at eps {', '.join(unresolved)}: "
-                  "error estimate above 1e-4 of the value", file=sys.stderr)
-            return 1
-        return 0
 
-    if args.action == "gconv":
-        from .kernels import gconv_limits_check
+def constants_crho(args, stages: _Stages) -> int:
+    from .kernels import crho_squared
 
-        for eps in _parse_eps_list(args.eps):
-            res = gconv_limits_check(eps, n=args.n, resolution=args.resolution)
-            stages.mark(f"gconv eps={eps!r}")
-            for key, val in res.items():
-                rows.append((f"gconv_{key}", repr(eps), str(args.resolution), repr(val), "",
-                             "smoothing-residual"))
-        _emit(args, _csv(rows))
-        return 0
+    routes = ("spatial", "fourier") if args.route == "both" else (args.route,)
+    rows, values = [_CONSTANTS_HEADER], []
+    for route in routes:
+        res = crho_squared(route, args.resolution)
+        stages.mark(f"crho_squared {route}")
+        values.append(res.value)
+        rows.append((f"crho_squared_{route}", "", str(args.resolution),
+                     repr(res.value), repr(res.estimated_error), "noise-amplitude"))
+    _emit(args, _csv(rows))
+    if len(values) == 2 and abs(values[0] - values[1]) > 1e-3 * abs(values[0]):
+        print("error: quadrature routes disagree", file=sys.stderr)
+        return 1
+    return 0
 
-    return 2
+
+def constants_geps(args, stages: _Stages) -> int:
+    from .kernels import SquareKernel
+
+    eps_list = _parse_eps_list(args.eps)
+    kernel = SquareKernel(resolution=args.resolution)
+    stages.mark("square kernel")
+    rows, unresolved = [_CONSTANTS_HEADER], []
+    for eps in eps_list:
+        total, error = kernel.integral_estimate(eps)
+        stages.mark(f"integral eps={eps!r}")
+        rows.append(("square_kernel_integral", repr(eps), str(args.resolution),
+                     repr(total), repr(error), "scale-invariance"))
+        if not error <= 1e-4 * abs(total):
+            unresolved.append(repr(eps))
+    _emit(args, _csv(rows))
+    if unresolved:
+        print(f"error: square-kernel integral unresolved at eps {', '.join(unresolved)}: "
+              "error estimate above 1e-4 of the value", file=sys.stderr)
+        return 1
+    return 0
+
+
+def constants_gconv(args, stages: _Stages) -> int:
+    from .kernels import gconv_limits_check
+
+    rows = [_CONSTANTS_HEADER]
+    for eps in _parse_eps_list(args.eps):
+        res = gconv_limits_check(eps, n=args.n, resolution=args.resolution)
+        stages.mark(f"gconv eps={eps!r}")
+        for key, val in res.items():
+            rows.append((f"gconv_{key}", repr(eps), str(args.resolution), repr(val), "",
+                         "smoothing-residual"))
+    _emit(args, _csv(rows))
+    return 0
 
 
 def _csv(rows) -> str:
     return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
 
 
-def cmd_mc(args, stages: _Stages) -> int:
+def mc_noise(args, stages: _Stages) -> int:
     import numpy as np
 
-    from .kernels import crho_squared
-    from .montecarlo import (
-        MIN_SAMPLES,
-        convergence_table,
-        estimate_stats,
-        require_samples,
-        sample_noise,
-        sample_seeds,
-    )
+    from .montecarlo import MIN_SAMPLES, estimate_stats, sample_noise, sample_seeds
 
-    if args.action == "noise":
-        values = []
-        for s in sample_seeds(args.seed, args.samples):
-            values.append(float(np.mean(sample_noise(args.n, s) ** 2)))
-        stages.mark("sample noise")
-        stats = estimate_stats(values) if len(values) >= MIN_SAMPLES else None
-        text = _csv(
-            [("quantity", "n", "samples", "value", "se", "seed"),
-             ("cell_variance", args.n, args.samples,
-              repr(float(np.mean(values))),
-              repr(stats.mean_se) if stats else "", args.seed)]
-        )
-        _emit(args, text)
-        return 0
+    values = [float(np.mean(sample_noise(args.n, s) ** 2))
+              for s in sample_seeds(args.seed, args.samples)]
+    stages.mark("sample noise")
+    stats = estimate_stats(values) if len(values) >= MIN_SAMPLES else None
+    _emit(args, _csv([("quantity", "n", "samples", "value", "se", "seed"),
+                      ("cell_variance", args.n, args.samples, repr(float(np.mean(values))),
+                       repr(stats.mean_se) if stats else "", args.seed)]))
+    return 0
+
+
+def _mc_table(args, stages: _Stages, columns, which: str, j: int = 1) -> int:
+    from .kernels import crho_squared
+    from .montecarlo import convergence_table, require_samples
 
     eps_list = _parse_eps_list(args.eps)
     require_samples(args.samples)  # before the c_rho^2 quadrature too
     crho = crho_squared("spatial", args.resolution).value
     stages.mark("crho_squared spatial")
-    if args.action == "xiixi":
-        which = "xiixi"
-        columns = ("eps", "n", "samples", "var_ratio", "var_se", "mean", "mean_se",
-                   "k4_ratio", "k4_se", "seed")
-    else:
-        which = args.which
-        columns = ("eps", "n", "samples", "which", "axis", "var_ratio", "mean",
-                   "mean_se", "seed")
     table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,
-                              crho_sq=crho, which=which, j=args.axis)
+                              crho_sq=crho, which=which, j=j)
     stages.mark("convergence table")
     rows = [columns] + [
         tuple(repr(row[k]) if isinstance(row[k], float) else row[k] for k in columns)
@@ -359,6 +333,16 @@ def cmd_mc(args, stages: _Stages) -> int:
     ]
     _emit(args, _csv(rows))
     return 0
+
+
+def mc_xiixi(args, stages: _Stages) -> int:
+    return _mc_table(args, stages, ("eps", "n", "samples", "var_ratio", "var_se", "mean",
+                                    "mean_se", "k4_ratio", "k4_se", "seed"), "xiixi")
+
+
+def mc_weighted(args, stages: _Stages) -> int:
+    return _mc_table(args, stages, ("eps", "n", "samples", "which", "axis", "var_ratio",
+                                    "mean", "mean_se", "seed"), args.which, j=args.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -371,56 +355,71 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# Each option's spec, written once.  An action's parser declares exactly the
+# options its handler reads, so any other option is a usage error and the
+# configuration line lists only options that shaped the run.
+_OPTIONS = {
+    "--structure": dict(choices=["unprimed", "primed"], required=True),
+    "--side": dict(choices=["RHS", "sol"], required=True),
+    "--json": dict(action="store_true"),
+    "--corpus": dict(help="fixture file (defaults to the shipped corpus)"),
+    "--graph": dict(help="file:name of a stochastic graph, or a graph of --corpus"),
+    "--constraint": dict(default="all"),
+    "--route": dict(choices=["spatial", "fourier", "both"], default="both"),
+    "--resolution": dict(type=_positive_int,
+                         help="mollifier resolution (default: kernels.RESOLUTION): of every "
+                              "quadrature and grid for constants, of the c_rho^2 quadrature "
+                              "only for mc"),
+    "--n": dict(type=_positive_int, default=512),
+    "--samples": dict(type=_positive_int, default=400),
+    "--seed": dict(type=int, default=7),
+    "--which": dict(choices=["xxiixi", "xiixxi"], default="xiixxi"),
+    "--axis": dict(type=int, choices=[1, 2], default=1),
+}
+_EPS_DEFAULT = {"constants": "1..1/4", "mc": "2^-3..2^-6"}
+_MC_TABLE = ("--eps", "--n", "--samples", "--seed", "--resolution")
+# command -> (help, {action: (handler, options)}); symbols takes no action.
+_COMMANDS = {
+    "symbols": ("print a symbol table with homogeneities",
+                {None: (cmd_symbols, ("--structure", "--side", "--json"))}),
+    "graphs": ("validate, pair or classify graph fixtures", {
+        "validate": (graphs_validate, ("--corpus",)),
+        "pair": (graphs_pair, ("--corpus", "--graph", "--constraint")),
+        "classify": (graphs_classify, ("--corpus",)),
+    }),
+    "constants": ("kernel constants and limits", {
+        "crho": (constants_crho, ("--route", "--resolution")),
+        "geps": (constants_geps, ("--eps", "--resolution")),
+        "gconv": (constants_gconv, ("--eps", "--n", "--resolution")),
+    }),
+    "mc": ("Monte-Carlo verification runs", {
+        "noise": (mc_noise, ("--n", "--samples", "--seed")),
+        "xiixi": (mc_xiixi, _MC_TABLE),
+        "weighted": (mc_weighted, _MC_TABLE + ("--which", "--axis")),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # --out is accepted before or after the subcommand; SUPPRESS keeps a
-    # subcommand's unset --out from overwriting one given before it.
+    # --out and -v are accepted before or after the command and the action;
+    # SUPPRESS keeps a later parser's unset value from overwriting one given
+    # before it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
     common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
                         help="print stage timings and cache statistics to stderr")
     parser = argparse.ArgumentParser(prog="gpam2d", parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add("symbols", help="print a symbol table with homogeneities")
-    p.add_argument("--structure", choices=["unprimed", "primed"], required=True)
-    p.add_argument("--side", choices=["RHS", "sol"], required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_symbols)
-
-    p = add("graphs", help="validate, pair or classify graph fixtures")
-    p.add_argument("action", choices=["validate", "pair", "classify"])
-    p.add_argument("--corpus", help="fixture file (defaults to the shipped corpus)")
-    p.add_argument("--graph", help="file:name of a stochastic graph (pair)")
-    p.add_argument("--constraint", default="all")
-    p.set_defaults(func=cmd_graphs)
-
-    p = add("constants", help="kernel constants and limits")
-    p.add_argument("action", choices=["crho", "geps", "gconv"])
-    p.add_argument("--route", choices=["spatial", "fourier", "both"], default="both")
-    p.add_argument("--resolution", type=_positive_int,
-                   help="mollifier resolution of every quadrature and grid "
-                        "(default: kernels.RESOLUTION)")
-    p.add_argument("--eps", default="1..1/4")
-    p.add_argument("--n", type=_positive_int, default=512)
-    p.set_defaults(func=cmd_constants)
-
-    p = add("mc", help="Monte-Carlo verification runs")
-    p.add_argument("action", choices=["noise", "xiixi", "weighted"])
-    p.add_argument("--eps", default="2^-3..2^-6")
-    p.add_argument("--n", type=_positive_int, default=512)
-    p.add_argument("--samples", type=_positive_int, default=400)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--resolution", type=_positive_int,
-                   help="mollifier resolution of the c_rho^2 quadrature only; the "
-                        "spectral tables always use kernels.RESOLUTION "
-                        "(default: kernels.RESOLUTION)")
-    p.add_argument("--which", choices=["xxiixi", "xiixxi"], default="xiixxi")
-    p.add_argument("--axis", type=int, choices=[1, 2], default=1)
-    p.set_defaults(func=cmd_mc)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, actions) in _COMMANDS.items():
+        p = commands.add_parser(command, parents=[common], help=help_text)
+        sub = None if None in actions else p.add_subparsers(dest="action", required=True)
+        specs = _OPTIONS | {"--eps": dict(default=_EPS_DEFAULT.get(command))}
+        for action, (func, options) in actions.items():
+            q = sub.add_parser(action, parents=[common]) if sub else p
+            for flag in options:
+                q.add_argument(flag, **specs[flag])
+            q.set_defaults(func=func)
     return parser
 
 

@@ -210,6 +210,11 @@ class StructureReport:
     def ok(self) -> bool:
         return all(self.items.values())
 
+    def failures(self) -> str:
+        """The failing items with their offenders, ``item 1 [2, 3]; item 6 [7]``."""
+        return "; ".join(f"item {i} {self.offenders[i]}"
+                         for i in sorted(self.items) if not self.items[i])
+
     def __str__(self):
         lines = []
         for i in sorted(self.items):
@@ -227,17 +232,14 @@ def validate_structure(graph: FeynmanGraph) -> StructureReport:
     bad1 = [i for i, e in enumerate(graph.edges) if e.etype.tag in _FORBIDDEN_IN_CORPUS]
     rep.items[1], rep.offenders[1] = not bad1, bad1
 
-    matched: dict[int, list[int]] = {v: [] for v in graph.kinds if v != root}
-    ok2 = True
+    # Every vertex but the root meets exactly one mollifier; the root meets none.
+    matched: dict[int, list[int]] = {v: [] for v in graph.kinds}
     for i in classes["E_M"]:
         e = graph.edges[i]
         for v in (e.tail, e.head):
-            if v == root:
-                ok2 = False
-            else:
-                matched[v].append(i)
-    bad2 = [v for v, es in matched.items() if len(es) != 1]
-    rep.items[2], rep.offenders[2] = ok2 and not bad2, bad2
+            matched[v].append(i)
+    bad2 = [v for v, es in matched.items() if len(es) != (v != root)]
+    rep.items[2], rep.offenders[2] = not bad2, bad2
 
     tested = graph.tested_vertices()
     bad3 = []

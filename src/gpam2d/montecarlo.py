@@ -6,10 +6,9 @@ kernels act as Fourier multipliers (the inverse Laplacian drops its zero
 mode), the mollifier enters through its continuum radial transform sampled
 at grid frequencies, and the subtracted counterterm is the Gaussian
 expectation of the stochastic part, computed in Fourier space rather than
-estimated empirically.  One field per scale, R = E[A(z) (K*A)(0)], feeds it
-at both orders, and A's covariance enters as the multiplier ``s1^2 frho^2``,
-though A's ``d1`` is zero on the Nyquist row: at N=64 the counterterm is a
-relative 3e-6 to 3e-5 off the exact expectation; only ``mean`` moves.
+estimated empirically.  It is exact on the grid at both orders: A's
+covariance enters as the multiplier ``|d1_frho|^2``, zero on the Nyquist row
+like A's ``d1``, and every term is the sum the estimator itself forms.
 
 The two estimators are orders 0 and 1 of one recentring: ``pi_xiixi``
 recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
@@ -91,27 +90,27 @@ def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.
 
 @lru_cache(maxsize=32)
 def _mean_field(spec: Spectral, j: int) -> np.ndarray:
-    """E[A(z) B_j(z)] as a grid field, from one covariance field per scale.
+    """E[A(z) B_j(z)] as a grid field, exactly.
 
-    R = E[A(z) (K*A)(0)] is the field of ``s1^2 inv_lap frho^2``; order 0 is
-    R(0) - R(z).  Order j > 0, with w the weight of order j, is
-    ``R(0) w - (w K)*r_a`` less ``x_i ((w d_i K)*r_a)`` for i = 1, 2: R(0) is
-    <K, r_a> by Parseval, and each convolution with A's covariance r_a is its
-    multiplier ``s1^2 frho^2``.  That ignores that ``d1`` is zero on the
-    Nyquist row: a relative 3e-6 to 3e-5 off the exact expectation at N=64
-    (``mean`` only).
+    A's covariance r_a is the field of its multiplier ``|d1_frho|^2`` and K
+    that of ``inv_lap``.  Order 0 is R(0) - R(z) with R = K*r_a.  Order j > 0,
+    with w the weight of order j, is ``(K r_a)*w - (w K)*r_a`` plus
+    ``x_i ((w d_i K)*r_a)`` for i = 1, 2: E[A(z)] against K*(w A) at z, at the
+    origin, and against its gradient there, which is odd.  Every convolution
+    is circular, as are the estimator's, so w keeps its jump across the torus.
     """
-    r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
+    cov = np.abs(spec.d1_frho) ** 2
     if not j:
+        r = spec.field(cov * spec.inv_lap)
         return r[spec.origin] - r
-    w, cov = _coordinate(spec.n, j), spec.s1**2 * spec.frho**2
+    w, k = _coordinate(spec.n, j), spec.field(spec.inv_lap)
 
-    def weighted_r_a(kernel):  # (w field(kernel))*r_a
-        return spec.field(spec.coeff(w * spec.field(kernel)) * cov)
+    def weighted_r_a(kernel):  # (w kernel)*r_a
+        return spec.field(spec.coeff(w * kernel) * cov)
 
-    mean = r[spec.origin] * w - weighted_r_a(spec.inv_lap)
+    mean = spec.convolve(k * spec.field(cov), np.broadcast_to(w, k.shape)) - weighted_r_a(k)
     for x, d in ((_coordinate(spec.n, 1), spec.d1), (_coordinate(spec.n, 2), spec.d2)):
-        mean -= x * weighted_r_a(d * spec.inv_lap)
+        mean += x * weighted_r_a(spec.field(d * spec.inv_lap))
     return mean
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers: the closed-form degree oracle, the scalar
-power-counting oracle, the permutation-search canonical form and the list
-of every shipped graph.
+power-counting oracle, the permutation-search canonical form, the list
+of every shipped graph and the dense Isserlis oracle of the Monte-Carlo
+estimators.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -12,6 +13,7 @@ incoming-recentred corrections, and the inner degree is
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -28,6 +30,7 @@ from gpam2d.feynman import (
     validate_structure,
     wick_pairings,
 )
+from gpam2d.kernels import RESOLUTION, _default_mollifier, torus_coords
 from gpam2d.powercount import (
     ConditionReport,
     _degrees,
@@ -294,3 +297,48 @@ def shipped_graphs() -> list[tuple[str, object]]:
         raw = fourth_cumulant_graphs(load_graph(ref), dedup=False)
         out += [(f"{ref}|k4#{i}", g) for i, g in enumerate(raw)]
     return out
+
+
+@lru_cache(maxsize=8)
+def dense_estimator_maps(n: int, eps: float, j: int):
+    """The two linear maps of the order-j estimator on every unit noise.
+
+    Returns read-only arrays ``a, b`` of shape (N^2, N, N): ``a[u]`` is the
+    mollified derivative A and ``b[u]`` the recentred B_j = K*(w A), less
+    its value at the origin and, for j > 0, less ``x_i`` times its axis-i
+    derivative there, both for the noise that is 1 in cell u and 0 elsewhere.
+    They are built on full-spectrum FFTs, the derivative multipliers taken as
+    they are and projected onto real fields by ``.real``.  The estimator is
+    ``eps * (sum_z phi A B_j - mean) / N^2``, a quadratic form in the noise.
+    """
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    s1, s2 = 2 * np.pi * m[:, None], 2 * np.pi * m[None, :]
+    ss = s1**2 + s2**2
+    ss[0, 0] = 1.0
+    frho = _default_mollifier(RESOLUTION).fourier(np.sqrt(ss) * eps)
+    frho[0, 0] = 1.0
+    inv_lap = 1.0 / ss
+    inv_lap[0, 0] = 0.0
+    x = torus_coords(n)
+    weight = {0: 1.0, 1: x[:, None], 2: x[None, :]}
+    units = np.eye(n * n).reshape(n * n, n, n)
+    a = np.fft.ifft2(1j * s1 * frho * np.fft.fft2(units)).real
+    w_hat = np.fft.fft2(weight[j] * a) / (n * n)
+    kw = np.fft.ifft2(w_hat * inv_lap).real * (n * n)
+    b = kw - kw[:, :1, :1]
+    if j:
+        for i, s in ((1, s1), (2, s2)):
+            b -= weight[i] * (1j * s * inv_lap * w_hat).sum(axis=(1, 2)).real[:, None, None]
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def isserlis_mean_field(n: int, eps: float, j: int) -> np.ndarray:
+    """E[A(z) B_j(z)] at every grid point, summed over the dense maps.
+
+    The noise cells are independent with variance N^2, so by Isserlis the
+    expectation of the product of two linear forms is N^2 times the sum of
+    their coefficient products over the cells.
+    """
+    a, b = dense_estimator_maps(n, eps, j)
+    return n * n * np.einsum("uzy,uzy->zy", a, b)

@@ -1,12 +1,15 @@
+import argparse
+import ast
+import inspect
 import json
 from functools import lru_cache
 from importlib import resources
 
 import pytest
 
-from gpam2d import kernels, montecarlo
+from gpam2d import cli, kernels, montecarlo
 from gpam2d.classify import IN_G4, PUBLISHED_DEFECT, VANISHES
-from gpam2d.cli import main
+from gpam2d.cli import build_parser, main
 from gpam2d.kernels import gconv_limits_check
 
 
@@ -185,6 +188,16 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not path.exists()
 
+    def test_validate_fail_lines_name_the_offenders(self, capsys):
+        fixture = str(resources.files("gpam2d.fixtures").joinpath("bad4_patterns.txt"))
+        code, out = run(capsys, "graphs", "validate", "--corpus", fixture)
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "pattern-parallel: FAIL item 1 [2, 3, 4, 5]; item 2 [5, 6]; item 6 [6, 7]",
+            "pattern-crossed: FAIL item 1 [2, 3, 4, 5]; item 2 [5, 6]; item 6 [6, 7]",
+            "checked 2 graphs, 2 failures",
+        ]
+
     @pytest.mark.parametrize(
         "fname,graph,count",
         [("adhoc_labels", "adhoc-a", 3), ("bad4_patterns", "pattern-parallel", 2)],
@@ -276,6 +289,106 @@ class TestUsageErrors:
         assert not path.exists()
 
 
+# The 15 (action, option) pairs that each command once accepted for all of
+# its actions, though the action never read the option; each with a value
+# that an action taking the option accepts.
+NOT_TAKEN = [
+    ("graphs", "validate", "--graph", "four_noise_a:a01"),
+    ("graphs", "validate", "--constraint", "12-34"),
+    ("graphs", "classify", "--graph", "four_noise_a:a01"),
+    ("graphs", "classify", "--constraint", "12-34"),
+    ("constants", "crho", "--eps", "1/4"),
+    ("constants", "crho", "--n", "64"),
+    ("constants", "geps", "--route", "fourier"),
+    ("constants", "geps", "--n", "64"),
+    ("constants", "gconv", "--route", "spatial"),
+    ("mc", "noise", "--eps", "1/8"),
+    ("mc", "noise", "--resolution", "16"),
+    ("mc", "noise", "--which", "xxiixi"),
+    ("mc", "noise", "--axis", "2"),
+    ("mc", "xiixi", "--which", "xxiixi"),
+    ("mc", "xiixi", "--axis", "2"),
+]
+
+
+def _action_parsers():
+    """``(command, action, parser)`` of every action; symbols has no action."""
+
+    def actions_of(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), None)
+
+    for command, parser in actions_of(build_parser()).items():
+        for action, sub in (actions_of(parser) or {None: parser}).items():
+            yield command, action, sub
+
+
+def _options(parser) -> set[str]:
+    return {a.dest for a in parser._actions} - {"help", "out", "verbose"}
+
+
+def _args_reads() -> dict[str, set[str]]:
+    """The ``args.<name>`` reads of each cli function, with those of every cli
+    function it calls, however deep."""
+    tree = ast.parse(inspect.getsource(cli))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    direct, calls = {}, {}
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        calls[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Name) and n.func.id in funcs}
+    reads = {}
+    for name in funcs:
+        seen, todo = set(), [name]
+        while todo:
+            if (f := todo.pop()) not in seen:
+                seen.add(f)
+                todo += calls[f]
+        reads[name] = set().union(*(direct[f] for f in seen))
+    return reads
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command,action,option,value", NOT_TAKEN,
+                             ids=[f"{c}-{a}-{o[2:]}" for c, a, o, _ in NOT_TAKEN])
+    def test_option_the_action_does_not_read_is_a_usage_error(self, command, action, option,
+                                                             value, tmp_path, capsys):
+        path = tmp_path / "artifact.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(path), command, action, option, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: gpam2d ")
+        assert err.splitlines()[-1] == f"gpam2d: error: unrecognized arguments: {option} {value}"
+        assert not path.exists()
+
+    def test_each_action_declares_exactly_the_options_its_handler_reads(self):
+        reads = _args_reads()
+        for command, action, parser in _action_parsers():
+            handler = parser.get_default("func").__name__
+            # --out and -v belong to every parser; the action is the dispatch key.
+            assert _options(parser) == reads[handler] - {"out", "verbose", "action"}, \
+                (command, action)
+
+    def test_thirty_action_option_pairs(self):
+        assert sum(len(_options(p)) for *_, p in _action_parsers()) == 30
+
+    @pytest.mark.parametrize("argv", [
+        ["graphs", "validate"],
+        ["constants", "crho", "--route", "fourier", "--resolution", "16"],
+        ["mc", "noise", "--n", "16", "--samples", "4"],
+    ], ids=["graphs-validate", "constants-crho", "mc-noise"])
+    def test_config_line_lists_only_the_action_options(self, argv, capsys):
+        code, out = run(capsys, *argv)
+        parser = dict(((c, a), p) for c, a, p in _action_parsers())[tuple(argv[:2])]
+        assert code == 0
+        config = json.loads(out.splitlines()[0][2:])["config"]
+        assert config.keys() - {"command", "action"} <= _options(parser)
+        assert config["command"] == argv[0] and config["action"] == argv[1]
+
+
 class TestOutPlacement:
     @pytest.mark.parametrize(
         "argv",
@@ -290,6 +403,14 @@ class TestOutPlacement:
         assert main(["--out", str(before)] + argv) == 0
         assert main(argv[:1] + ["--out", str(after)] + argv[1:]) == 0
         assert before.read_bytes() == after.read_bytes()
+
+    def test_before_after_and_between_command_and_action(self, tmp_path, capsys):
+        argv = ["mc", "noise", "--n", "16", "--samples", "4"]
+        paths = [tmp_path / f"{i}.out" for i in range(4)]
+        for i, path in zip((0, 1, 2, len(argv)), paths):
+            assert main(argv[:i] + ["-v", "--out", str(path)] + argv[i:]) == 0
+            assert "stage sample noise: " in capsys.readouterr().err
+        assert len({path.read_bytes() for path in paths}) == 1
 
 
 class TestVerbose:

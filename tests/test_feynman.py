@@ -181,6 +181,19 @@ class TestValidateStructure:
         report = validate_structure(g)
         assert not report.items[7]
 
+    def test_mollifier_at_the_root_names_the_root(self):
+        g = FeynmanGraph(
+            kinds={0: "root", 1: "int", 2: "int"},
+            edges=[
+                Edge(1, 0, EdgeType("Test")),
+                Edge(2, 1, EdgeType("K")),
+                Edge(2, 0, EdgeType("DDRho")),
+            ],
+        )
+        report = validate_structure(g)
+        assert report.offenders[2] == [0, 1]
+        assert report.failures().startswith("item 2 [0, 1]")
+
     def test_two_renormalised_edges_from_one_vertex(self):
         g = FeynmanGraph(
             kinds={0: "root", 1: "int", 2: "int", 3: "int", 4: "int"},

@@ -305,22 +305,14 @@ class TestGrid:
 
     @pytest.mark.parametrize("n", [0, -4, 16])
     def test_off_grid_zero_field_rejected(self, mol, n):
-        # The grid rule holds before the zero-field shortcut: eps*N >= 4.
+        # The grid rule holds before any field is built: eps*N >= 4.
         with pytest.raises(ValueError, match="grid too coarse"):
-            gconv_limits_check(1 / 8, f=np.zeros((max(n, 0),) * 2), n=n, mol=mol,
-                               resolution=RES)
-
-    def test_zero_field_has_zero_residuals(self, mol):
-        n = 128
-        res = gconv_limits_check(1 / 8, f=np.zeros((n, n)), n=n, mol=mol,
-                                 resolution=RES)
-        assert res == {"limit1": 0.0, "limit2": 0.0, "limit3": 0.0}
+            gconv_limits_check(1 / 8, n=n, mol=mol, resolution=RES)
 
     def test_residuals_shrink_with_scale(self, mol):
         n = 256
-        f = bump_field(n, radius=0.125)
-        r_coarse = gconv_limits_check(1 / 8, f=f, n=n, mol=mol, resolution=RES)
-        r_fine = gconv_limits_check(1 / 32, f=f, n=n, mol=mol, resolution=RES)
+        r_coarse = gconv_limits_check(1 / 8, n=n, mol=mol, resolution=RES)
+        r_fine = gconv_limits_check(1 / 32, n=n, mol=mol, resolution=RES)
         assert r_fine["limit1"] < r_coarse["limit1"]
         assert r_fine["limit2"] < r_coarse["limit2"]
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import isserlis_mean_field
 from gpam2d import montecarlo
 from gpam2d.kernels import RESOLUTION, _default_mollifier, bump_field, torus_coords
 from gpam2d.montecarlo import (
@@ -101,9 +102,10 @@ class TestEstimators:
         assert pi_weighted(s, EPS, phi, "xxiixi", 2) == pi_xiixi(s, EPS, x2 * phi)
 
     def test_order_zero_mean_field_is_the_counterterm(self):
-        # With weight 1 the mean field is R(0) - R, where R = E[A(z) (K*A)(0)].
+        # With weight 1 the mean field is R(0) - R, where R = E[A(z) (K*A)(0)]
+        # is the field of A's covariance multiplier times the inverse Laplacian.
         spec = _spectral(N, EPS)
-        r = spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2)
+        r = spec.field(np.abs(spec.d1_frho) ** 2 * spec.inv_lap)
         expected = r[spec.origin] - r
         gap = np.max(np.abs(_mean_field(spec, 0) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected))
@@ -111,17 +113,17 @@ class TestEstimators:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16])
     @pytest.mark.parametrize("j", [1, 2])
     def test_order_j_mean_field_is_the_convolution_form(self, j, eps):
-        # c1 w - (w k_g)*r_a - sum_i x_i (w d_i k_g)*r_a, with A's covariance
-        # r_a and the kernel k_g built as grid fields and c1 = <k_g, r_a>:
-        # checked at every grid point, not only where phi lives.
+        # (k_g r_a)*w - (w k_g)*r_a + sum_i x_i (w d_i k_g)*r_a, with A's
+        # covariance r_a and the kernel k_g built as grid fields: checked at
+        # every grid point, not only where phi lives.
         spec = _spectral(N, eps)
-        w = montecarlo._coordinate(N, j)
-        r_a = spec.field(spec.s1**2 * spec.frho**2)
+        w = montecarlo._coordinate(N, j) * np.ones((N, N))
+        r_a = spec.field(np.abs(spec.d1_frho) ** 2)
         k_g = spec.field(spec.inv_lap)
-        expected = float(np.sum(k_g * r_a)) * spec.mesh2 * w - spec.convolve(w * k_g, r_a)
+        expected = spec.convolve(k_g * r_a, w) - spec.convolve(w * k_g, r_a)
         for i, d in ((1, spec.d1), (2, spec.d2)):
             dk = spec.field(d * spec.inv_lap)
-            expected -= montecarlo._coordinate(N, i) * spec.convolve(w * dk, r_a)
+            expected += montecarlo._coordinate(N, i) * spec.convolve(w * dk, r_a)
         gap = np.max(np.abs(_mean_field(spec, j) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected))
 
@@ -200,20 +202,43 @@ def full_spectrum_estimate(xi, eps, phi, j):
         return np.fft.ifft2(np.fft.fft2(f) * np.fft.fft2(g)).real / f.size
 
     x = torus_coords(n)
-    weight = {0: 1.0, 1: x[:, None], 2: x[None, :]}
+    weight = {0: np.ones((n, n)), 1: x[:, None], 2: x[None, :]}
     a = field(1j * s1 * frho * coeff(xi))
     w_hat = coeff(weight[j] * a)
     kw = field(w_hat * inv_lap)
     b = kw - kw[0, 0]
-    r_a = field(s1**2 * frho**2)
+    # A's covariance: the real projection drops the Nyquist row of i s1.
+    r_a = field(np.where(2 * np.abs(m[:, None]) == n, 0.0, s1**2) * frho**2)
     k_g = field(inv_lap)
-    mean = float(np.sum(k_g * r_a)) / (n * n) * weight[j] - convolve(weight[j] * k_g, r_a)
+    mean = convolve(k_g * r_a, weight[0] * weight[j]) - convolve(weight[j] * k_g, r_a)
     if j:
         for i, s in ((1, s1), (2, s2)):
             b -= weight[i] * (1j * s * inv_lap * w_hat).sum().real
-            mean -= weight[i] * convolve(weight[j] * field(1j * s * inv_lap), r_a)
+            mean += weight[i] * convolve(weight[j] * field(1j * s * inv_lap), r_a)
     stoch = float(np.sum(phi * a * b)) / (n * n)
     return eps * (stoch - float(np.sum(phi * mean)) / (n * n))
+
+
+@pytest.mark.parametrize("n,eps", [(16, 1 / 4), (32, 1 / 8)], ids=["N16", "N32"])
+@pytest.mark.parametrize("which,j", [("xiixi", 0), ("xxiixi", 1), ("xxiixi", 2),
+                                     ("xiixxi", 1), ("xiixxi", 2)])
+def test_counterterm_is_the_dense_isserlis_expectation(n, eps, which, j):
+    # On zero noise each estimator is minus eps times its counterterm, which
+    # must be the exact expectation of its stochastic part: A and B summed
+    # cell by cell over the dense maps.  The mean field is checked at every
+    # grid point as well; the bump is off-centre, so no pairing vanishes by
+    # symmetry, and the pairing's bound scales with its summands.
+    phi = bump_field(n, radius=0.25, centre=(0.25, 0.125))
+    order = j if which == "xiixxi" else 0
+    test = montecarlo._coordinate(n, j) * phi if which == "xxiixi" else phi
+    exact = isserlis_mean_field(n, eps, order)
+    field = _mean_field(_spectral(n, eps), order)
+    assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
+    zero = np.zeros((n, n))
+    value = pi_xiixi(zero, eps, phi) if which == "xiixi" else pi_weighted(zero, eps, phi,
+                                                                          which, j)
+    expected = -eps * float(np.sum(test * exact)) / (n * n)
+    assert abs(value - expected) <= 1e-12 * eps * float(np.sum(np.abs(test * exact))) / (n * n)
 
 
 class TestHalfSpectrum:

@@ -4,8 +4,9 @@ Subcommands: ``symbols``, ``graphs validate|pair|classify``, ``constants
 crho|geps|gconv`` and ``mc noise|xiixi|weighted``, each action with its own
 parser and handler.  Every output artifact embeds the run configuration (the
 options its action takes) and the toolkit version, and re-running a configuration reproduces the bytes.  Exit codes: 0 on success,
-1 on an assertion mismatch, 2 on usage errors.  ``-v`` prints the stage
-timings and cache statistics of a run to stderr, never into the artifact.
+1 on an assertion mismatch, 2 on usage errors.  ``-v`` prints each stage's
+time and minor page faults, and the cache statistics of a run, to stderr,
+never into the artifact.
 """
 
 from __future__ import annotations
@@ -19,24 +20,36 @@ from fractions import Fraction
 
 from . import __version__
 
+try:
+    import resource
+except ImportError:  # not POSIX: stages report no page faults
+    resource = None
+
+
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
 
 class _Stages:
-    """Wall time of each stage of one command; a mark ends the current stage."""
+    """Wall time and minor page faults of each stage of one command; a mark
+    ends the current stage."""
 
     def __init__(self) -> None:
-        self.times: list[tuple[str, float]] = []
-        self._since = time.perf_counter()
+        self.times: list[tuple[str, float, int]] = []
+        self._since = time.perf_counter(), _faults()
 
     def mark(self, name: str) -> None:
-        now = time.perf_counter()
-        self.times.append((name, now - self._since))
+        now = time.perf_counter(), _faults()
+        self.times.append((name, now[0] - self._since[0], now[1] - self._since[1]))
         self._since = now
 
 
 def _report(args, stages: _Stages) -> None:
-    """The ``-v`` lines: stage timings, numeric caches, default-mollifier tables."""
-    for name, seconds in stages.times:
-        print(f"stage {name}: {seconds:.3f} s", file=sys.stderr)
+    """The ``-v`` lines: stage timings and page faults, numeric caches,
+    default-mollifier tables."""
+    for name, seconds, faults in stages.times:
+        counted = f", {faults} page faults" if resource else ""
+        print(f"stage {name}: {seconds:.3f} s{counted}", file=sys.stderr)
     caches = {"kernels": ("_legendre", "_default_mollifier"),
               "montecarlo": ("_spectral", "_mean_field")}
     kernels = sys.modules.get(f"{__package__}.kernels")
@@ -59,7 +72,7 @@ def _report(args, stages: _Stages) -> None:
 
 def _config_line(args: argparse.Namespace) -> str:
     blob = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "verbose") and v is not None}
+            if k not in ("func", "parser", "out", "verbose") and v is not None}
     return json.dumps({"tool": "gpam2d", "version": __version__, "config": blob},
                       sort_keys=True, default=str)
 
@@ -408,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
     common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
-                        help="print stage timings and cache statistics to stderr")
+                        help="print stage timings, page faults and cache statistics to stderr")
     parser = argparse.ArgumentParser(prog="gpam2d", parents=[common])
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, actions) in _COMMANDS.items():
@@ -419,13 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
             q = sub.add_parser(action, parents=[common]) if sub else p
             for flag in options:
                 q.add_argument(flag, **specs[flag])
-            q.set_defaults(func=func)
+            q.set_defaults(func=func, parser=q)
     return parser
 
 
 def main(argv=None) -> int:
     stages = _Stages()
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # The action's parser reports them: its usage line lists what it takes.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     stages.mark("parse arguments")
     if hasattr(args, "resolution"):
         # Resolved here: the symbol and graph commands skip the numeric imports.

@@ -60,13 +60,22 @@ def test_normalisation(x):
 
 @pytest.mark.parametrize("resolution", [8, 64, 128])
 def test_table_arguments_match_scipy(resolution, monkeypatch):
-    # The exact argument arrays of the Fourier table and the Hankel tables.
+    # The exact argument arrays of the Fourier table and the Hankel tables,
+    # taken in blocks of whole grid rows.
     calls = []
     monkeypatch.setattr(kernels, "_bessel",
                         lambda x, orders: calls.append((x, orders)) or _bessel(x, orders))
     SquareKernel(Mollifier(resolution=resolution), resolution=resolution)
-    assert [orders for _, orders in calls] == [(0,), (0, 2, 4)]
-    assert calls[0][0].shape == (40 * resolution, 4 * resolution)
+    tn = kernels._gauss_nodes(0.0, 1.0, 4 * resolution)[0]
+    sn = kernels._gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)[0]
+    sig_grid = np.linspace(0.0, 40.0 * math.sqrt(resolution), 40 * resolution)
+    tables = {(0,): np.outer(sig_grid, tn),
+              (0, 2, 4): np.outer(np.linspace(0.0, 2.0, 2 * resolution), sn)}
+    assert list(dict.fromkeys(orders for _, orders in calls)) == list(tables)
+    for orders, table in tables.items():
+        blocks = [x for x, o in calls if o == orders]
+        assert all(x.size <= kernels._BESSEL_BLOCK for x in blocks)
+        assert np.array_equal(np.concatenate(blocks), table)
     for x, orders in calls:
         for n, values in zip(orders, _bessel(x, orders)):
             assert np.max(np.abs(values - jv(n, x))) <= 2e-15, n
@@ -89,20 +98,27 @@ def test_orders_outside_0_to_4_refused():
         _bessel(1.0, (0, 5))
 
 
-def test_blocks_and_shape_leave_the_values():
+def test_shape_and_order_leave_the_values():
     x = np.random.default_rng(3).uniform(0.0, 60.0, (30, 40))
     whole = _bessel(x, (4, 0, 2))
     assert all(v.shape == x.shape for v in whole)
     flat = _bessel(x.ravel(), (0, 2, 4))
     np.testing.assert_array_equal(whole[0].ravel(), flat[2])
     np.testing.assert_array_equal(whole[1].ravel(), flat[0])
-    kernels._BESSEL_BLOCK, block = 7, kernels._BESSEL_BLOCK
-    try:
-        blocked = _bessel(x, (4, 0, 2))
-    finally:
-        kernels._BESSEL_BLOCK = block
-    for a, b in zip(whole, blocked):
-        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("block", [1, 7, 23, 46, 1 << 16])
+def test_bessel_sums_are_the_dense_product(block, monkeypatch):
+    # Blocks of whole rows, down to one row when a row alone is over the
+    # block; the order of each row's sum may differ from the dense product's.
+    rng = np.random.default_rng(3)
+    grid, nodes = np.linspace(0.0, 60.0, 37), rng.uniform(0.0, 1.0, 23)
+    weights = rng.uniform(-1.0, 1.0, 23)
+    dense = np.array(_bessel(np.outer(grid, nodes), (4, 0, 2))) @ weights
+    monkeypatch.setattr(kernels, "_BESSEL_BLOCK", block)
+    sums = kernels._bessel_sums(grid, nodes, weights, (4, 0, 2))
+    assert sums.shape == (3, grid.size)
+    assert np.max(np.abs(sums - dense)) <= 1e-15 * np.abs(weights).sum()
 
 
 @pytest.mark.parametrize("nu", [0, 1])

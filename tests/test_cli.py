@@ -2,6 +2,7 @@ import argparse
 import ast
 import inspect
 import json
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -360,8 +361,9 @@ class TestOptionSets:
             main(["--out", str(path), command, action, option, value])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert err.startswith("usage: gpam2d ")
-        assert err.splitlines()[-1] == f"gpam2d: error: unrecognized arguments: {option} {value}"
+        assert err.startswith(f"usage: gpam2d {command} {action} ")
+        assert err.splitlines()[-1] == (
+            f"gpam2d {command} {action}: error: unrecognized arguments: {option} {value}")
         assert not path.exists()
 
     def test_each_action_declares_exactly_the_options_its_handler_reads(self):
@@ -438,6 +440,9 @@ class TestVerbose:
         err = capsys.readouterr().err
         assert quiet.read_bytes() == loud.read_bytes()
         assert "stage crho_squared spatial: " in err
+        stages = [line for line in err.splitlines() if line.startswith("stage ")]
+        assert all(re.fullmatch(r"stage .+: \d+\.\d{3} s, \d+ page faults", line)
+                   for line in stages), stages
         assert "cache kernels._legendre: CacheInfo(" in err
         assert f"default mollifier 32 tables: {tables}" in err.splitlines()
         if argv[0] == "mc":

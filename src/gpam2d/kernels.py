@@ -19,7 +19,7 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -30,7 +30,7 @@ RESOLUTION = 128  # the one default mollifier resolution
 _ROW_BLOCK = 64  # rows per real pass of Spectral.field: the fastest of 16..256 at N = 512 and 1024
 _BESSEL_FAR = 20.0  # Miller's recurrence below, Hankel's expansion from here up
 _BESSEL_START = 50  # Miller's starting order: orders 0-4 to rounding for every x below 20
-_BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums: fastest of 2^14..2^17 on the Fourier table
+_BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums and of Mollifier.fourier's lookup
 
 
 def _steady_heap() -> bool:
@@ -60,12 +60,12 @@ _steady_heap()
 
 
 def _legendre_values(x: np.ndarray, n: int):
-    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence, for ``|x| < 1``."""
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence in x's precision, for ``|x| < 1``."""
     p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
     for k in range(1, n):  # (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)
         np.multiply(x, p1, out=t)
-        t *= (2 * k + 1) / (k + 1)
-        p0 *= k / (k + 1)
+        t *= x.dtype.type(2 * k + 1) / (k + 1)
+        p0 *= x.dtype.type(k) / (k + 1)
         t -= p0
         p0, p1, t = p1, t, p0
     return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
@@ -77,12 +77,12 @@ def _legendre(n: int):
 
     Newton's method on the recurrence over the non-negative half, from
     Tricomi's first guess ``(1 - (n - 1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2))``,
-    to steps below 1e-15 (three or four); the weights are
-    ``2/((1 - x^2) P_n'(x)^2)``.  The negative half is the mirror image, and
-    for odd n the middle node is exactly 0, where every odd P_k vanishes.
-    Against a long-double rule the nodes are within 2.2e-16 and the weights
-    within 4e-12 relative at every n tested up to 1024.  The rule is O(n^2);
-    Hale and Townsend (SIAM J. Sci. Comput. 35, 2013) give an O(n) one.
+    to steps below 1e-15 (three or four), then one in long double; the weights,
+    ``2/((1 - x^2) P_n'(x)^2)``, are corrected by that step to first order.  The
+    negative half is the mirror image, and for odd n the middle node is exactly 0.
+    Against a long-double rule the nodes are correctly rounded and the weights
+    within 5e-14 relative up to n = 3072 (5e-12 where long double is double).
+    The rule is O(n^2); Hale and Townsend (SIAM J. Sci. Comput. 35, 2013) give O(n).
     """
     if n < 1:
         raise ValueError(f"a Gauss-Legendre rule needs n >= 1 nodes, not {n}")
@@ -96,8 +96,10 @@ def _legendre(n: int):
         x -= step
         if np.abs(step).max() <= 1e-15:
             break
-    _, dp = _legendre_values(x, n)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    p, dp = _legendre_values(x.astype(np.longdouble), n)
+    step, sin2 = p / dp, (1.0 - x) * (1.0 + x)
+    w = (2.0 / (sin2 * dp * dp) * (1.0 + 2.0 * x * step / sin2)).astype(float)
+    x = (x - step).astype(float)
     pairs = x.size - n % 2  # the nodes other than a middle 0
     return np.concatenate([-x[:pairs], x[::-1]]), np.concatenate([w[:pairs], w[::-1]])
 
@@ -411,7 +413,7 @@ class Mollifier:
     # -- Fourier transform ----------------------------------------------------
 
     def fourier(self, sigma):
-        """Radial Fourier transform; equals 1 at zero frequency."""
+        """Radial Fourier transform; equals 1 at zero frequency.  Looked up in row blocks."""
         key = "fourier"
         if key not in self._splines:
             tn, tw = _gauss_nodes(0.0, 1.0, 4 * self.resolution)
@@ -420,7 +422,13 @@ class Mollifier:
             self._splines[key] = (sig_grid[-1], Spline(sig_grid, vals))
         cap, spline = self._splines[key]
         sigma = np.asarray(sigma, dtype=float)
-        return np.where(np.abs(sigma) <= cap, spline(np.clip(np.abs(sigma), 0.0, cap)), 0.0)
+        out = np.empty_like(sigma)
+        rows_in, rows_out = np.atleast_1d(sigma, out)
+        step = max(1, _BESSEL_BLOCK // max(1, rows_in[:1].size))
+        for s in range(0, len(rows_in), step):
+            a = np.abs(rows_in[s:s + step])
+            rows_out[s:s + step] = np.where(a <= cap, spline(np.clip(a, 0.0, cap)), 0.0)
+        return out
 
 
 def d11_log_potential(mol: Mollifier, order: int):
@@ -640,10 +648,10 @@ def bump_field(n: int, radius: float = 0.25, centre=(0.0, 0.0)) -> np.ndarray:
     x = torus_coords(n)
     dx = (x[:, None] - centre[0] + 0.5) % 1.0 - 0.5
     dy = (x[None, :] - centre[1] + 0.5) % 1.0 - 0.5
-    rr = np.sqrt(dx * dx + dy * dy) / radius
-    inside = rr < 1.0
-    r = rr[inside]
-    vals = np.zeros_like(rr)
+    vals = np.sqrt(dx * dx + dy * dy) / radius  # the radii, then the field
+    inside = vals < 1.0
+    r = vals[inside]
+    vals.fill(0.0)
     vals[inside] = np.exp(-1.0 / (1.0 - r * r))
     vals /= vals.sum() / (n * n)
     return vals
@@ -664,8 +672,8 @@ class Spectral:
     (1, N/2+1) broadcast; ``frho`` is 1 at the zero mode and ``inv_lap``
     drops it.  Nyquist convention: the derivative multipliers ``d1 = i s1``
     and ``d2 = i s2`` are zero on the Nyquist row and column respectively, the
-    one choice that maps real fields to real fields.  ``d1_frho`` is the
-    multiplier of the mollified axis-1 derivative.
+    one choice that maps real fields to real fields.  ``d1_frho``, built
+    when first read, is the multiplier of the mollified axis-1 derivative.
 
     Memory order: the full tables, and the output of ``coeff``, are Fortran
     ordered, so the complex pass along axis 1 reads contiguous lines, as the
@@ -692,8 +700,9 @@ class Spectral:
         self.frho[0, 0] = 1.0
         self.inv_lap = np.divide(1.0, ss, out=ss)
         self.inv_lap[0, 0] = 0.0
-        self.d1_frho = self.d1 * self.frho
         self.origin = (0, 0)  # chart origin sits at grid index (0, 0)
+
+    d1_frho = cached_property(lambda self: self.d1 * self.frho)
 
     @staticmethod
     def field(coeff: np.ndarray, rows=None) -> np.ndarray:
@@ -704,8 +713,15 @@ class Spectral:
         real pass runs on the rows asked for, in blocks, so no transposed copy
         of the whole table is made.
         """
-        n = coeff.shape[0]
-        lines = np.fft.ifft(coeff.T, axis=1, norm="forward")  # (frequency k2, row)
+        return Spectral._real_pass(np.fft.ifft(coeff.T, axis=1, norm="forward"), rows)
+
+    @staticmethod
+    def _spent_field(coeff: np.ndarray) -> np.ndarray:  # field(coeff); coeff is overwritten
+        return Spectral._real_pass(np.fft.ifft(coeff.T, axis=1, norm="forward", out=coeff.T))
+
+    @staticmethod
+    def _real_pass(lines: np.ndarray, rows=None) -> np.ndarray:
+        n = lines.shape[1]  # lines: (frequency k2, row)
         out = np.empty((n if rows is None else len(rows), n))
         for r in range(0, len(out), _ROW_BLOCK):
             block = slice(r, r + _ROW_BLOCK) if rows is None else rows[r:r + _ROW_BLOCK]
@@ -740,24 +756,21 @@ class Spectral:
         """Circular convolution of two grid fields, weighted by the cell area."""
         return Spectral.field(Spectral.coeff(f) * Spectral.coeff(g))
 
-    @staticmethod
-    def correlate(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Circular correlation ``sum_y f(x + y) g(y)``, weighted by the cell area."""
-        return Spectral.field(Spectral.coeff(f) * Spectral.coeff(g).conj())
-
 
 def geps_field(n: int, eps: float, mol: Mollifier | None = None) -> np.ndarray:
     """The epsilon-scale kernel on the N x N unit torus, by FFT.
 
     The spectral second derivative of the log kernel is the multiplier
     ``-s1^2/|s|^2`` (zero mode dropped), and the mollifier enters through its
-    continuum Fourier transform sampled at grid frequencies.  The multiplier
-    table is not kept: it would double the grid's memory.
+    continuum Fourier transform sampled at grid frequencies.  Each field is
+    taken in place from a complex table made for it; two are held at most.
     """
     spec = Spectral(n, eps, mol)
-    conv_sq = spec.field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
-    return eps * eps * (conv_sq * spec.field(spec.frho**2)
-                        + spec.field(spec.s1**2 * spec.inv_lap * spec.frho**2) ** 2)
+    d11, frho = spec.s1**2 * spec.inv_lap, spec.frho
+    out = spec._spent_field(np.square(d11 * frho, dtype=complex))
+    out *= spec._spent_field(np.square(frho, dtype=complex))
+    out += spec._spent_field(np.multiply(d11, np.square(frho), dtype=complex)) ** 2
+    return eps * eps * out
 
 
 def gconv_limits_check(eps: float, n: int = 512, mol: Mollifier | None = None,
@@ -765,31 +778,33 @@ def gconv_limits_check(eps: float, n: int = 512, mol: Mollifier | None = None,
     """Relative residuals of the three smoothing limits of the square kernel,
     on a bump f of radius 0.175 tested against one of radius 0.25.
 
+    Each field is transformed once, the correlations ``phi.phi`` and
+    ``(g*f).f`` are the fields of ``|phi^|^2`` and ``g^ |f^|^2``, and each array
+    is dropped after its last use: five grid fields are held at most.
     The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
     """
     _check_grid(n, eps)
     grid_mol = _mollifier(mol, resolution)
-    f = bump_field(n, radius=0.175)
-    phi = bump_field(n, radius=0.25)
     crho_sq = crho_squared("spatial", resolution, mol).value
+    dot = lambda a, b: float(np.vdot(a, b)) / (n * n)
     geps = geps_field(n, eps, grid_mol)
-    mesh2 = 1.0 / (n * n)
-    gf = Spectral.convolve(geps, f)
-
-    lhs1 = float(np.sum(phi * gf)) * mesh2
-    rhs1 = crho_sq * float(np.sum(phi * f)) * mesh2
-
-    corr_phi = Spectral.correlate(phi, phi)
-    lhs2 = float(np.sum(gf * gf * corr_phi)) * mesh2
-    rhs2 = crho_sq * crho_sq * float(np.sum(f * f * corr_phi)) * mesh2
-
-    corr_gf_f = Spectral.correlate(gf, f)
-    lhs3 = float(np.sum(geps * corr_gf_f * corr_phi)) * mesh2
-    rhs3 = crho_sq * crho_sq * float(np.sum(phi * phi)) * mesh2 * float(np.sum(f * f)) * mesh2
-
+    f = bump_field(n, radius=0.175)
+    gf, corr_gf_f = Spectral.coeff(geps), Spectral.coeff(f)  # coefficients until transformed
+    gf *= corr_gf_f
+    np.multiply(np.conjugate(corr_gf_f, out=corr_gf_f), gf, out=corr_gf_f)
+    gf = Spectral._spent_field(gf)
+    corr_gf_f = Spectral._spent_field(corr_gf_f)
+    corr_gf_f *= geps
+    del geps
+    phi = bump_field(n, radius=0.25)
+    lhs1, rhs1 = dot(phi, gf), crho_sq * dot(phi, f)
+    rhs3 = crho_sq * crho_sq * dot(phi, phi) * dot(f, f)
+    corr_phi = Spectral.coeff(phi)
+    del phi
+    corr_phi *= corr_phi.conj()
+    corr_phi = Spectral._spent_field(corr_phi)
+    lhs2 = dot(np.square(gf, out=gf), corr_phi)
+    lhs3 = dot(corr_gf_f, corr_phi)
+    rhs2 = crho_sq * crho_sq * dot(np.square(f, out=f), corr_phi)
     rel = lambda lhs, rhs: abs(lhs - rhs) / abs(rhs) if rhs else abs(lhs)
-    return {
-        "limit1": rel(lhs1, rhs1),
-        "limit2": rel(lhs2, rhs2),
-        "limit3": rel(lhs3, rhs3),
-    }
+    return {"limit1": rel(lhs1, rhs1), "limit2": rel(lhs2, rhs2), "limit3": rel(lhs3, rhs3)}

@@ -1,7 +1,7 @@
 """Shared test helpers: the closed-form degree oracle, the scalar
 power-counting oracle, the permutation-search canonical form, the list
-of every shipped graph and the dense Isserlis oracle of the Monte-Carlo
-estimators.
+of every shipped graph, the dense Isserlis oracle of the Monte-Carlo
+estimators and the whole-table formulas of the smoothing-limit check.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -30,7 +30,14 @@ from gpam2d.feynman import (
     validate_structure,
     wick_pairings,
 )
-from gpam2d.kernels import RESOLUTION, _default_mollifier, torus_coords
+from gpam2d.kernels import (
+    RESOLUTION,
+    Spectral,
+    _default_mollifier,
+    bump_field,
+    crho_squared,
+    torus_coords,
+)
 from gpam2d.powercount import (
     ConditionReport,
     _degrees,
@@ -342,3 +349,44 @@ def isserlis_mean_field(n: int, eps: float, j: int) -> np.ndarray:
     """
     a, b = dense_estimator_maps(n, eps, j)
     return n * n * np.einsum("uzy,uzy->zy", a, b)
+
+
+def _whole_field(coeff: np.ndarray) -> np.ndarray:
+    n = coeff.shape[0]
+    return np.fft.irfft2(coeff, s=(n, n)) * (n * n)
+
+
+def _whole_coeff(field: np.ndarray) -> np.ndarray:
+    return np.fft.rfft2(field) / field.size
+
+
+def reference_geps_field(n: int, eps: float, mol) -> np.ndarray:
+    """The epsilon-scale kernel on the grid, each multiplier table built whole
+    and each field by numpy's 2-d inverse transform."""
+    spec = Spectral(n, eps, mol)
+    conv_sq = _whole_field((spec.s1**2 * spec.inv_lap * spec.frho) ** 2)
+    return eps * eps * (conv_sq * _whole_field(spec.frho**2)
+                        + _whole_field(spec.s1**2 * spec.inv_lap * spec.frho**2) ** 2)
+
+
+def reference_gconv_limits(eps: float, n: int, mol, resolution: int) -> dict:
+    """The three smoothing-limit residuals, every field kept and every
+    correlation ``sum_y f(x + y) g(y)`` taken from both fields' coefficients."""
+    def correlate(f, g):
+        return _whole_field(_whole_coeff(f) * _whole_coeff(g).conj())
+
+    f = bump_field(n, radius=0.175)
+    phi = bump_field(n, radius=0.25)
+    crho_sq = crho_squared("spatial", resolution, mol).value
+    geps = reference_geps_field(n, eps, mol)
+    mesh2 = 1.0 / (n * n)
+    gf = _whole_field(_whole_coeff(geps) * _whole_coeff(f))
+    lhs1 = float(np.sum(phi * gf)) * mesh2
+    rhs1 = crho_sq * float(np.sum(phi * f)) * mesh2
+    corr_phi = correlate(phi, phi)
+    lhs2 = float(np.sum(gf * gf * corr_phi)) * mesh2
+    rhs2 = crho_sq * crho_sq * float(np.sum(f * f * corr_phi)) * mesh2
+    lhs3 = float(np.sum(geps * correlate(gf, f) * corr_phi)) * mesh2
+    rhs3 = crho_sq * crho_sq * float(np.sum(phi * phi)) * mesh2 * float(np.sum(f * f)) * mesh2
+    return {"limit1": abs(lhs1 - rhs1) / abs(rhs1), "limit2": abs(lhs2 - rhs2) / abs(rhs2),
+            "limit3": abs(lhs3 - rhs3) / abs(rhs3)}

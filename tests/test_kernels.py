@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import reference_gconv_limits, reference_geps_field
 from gpam2d import kernels
 
 from gpam2d.kernels import (
@@ -89,6 +91,20 @@ class TestMollifier:
         vals = mol.fourier(sig)
         assert abs(vals[0] - 1.0) < 1e-9
         assert np.max(np.abs(vals[1:])) < 1.0
+
+    def test_fourier_lookup_in_row_blocks_is_one_pass(self, mol, monkeypatch):
+        # Past the table's end (40 sqrt(RES) = 392) the transform reads 0.
+        sig = np.linspace(-5.0, 500.0, 3000).reshape(60, 50)
+        whole = [mol.fourier(s) for s in (sig, np.asfortranarray(sig), sig[7], 3.5)]
+        spec = Spectral(64, 1 / 8, mol)
+        # Blocks of two 50-point rows, of three 33-point rows, of 120 points.
+        monkeypatch.setattr(kernels, "_BESSEL_BLOCK", 120)
+        for s, expected in zip((sig, np.asfortranarray(sig), sig[7], 3.5), whole):
+            assert np.array_equal(mol.fourier(s), expected)
+            assert np.shape(mol.fourier(s)) == np.shape(s)
+        assert mol.fourier(np.asfortranarray(sig)).flags.f_contiguous
+        blocked = Spectral(64, 1 / 8, mol)
+        assert np.array_equal(blocked.frho, spec.frho) and blocked.frho.flags.f_contiguous
 
     def test_fourier_matches_direct_quadrature(self, mol):
         from scipy.integrate import quad
@@ -252,9 +268,10 @@ class TestSquareKernel:
         report = approx_unity_report(0.25, 0.125, own, 128)
         assert own._splines["hankel"][0] is first._h0
         assert calls == []
-        # The three integrals of the build with one table per kernel.
-        pinned = {"l1_mass": 0.2164079049349825, "tail_mass": 0.11806816443116465,
-                  "total_integral": 0.2138570600215831}
+        # The three integrals of the build with one table per kernel: with
+        # every Gauss rule the long-double one rounded, they read the same.
+        pinned = {"l1_mass": 0.21640790493498147, "tail_mass": 0.11806816443116487,
+                  "total_integral": 0.21385706002158306}
         for key, value in pinned.items():
             assert abs(report[key] - value) <= 1e-15 * value, key
 
@@ -316,6 +333,39 @@ class TestGrid:
         assert r_fine["limit1"] < r_coarse["limit1"]
         assert r_fine["limit2"] < r_coarse["limit2"]
 
+    @pytest.mark.parametrize("n,eps", [(64, 1 / 8), (256, 1 / 16)])
+    def test_against_the_whole_table_formulas(self, mol, n, eps):
+        field, reference = geps_field(n, eps, mol), reference_geps_field(n, eps, mol)
+        assert np.max(np.abs(field - reference)) <= 1e-15 * np.max(np.abs(reference))
+        got = gconv_limits_check(eps, n=n, mol=mol, resolution=RES)
+        expected = reference_gconv_limits(eps, n, mol, RES)
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-12 * value, key
+
+    def test_gconv_holds_at_most_six_and_a_half_grid_fields(self, mol):
+        # Measured: 5.4 fields of 8 N^2 bytes at N = 256 (5.0 at N = 1024),
+        # against 8.8 when every field and coefficient table was kept.
+        n = 256
+        gconv_limits_check(1 / 16, n=n, mol=mol, resolution=RES)  # the mollifier's tables
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            gconv_limits_check(1 / 16, n=n, mol=mol, resolution=RES)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 6.5 * 8 * n * n
+
+    def test_d1_frho_is_built_when_first_read(self, mol):
+        spec = Spectral(64, 1 / 8, mol)
+        assert "d1_frho" not in vars(spec)
+        table = spec.d1_frho
+        assert spec.d1_frho is table and table.flags.f_contiguous and table.shape == (64, 33)
+        assert np.array_equal(table, spec.d1 * spec.frho)
+
     def test_field_at_origin_is_the_coefficient_sum(self, mol):
         # The estimators read base-point values as half-spectrum coefficient
         # sums, each column but 0 and N/2 counted for its mirror too.
@@ -375,6 +425,11 @@ class TestSpectralTransforms:
             assert np.array_equal(Spectral.field(co), full)
             for rows in (support, [n // 2 - 1], np.arange(n)):
                 assert np.array_equal(Spectral.field(co, rows), full[rows])
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_spent_field_is_the_field(self, n):
+        c = Spectral.coeff(np.random.default_rng(n + 2).standard_normal((n, n)))
+        assert np.array_equal(Spectral._spent_field(c.copy(order="F")), Spectral.field(c))
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_other_sizes_agree_to_rounding(self, n):

@@ -30,7 +30,7 @@ def long_double_rule(n: int):
 
 
 @pytest.mark.skipif(not EXTENDED, reason="long double is double here: no finer reference")
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 384, 768, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 384, 768, 1024, 1536, 2048])
 def test_rule_against_long_double(n):
     x, w = _legendre(n)
     xr, wr = long_double_rule(n)

@@ -30,7 +30,8 @@ RESOLUTION = 128  # the one default mollifier resolution
 _ROW_BLOCK = 64  # rows per real pass of Spectral.field: the fastest of 16..256 at N = 512 and 1024
 _BESSEL_FAR = 20.0  # Miller's recurrence below, Hankel's expansion from here up
 _BESSEL_START = 50  # Miller's starting order: orders 0-4 to rounding for every x below 20
-_BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums and of Mollifier.fourier's lookup
+_BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums, of Mollifier.fourier's lookup and of the Abel profiles
+_ABEL_M = 1024  # nodes per unit length of the Abel profiles' grids: M against 2M within 2.0e-14
 
 
 def _steady_heap() -> bool:
@@ -337,7 +338,15 @@ class Mollifier:
     # -- radial profiles of self-convolutions --------------------------------
 
     def _profile_spline(self, order: int) -> Spline:
-        """Radial profile of the ``order``-fold self-convolution (order 1, 2, 3)."""
+        """Radial profile of the ``order``-fold self-convolution (order 1, 2, 3).
+
+        Above order 1 by Abel projection: ``P(y) = int rho(sqrt(y^2 + z^2)) dz``
+        has the self-convolution ``Q = P^{*k}``, and the profile is ``-(1/pi)
+        int_0^sqrt(k^2 - r^2) q(sqrt(r^2 + u^2)) du`` with ``q(y) = Q'(y)/y``, a
+        spline (``q(0) = Q''(0)``).  P is the trapezoid rule on y and z grids of
+        spacing ``1/_ABEL_M`` and u the midpoint rule on M nodes, both in blocks,
+        and spectral for the bump (flat at r = 1): doubling M moves them at most 2.0e-14.
+        """
         key = ("profile", order)
         if key in self._splines:
             return self._splines[key]
@@ -345,40 +354,19 @@ class Mollifier:
             grid = np.linspace(0.0, 1.0, 4 * self.resolution)
             spline = Spline(grid, self.rad(grid))
         else:
-            lower = self._profile_spline(order - 1)
-            cap = order - 1.0  # the lower support
+            h, rows = 1.0 / _ABEL_M, _BESSEL_BLOCK // (_ABEL_M + 1)
+            y = np.arange(_ABEL_M + 1) * h
+            # P on y >= 0: the trapezoid rule over the whole z line, row block by row block.
+            blocks = (self.rad(np.hypot(y[s:s + rows, None], y)) for s in range(0, y.size, rows))
+            half = np.concatenate([h * (2.0 * d.sum(axis=1) - d[:, 0]) for d in blocks])
+            slope, curve = Spectral.self_convolution_slopes(np.concatenate([half[:0:-1], half]), order, h)
+            y = np.arange(slope.size) * h
+            q = Spline(y, np.concatenate([[curve], slope[1:] / y[1:]]))
             grid = np.linspace(0.0, float(order), 3 * self.resolution)
-            tn, tw = _gauss_nodes(0.0, 1.0, 2 * self.resolution)
-            # The 512-node full-period rectangle rule (spectrally accurate for
-            # the smooth periodic angular integrand), folded onto [0, pi] by
-            # the symmetry theta -> 2 pi - theta: 257 nodes, ends halved.
-            an = np.linspace(0.0, math.pi, 257)
-            aw = np.full(an.size, TWO_PI / 256)
-            aw[[0, -1]] *= 0.5
-            weights = tw * tn * self.rad(tn)
-            cross, tsq = np.multiply.outer(-2.0 * tn, np.cos(an)), tn * tn
-            # One radius g per pass, so the temporaries stay in cache.  Beyond
-            # the lower support the integrand is lower(cap).  For fixed g and
-            # t, |g - t e^{ia}| grows with a on [0, pi], so the live points are
-            # a prefix of the angles, and a node t < g - cap has none.  Off the
-            # live rectangle [t0:] x [:a1] the sum is exactly lower(cap) times
-            # the weight outside it, a difference of products because the
-            # weights are a product.  The margin absorbs rounding.
-            margin = 1e-9
-            edge = float(lower(cap))
-            total = aw.sum() * weights.sum()
-            vals = np.empty_like(grid)
-            for i, g in enumerate(grid):
-                t0 = int(np.searchsorted(tn, g - cap - margin))
-                sq = cross[t0:] * g
-                sq += (g * g + tsq[t0:])[:, None]
-                live = np.flatnonzero((sq < cap * cap * (1.0 + margin)).any(axis=0))
-                a1 = int(live[-1]) + 1 if live.size else 0
-                dist = np.sqrt(np.maximum(sq[:, :a1], 0.0))
-                inner = lower(np.minimum(dist, cap, out=dist))
-                vals[i] = ((inner @ aw[:a1]) @ weights[t0:]
-                           + edge * (total - aw[:a1].sum() * weights[t0:].sum()))
-            spline = Spline(grid, vals)
+            top, u = np.sqrt(order * order - grid * grid), (np.arange(_ABEL_M) + 0.5) * h
+            blocks = (q(np.hypot(grid[s:s + rows, None], top[s:s + rows, None] * u))
+                      for s in range(0, grid.size, rows))
+            spline = Spline(grid, -h / math.pi * top * np.concatenate([d.sum(axis=1) for d in blocks]))
         self._splines[key] = spline
         return spline
 
@@ -750,6 +738,18 @@ class Spectral:
         cols = coeff.real.sum(axis=0)
         once = cols[0] + (cols[-1] if coeff.shape[0] % 2 == 0 else 0.0)
         return float(2.0 * cols.sum() - once)
+
+    @staticmethod
+    def self_convolution_slopes(line: np.ndarray, k: int, h: float):
+        """First derivative of ``h^(k-1) line^{*k}`` at the centre and beyond, and
+        its second at the centre: an odd line of spacing h, centred on its middle
+        sample, by one padded transform so that nothing wraps round."""
+        n = k * (line.size - 1) + 1
+        size = 1 << (n - 1).bit_length()
+        power = np.fft.rfft(line * h, size) ** k / h
+        w = TWO_PI * np.fft.rfftfreq(size, h)
+        slope, curve = np.fft.irfft(np.stack([1j * w * power, -w * w * power]), size)
+        return slope[n // 2:n], curve[n // 2]
 
     @staticmethod
     def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared test helpers: the closed-form degree oracle, the scalar
 power-counting oracle, the permutation-search canonical form, the list
 of every shipped graph, the dense Isserlis oracle of the Monte-Carlo
-estimators and the whole-table formulas of the smoothing-limit check.
+estimators, the whole-table formulas of the smoothing-limit check and the
+polar rule of the mollifier's self-convolution profiles.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -32,8 +33,11 @@ from gpam2d.feynman import (
 )
 from gpam2d.kernels import (
     RESOLUTION,
+    Mollifier,
     Spectral,
+    Spline,
     _default_mollifier,
+    _gauss_nodes,
     bump_field,
     crho_squared,
     torus_coords,
@@ -390,3 +394,29 @@ def reference_gconv_limits(eps: float, n: int, mol, resolution: int) -> dict:
     rhs3 = crho_sq * crho_sq * float(np.sum(phi * phi)) * mesh2 * float(np.sum(f * f)) * mesh2
     return {"limit1": abs(lhs1 - rhs1) / abs(rhs1), "limit2": abs(lhs2 - rhs2) / abs(rhs2),
             "limit3": abs(lhs3 - rhs3) / abs(rhs3)}
+
+
+@lru_cache(maxsize=None)
+def polar_profile_reference(resolution: int, order: int) -> np.ndarray:
+    """The order-2 or order-3 self-convolution profile of the bump at
+    ``resolution``, at the knots ``linspace(0, order, 3 resolution)``, by the
+    polar recursion ``rho_k(g) = int rho(t) rho_(k-1)(|g - t e^(ia)|) t dt da``.
+
+    The rule the profiles were built by before the Abel projection, written
+    out: 2R Gauss-Legendre nodes in t, the 512-node rectangle rule over the
+    whole period in the angle, and the lower profile a spline (the bump's
+    order-1 table, or this reference at order 2) held at its support's edge
+    beyond it.
+    """
+    mol = Mollifier(resolution=resolution)
+    lower = (mol._profile_spline(1) if order == 2 else
+             Spline(np.linspace(0.0, 2.0, 3 * resolution), polar_profile_reference(resolution, 2)))
+    tn, tw = _gauss_nodes(0.0, 1.0, 2 * resolution)
+    weights = tw * tn * mol.rad(tn)
+    cos_a = np.cos(np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    grid = np.linspace(0.0, float(order), 3 * resolution)
+    out = np.empty_like(grid)
+    for i, g in enumerate(grid):  # one radius at a time: 2R x 512 points
+        dist = np.sqrt(np.maximum(g * g + tn[:, None] ** 2 - 2.0 * g * tn[:, None] * cos_a, 0.0))
+        out[i] = 2.0 * np.pi / 512 * weights @ lower(np.clip(dist, 0.0, order - 1.0)).sum(axis=1)
+    return out

@@ -3,7 +3,7 @@
 Run as: python3 demos/02_graphs_and_pairings.py
 """
 
-from gpam2d.corpus import load_file, load_graph
+from gpam2d.corpus import load_graph
 from gpam2d.feynman import (
     canonical_form,
     edge_classes,

@@ -80,8 +80,11 @@ def _config_line(args: argparse.Namespace) -> str:
 def _emit(args, text: str) -> None:
     payload = f"# {_config_line(args)}\n{text}"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 
@@ -151,30 +154,27 @@ def _load_corpus(args):
     try:
         with open(args.corpus) as fh:
             text = fh.read()
-    except FileNotFoundError:
-        raise ValueError(f"no fixture file {args.corpus!r}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read fixture file {args.corpus!r}: {exc.strerror}") from None
     if any(fields[0] == "list" for _, _, fields in directives(text)):
         raise ValueError(f"{args.corpus!r} is a class manifest (a 'list' file), "
                          "not a graph fixture file")
-    fixtures = parse_fixtures(text)
+    graphs = parse_fixtures(text)
     if args.action == "classify":
         from .classify import CRITICAL, IN_G2, IN_G3, IN_G4, UNCLASSIFIED, VANISHES
         from .powercount import edge_classes
 
-        if labelled := [n for n, fx in fixtures.items() if fx.labels]:
-            raise ValueError(f"graph {labelled[0]!r} has label lines, but graphs classify "
-                             "labels every graph from its edge types")
         verdicts = (VANISHES, IN_G2, IN_G3, IN_G4, CRITICAL, UNCLASSIFIED)
-        for name, fx in fixtures.items():
-            if fx.graph.expect not in (None, *verdicts):
-                raise ValueError(f"graph {name!r} expects {fx.graph.expect!r}, which is not "
+        for name, graph in graphs.items():
+            if graph.expect not in (None, *verdicts):
+                raise ValueError(f"graph {name!r} expects {graph.expect!r}, which is not "
                                  f"a verdict ({', '.join(verdicts)})")
-            budget, mollifiers = fx.graph.eps_total(), len(edge_classes(fx.graph)["E_M"])
+            budget, mollifiers = graph.eps_total(), len(edge_classes(graph)["E_M"])
             if budget != mollifiers:
                 raise ValueError(f"graph {name!r} spends epsilon^{budget} against {mollifiers} "
                                  "mollifiers, but graphs classify takes second-moment "
                                  "(Wick-paired) graphs, whose budget matches their mollifiers")
-    return [(name, fx.graph) for name, fx in fixtures.items()]
+    return list(graphs.items())
 
 
 def graphs_validate(args, stages: _Stages) -> int:
@@ -201,6 +201,9 @@ def graphs_pair(args, stages: _Stages) -> int:
     if not args.graph:
         raise ValueError("graphs pair needs --graph")
     if ":" in args.graph:
+        if args.corpus is not None:
+            raise ValueError(f"--graph {args.graph!r} names a shipped fixture file, so "
+                             "graphs pair does not read --corpus")
         graph = load_graph(args.graph)
     elif (graph := dict(_load_corpus(args)).get(args.graph)) is None:
         raise ValueError(f"no graph {args.graph!r} in the corpus")

@@ -9,14 +9,14 @@ Grammar (one directive per line, ``#`` starts a comment)::
     prefactor <rational>
     v <vertex-name> root|int|noise
     e <tail> <head> <TAG>[:j[,k]] [eps=<rational>]
-    label <edge-index> a=<extrational> r=<int>
 
 Vertex names are file-local; they are mapped to integer ids in declaration
 order, and noise numbering is declaration order as well.  Every directive
-belongs to the ``graph`` line above it, and a label names an edge declared
-above it.  ``ref`` lines are free text the reader skips.  Any other line
-with more fields than its directive takes, or with a ``key=`` field that
-is not its directive's or comes twice, is rejected.
+belongs to the ``graph`` line above it.  ``ref`` lines are free text the
+reader skips.  Any other directive is unknown (edge labels are derived from
+the edge types, never read), and any line with more fields than its
+directive takes, or with a ``key=`` field that is not its directive's, is
+rejected.
 
 Class membership files are manifests over graph fixtures::
 
@@ -27,22 +27,14 @@ Class membership files are manifests over graph fixtures::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .exts import ExtRational, parse_ext
 from .feynman import INT, NOISE, ROOT, Edge, FeynmanGraph, parse_edge_type, wick_pairings
 
 # Fewest and most fields after the directive; ``ref`` is free text.
 _ARITY = {"graph": (1, 1), "ref": (0, None), "expect": (1, 1), "coeff": (1, 1),
-          "prefactor": (1, 1), "v": (2, 2), "e": (3, 4), "label": (1, 3)}
-
-
-@dataclass
-class Fixture:
-    graph: FeynmanGraph
-    labels: dict[int, tuple[ExtRational, int]] = field(default_factory=dict)
+          "prefactor": (1, 1), "v": (2, 2), "e": (3, 4)}
 
 
 def _read_text(name: str) -> str:
@@ -69,20 +61,7 @@ def _value(line, parse, text: str):
         raise _bad(line, f"bad field {text!r} ({exc})") from None
 
 
-def _keyed(line, fields, keys) -> dict[str, str]:
-    """The ``key=value`` fields of a line: each key one of ``keys``, given once."""
-    out = {}
-    for text in fields:
-        key, eq, value = text.partition("=")
-        if not eq or key not in keys:
-            raise _bad(line, f"unknown field {text!r}")
-        if key in out:
-            raise _bad(line, f"repeated field {key}=")
-        out[key] = value
-    return out
-
-
-def parse_fixtures(text: str) -> dict[str, Fixture]:
+def parse_fixtures(text: str) -> dict[str, FeynmanGraph]:
     """Every graph of a fixture file, by name.
 
     Each line's directive and field count are checked first, in file order;
@@ -110,12 +89,11 @@ def parse_fixtures(text: str) -> dict[str, Fixture]:
     return {name: _fixture(name, block) for name, block in blocks.items()}
 
 
-def _fixture(name: str, block: list) -> Fixture:
+def _fixture(name: str, block: list) -> FeynmanGraph:
     """One graph from its ``graph`` line and the lines below it; ``ref`` is skipped."""
     vmap: dict[str, int] = {}
     kinds: dict[int, str] = {}
     edges: list[Edge] = []
-    labels: dict[int, tuple[ExtRational, int]] = {}
     meta: dict = {}
     for line in block[1:]:
         _, _, (head, *fields) = line
@@ -135,32 +113,26 @@ def _fixture(name: str, block: list) -> Fixture:
             for vname in fields[:2]:
                 if vname not in vmap:
                     raise _bad(line, f"undeclared vertex {vname!r}")
-            eps = _value(line, Fraction, _keyed(line, fields[3:], ("eps",)).get("eps", "0"))
+            key, eq, eps = (fields[3] if len(fields) > 3 else "eps=0").partition("=")
+            if key != "eps" or not eq:
+                raise _bad(line, f"unknown field {fields[3]!r}")
+            eps = _value(line, Fraction, eps)
             edges.append(Edge(vmap[fields[0]], vmap[fields[1]],
                               _value(line, parse_edge_type, fields[2]), eps))
-        elif head == "label":
-            idx = _value(line, int, fields[0])
-            if not 0 <= idx < len(edges):
-                raise _bad(line, f"no edge {idx}")
-            keyed = _keyed(line, fields[1:], ("a", "r"))
-            if len(keyed) < 2:
-                raise _bad(line, "label needs both a= and r=")
-            labels[idx] = (_value(line, parse_ext, keyed["a"]), _value(line, int, keyed["r"]))
     try:
-        graph = FeynmanGraph(kinds=kinds, edges=edges, name=name, **meta)
+        return FeynmanGraph(kinds=kinds, edges=edges, name=name, **meta)
     except ValueError as exc:  # a whole-graph rule: name the graph line
         raise _bad(block[0], str(exc)) from None
-    return Fixture(graph=graph, labels=labels)
 
 
-def load_file(name: str) -> dict[str, Fixture]:
+def load_file(name: str) -> dict[str, FeynmanGraph]:
     return parse_fixtures(_read_text(name))
 
 
 def load_graph(spec: str, files: dict | None = None) -> FeynmanGraph:
     """Load ``file:graph`` from the shipped fixtures.
 
-    ``files`` (file name -> its fixtures) holds the files already parsed;
+    ``files`` (file name -> its graphs) holds the files already parsed;
     a file parsed here is added to it.
     """
     fname, colon, gname = spec.partition(":")
@@ -172,10 +144,10 @@ def load_graph(spec: str, files: dict | None = None) -> FeynmanGraph:
             files[fname] = load_file(fname)
         except FileNotFoundError:
             raise ValueError(f"no fixture file {fname!r}") from None
-    fixtures = files[fname]
-    if gname not in fixtures:
+    graphs = files[fname]
+    if gname not in graphs:
         raise ValueError(f"no graph {gname!r} in {fname}")
-    return fixtures[gname].graph
+    return graphs[gname]
 
 
 def load_manifest(name: str) -> list[FeynmanGraph]:
@@ -200,8 +172,7 @@ CORPUS_FILES = ("four_noise_a", "four_noise_b")
 def classification_corpus() -> list[tuple[str, FeynmanGraph]]:
     out = []
     for fname in CORPUS_FILES:
-        for gname, fixture in load_file(fname).items():
-            graph = fixture.graph
+        for gname, graph in load_file(fname).items():
             if graph.noise_vertices():
                 for paired in wick_pairings(graph, "all"):
                     out.append((f"{fname}:{paired.name}", paired))

@@ -106,7 +106,7 @@ SQRT_KB = ExtRational.of(0, 1)
 KB = ExtRational.of(0, 0, 1)
 KB2 = ExtRational.of(0, 0, 0, 1)
 
-_UNIT_NAMES = (None, "sk", "k", "k2")
+_UNIT_NAMES = ("sk", "k", "k2")
 
 
 def as_ext(x) -> ExtRational:
@@ -118,40 +118,9 @@ def as_ext(x) -> ExtRational:
 def format_ext(x: ExtRational) -> str:
     """Render as ``q0[+qh*sk][+q1*k][+q2*k2]``, e.g. ``3-1*k``."""
     parts = [str(x.q0)]
-    for coeff, unit in zip(x[1:], _UNIT_NAMES[1:]):
+    for coeff, unit in zip(x[1:], _UNIT_NAMES):
         if coeff:
             sign = "-" if coeff < 0 else "+"
             parts.append(f"{sign}{abs(coeff)}*{unit}")
     return "".join(parts)
 
-
-def parse_ext(text: str) -> ExtRational:
-    """Parse the output of :func:`format_ext` (whitespace tolerated)."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty ExtRational literal")
-    # Split into signed terms.
-    terms: list[str] = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-/*":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    coeffs = {None: Fraction(0), "sk": Fraction(0), "k": Fraction(0), "k2": Fraction(0)}
-    for term in terms:
-        if not term:
-            continue
-        unit = None
-        body = term
-        for u in ("k2", "sk", "k"):
-            if term.endswith("*" + u):
-                unit, body = u, term[: -len(u) - 1]
-                break
-            if term == u or term in ("+" + u, "-" + u):
-                unit, body = u, term[:-len(u)] + "1"
-                break
-        coeffs[unit] += Fraction(body)
-    return ExtRational(coeffs[None], coeffs["sk"], coeffs["k"], coeffs["k2"])

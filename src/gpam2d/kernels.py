@@ -324,7 +324,7 @@ class Mollifier:
         raw = profile if profile is not None else (
             lambda r: np.exp(-1.0 / np.clip(1.0 - r * r, 1e-300, None))
         )
-        nodes, weights = _gauss_nodes(0.0, 1.0, 4 * resolution)
+        nodes, weights = _gauss_nodes(0.0, 1.0, 4 * RESOLUTION)  # one rule at every resolution
         total = TWO_PI * float(np.sum(raw(nodes) * nodes * weights))
         self._raw = raw
         self._norm = 1.0 / total

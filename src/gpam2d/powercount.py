@@ -104,13 +104,6 @@ def distributed_labelling(graph: FeynmanGraph, spends: dict[int, ExtRational]) -
     return LabelledGraph(graph, labels, leftover)
 
 
-def labelled_from_fixture(graph: FeynmanGraph, overrides) -> LabelledGraph:
-    """Attach explicit ``(a, r)`` labels from a fixture's label lines."""
-    labels = [EdgeLabel(*overrides[i]) if i in overrides else base_label(e.etype)
-              for i, e in enumerate(graph.edges)]
-    return LabelledGraph(graph, labels)
-
-
 # ---------------------------------------------------------------------------
 # Degrees
 

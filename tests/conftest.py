@@ -300,10 +300,10 @@ def shipped_graphs() -> list[tuple[str, object]]:
     for name in MANIFESTS:
         out += [(f"{name}#{i}", g) for i, g in enumerate(load_manifest(name))]
     for fname in FIXTURE_FILES:
-        for gname, fx in load_file(fname).items():
-            out.append((f"{fname}:{gname}", fx.graph))
-            if fx.graph.noise_vertices():
-                out += [(f"{fname}:{g.name}", g) for g in wick_pairings(fx.graph)]
+        for gname, graph in load_file(fname).items():
+            out.append((f"{fname}:{gname}", graph))
+            if graph.noise_vertices():
+                out += [(f"{fname}:{g.name}", g) for g in wick_pairings(graph)]
     for ref in K4_SOURCES:
         raw = fourth_cumulant_graphs(load_graph(ref), dedup=False)
         out += [(f"{ref}|k4#{i}", g) for i, g in enumerate(raw)]

@@ -118,8 +118,8 @@ def test_criterion_2_wick_counts():
     cycles = fourth_cumulant_graphs(chain)
     assert len(cycles) == 4
     shipped = {
-        canonical_form(fx.graph)
-        for name, fx in load_file("kurtosis_cycles").items()
+        canonical_form(graph)
+        for name, graph in load_file("kurtosis_cycles").items()
         if name != "cycle-ibp"
     }
     assert {canonical_form(g) for g in cycles} == shipped

@@ -115,6 +115,7 @@ class TestUsageErrors:
             ["graphs", "pair", "--graph", "nofile:x"],
             ["graphs", "pair", "--graph", "four_noise_a:a01:x"],
             ["graphs", "pair", "--graph", "four_noise_a::a01"],
+            ["graphs", "pair", "--graph", "four_noise_a:a01", "--corpus", "nosuch.txt"],
             ["constants", "geps", "--eps", "0"],
             ["constants", "geps", "--eps", "1/4..1"],
             ["mc", "noise", "--n", "100"],
@@ -144,6 +145,7 @@ class TestUsageErrors:
         ],
         ids=["pair-without-graph", "unknown-corpus-graph", "unknown-fixture-graph",
              "unknown-fixture-file", "graph-spec-two-colons", "graph-spec-double-colon",
+             "graph-spec-with-corpus",
              "zero-scale", "ascending-range", "grid-not-power-of-2",
              "constraint-sides-unequal", "constraint-repeated-digit", "constraint-two-dashes",
              "range-end-off-grid", "range-overshoots-end", "xiixi-samples-below-16",
@@ -199,24 +201,41 @@ class TestUsageErrors:
             "checked 2 graphs, 2 failures",
         ]
 
-    @pytest.mark.parametrize(
-        "fname,graph,count",
-        [("adhoc_labels", "adhoc-a", 3), ("bad4_patterns", "pattern-parallel", 2)],
-    )
-    def test_classify_refuses_label_lines(self, fname, graph, count, tmp_path, capsys):
-        # classify labels every graph from its edge types: a fixture's own
-        # labels would be dropped, so it names the first labelled graph and
-        # stops; validate reads the same file as before.
-        fixture = str(resources.files("gpam2d.fixtures").joinpath(f"{fname}.txt"))
-        path = tmp_path / "artifact.json"
-        code = main(["--out", str(path), "graphs", "classify", "--corpus", fixture])
+    @pytest.mark.parametrize("argv", [["validate"], ["classify"], ["pair", "--graph", "g"]],
+                             ids=["validate", "classify", "pair"])
+    def test_label_line_is_an_unknown_directive(self, argv, tmp_path, capsys):
+        # Every graph is labelled from its edge types: no action reads labels.
+        fixture = tmp_path / "labelled.txt"
+        fixture.write_text("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 r=0\n")
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path), "graphs", *argv, "--corpus", str(fixture)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == (f"error: graph {graph!r} has label lines, but graphs classify "
-                       "labels every graph from its edge types\n")
+        assert err == "error: fixture line 5: unknown directive: 'label 0 a=0 r=0'\n"
         assert not path.exists()
-        code, out = run(capsys, "graphs", "validate", "--corpus", fixture)
-        assert code == 1 and f"checked {count} graphs, {count} failures" in out
+
+    @pytest.mark.parametrize("argv", [["validate"], ["classify"], ["pair", "--graph", "g"]],
+                             ids=["validate", "classify", "pair"])
+    def test_corpus_that_is_a_directory(self, argv, tmp_path, capsys):
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path), "graphs", *argv, "--corpus", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read fixture file {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("out", ["missing/artifact.txt", "."],
+                             ids=["parent-missing", "a-directory"])
+    def test_unwritable_out(self, out, tmp_path, capsys):
+        # The run completes; its artifact cannot be written.
+        path = tmp_path / out
+        code = main(["--out", str(path), "symbols", "--structure", "unprimed", "--side", "sol"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {str(path)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "fname,graph,budget,mollifiers",

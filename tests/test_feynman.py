@@ -48,8 +48,8 @@ class TestFixtures:
     def test_noise_counts(self):
         a = load_file("four_noise_a")
         by_noise = {}
-        for name, fx in a.items():
-            by_noise.setdefault(len(fx.graph.noise_vertices()), []).append(name)
+        for name, graph in a.items():
+            by_noise.setdefault(len(graph.noise_vertices()), []).append(name)
         assert sorted(by_noise) == [0, 2, 4]
         assert len(by_noise[0]) == 6 and len(by_noise[2]) == 7 and len(by_noise[4]) == 1
 
@@ -58,19 +58,14 @@ class TestFixtures:
         [
             ("graph g\nv o root\nv o int\n", "line 3: duplicate vertex"),
             ("graph g\nv o root\ne x o Test\n", "line 3: undeclared vertex"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 r=0\n", "line 5: label needs"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0\n", "line 5: label needs"),
             ("graph g\nv o root\n\ngraph g\nv o root\n", "line 4: duplicate graph"),
             ("graph\n", "line 1: graph needs 1 field"),
             ("graph g\nv o root\nv x blob\n", "line 3: unknown vertex kind 'blob'"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 7 a=0 r=0\n", "line 5: no edge 7"),
             ("v o root\ngraph g\n", "line 1: directive before the first graph line"),
             ("graph g\ncoeff 1/0\n", "line 2: zero denominator in '1/0'"),
             ("graph g\nprefactor 1/0\n", "line 2: zero denominator in '1/0'"),
             ("graph g\nv o root\nv x int\ne x o Test eps=2/0\n",
              "line 4: zero denominator in '2/0'"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=1/0 r=0\n",
-             "line 5: zero denominator in '1/0'"),
             ("graph g\nv o root\nv x int\ne x o Test:x\n", "line 4: bad field 'Test:x'"),
             ("graph h\nv o root\n\ngraph g\nv x int\n", "line 4: g: need exactly one root"),
             ("graph g\nv o root\nv p root\n", "line 1: g: need exactly one root"),
@@ -88,24 +83,17 @@ class TestFixtures:
             ("graph g\nv o root\nv b int stray\n", "line 3: v takes at most 2 field"),
             ("graph g h\n", "line 1: graph takes at most 1 field"),
             ("graph g\ncoeff 1 2\n", "line 2: coeff takes at most 1 field"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 a=1\n",
-             "line 5: repeated field a="),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 r=0 r=1\n",
-             "line 5: repeated field r="),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 r=0 r=1\n",
-             "line 5: label takes at most 3 field"),
-            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 eps=1\n",
-             "line 5: unknown field 'eps=1'"),
+            ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 r=0\n",
+             "line 5: unknown directive"),
         ],
-        ids=["duplicate-vertex", "undeclared-vertex", "label-without-a", "label-without-r",
-             "duplicate-graph", "graph-without-name", "unknown-vertex-kind",
-             "label-out-of-range", "vertex-before-graph", "zero-coeff-denominator",
-             "zero-prefactor-denominator", "zero-eps-denominator", "zero-label-denominator",
+        ids=["duplicate-vertex", "undeclared-vertex", "duplicate-graph", "graph-without-name",
+             "unknown-vertex-kind", "vertex-before-graph", "zero-coeff-denominator",
+             "zero-prefactor-denominator", "zero-eps-denominator",
              "bad-axis-index", "no-root", "two-roots", "test-edge-off-root",
              "undeclared-vertex-in-second-graph", "two-roots-in-first-of-two",
              "line-checks-before-graph-checks", "stray-edge-field", "edge-field-without-value",
              "repeated-eps", "stray-vertex-field", "stray-graph-field", "stray-coeff-field",
-             "repeated-a", "repeated-r", "label-field-count", "stray-label-field"],
+             "label-is-unknown"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -115,7 +103,7 @@ class TestFixtures:
         # ref is free text, so its fields are never read as a directive.
         text = ("graph g  # the header\nv o root\nref see e x o K, v z blob\n"
                 "# v z blob\nexpect InG2\nv x int\n\ne x o Test  # the test edge\n")
-        graph = parse_fixtures(text)["g"].graph
+        graph = parse_fixtures(text)["g"]
         assert graph.expect == "InG2"
         assert graph.kinds == {0: "root", 1: "int"} and len(graph.edges) == 1
 
@@ -339,8 +327,8 @@ class TestFourthCumulant:
         distinct = fourth_cumulant_graphs(chain2)
         assert len(distinct) == 4
         cycles = [
-            fx.graph
-            for name, fx in load_file("kurtosis_cycles").items()
+            graph
+            for name, graph in load_file("kurtosis_cycles").items()
             if name != "cycle-ibp"
         ]
         got = {canonical_form(g) for g in distinct}

@@ -74,6 +74,10 @@ class TestMollifier:
         assert vals[grid >= 1.0].max() == 0.0
         assert abs(float(mol.mass(1, 1.0)) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("resolution", [1, 2, 4, 8, 16])
+    def test_one_normalisation_at_every_resolution(self, resolution):
+        assert Mollifier(resolution=resolution)._norm == Mollifier(resolution=128)._norm
+
     def test_self_convolutions_keep_unit_mass(self, mol):
         assert abs(float(mol.mass(2, 2.0)) - 1.0) < 1e-8
         assert abs(float(mol.mass(3, 3.0)) - 1.0) < 1e-7
@@ -225,8 +229,8 @@ class TestQuadrature:
     @pytest.mark.parametrize("resolution", [1, 2, 4, 8])
     def test_small_resolutions_are_no_worse(self, resolution):
         # At its knots each table lies no farther from the resolution-128 one
-        # than the polar rule's table does: the Abel profiles keep their grid,
-        # only the normalisation follows the resolution.
+        # than the polar rule's table does: the Abel profiles keep their grid
+        # and their normalisation at every resolution.
         for order in (2, 3):
             knots = np.linspace(0.0, float(order), 3 * resolution)
             fine = Mollifier(resolution=128)._profile_spline(order)(knots)

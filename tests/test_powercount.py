@@ -1,18 +1,18 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_FILES, scalar_check_conditions
+from conftest import scalar_check_conditions
 from gpam2d import classify as classify_module, powercount
-from gpam2d.corpus import classification_corpus, load_file, load_graph, parse_fixtures
-from gpam2d.exts import EXT_ZERO, KB, SQRT_KB, ExtRational, parse_ext
+from gpam2d.corpus import classification_corpus, load_file, load_graph
+from gpam2d.exts import EXT_ZERO, KB, SQRT_KB, ExtRational
 from gpam2d.feynman import EdgeType, edge_classes, validate_structure
 from gpam2d.powercount import (
     EdgeLabel,
+    LabelledGraph,
     adjusted_labelling,
     base_label,
     canonical_labelling,
@@ -24,13 +24,38 @@ from gpam2d.powercount import (
     dtest_normalise,
     find_critical_subgraphs,
     ibp_maps,
-    labelled_from_fixture,
     lambda_exponent,
     partial_ibp,
     spent_label,
 )
 
 E = ExtRational.of
+
+# Hand-derived labellings, {edge: (a, r)}: a is ``ExtRational.of(q0, qh, q1)``
+# in kb, and every other edge keeps its base label.
+ADHOC_LABELS = {
+    "adhoc_labels:adhoc-a": {0: (E(0, 0, 4), 0), 3: (E(2), -1), 4: (E(0, 0, 1), 1),
+                             5: (E(1, 0, 1), 0), 6: (E(0, 0, 1), 1), 7: (E(1, 0, 1), 0),
+                             8: (E(4, 0, -3), -2)},
+    "adhoc_labels:adhoc-b": {0: (E(0, 0, 4), 0), 3: (E(2), -1), 4: (E(1, 0, 1), 0),
+                             5: (E(1, 0, 1), 0), 6: (E(1, 0, 1), 0), 7: (E(1, 0, 1), 0),
+                             8: (E(2, 0, -3), 0)},
+    "adhoc_labels:adhoc-c": {0: (E(0, 0, 4), 0), 3: (E(2), -1), 4: (E(0, 0, 1), 1),
+                             5: (E(1, 0, 1), 0), 6: (E(1, 0, 1), 0), 7: (E(1, 0, 1), 0),
+                             8: (E(3, 0, -3), -1)},
+}
+BAD4_LABELS = {
+    f"bad4_patterns:{name}": {4: (E(1, 0, -1), 0), 5: (E(1, 0, -1), 0), 6: (E(1), 0),
+                              7: (E(1), 0)}
+    for name in ("pattern-parallel", "pattern-crossed")
+}
+
+
+def hand_labelled(spec, overrides):
+    """The shipped graph ``spec`` with the ``(a, r)`` labels of ``overrides``."""
+    graph = load_graph(spec)
+    return LabelledGraph(graph, [EdgeLabel(*overrides[i]) if i in overrides
+                                 else base_label(e.etype) for i, e in enumerate(graph.edges)])
 
 
 def _edge_index(graph, tag, tail=None, head=None):
@@ -75,6 +100,11 @@ class TestLabels:
         for tag, r in orders.items():
             et = EdgeType(tag, j=1) if tag in ("dK1",) else EdgeType(tag)
             assert base_label(et).r == r, tag
+
+    def test_label_text(self):
+        # a prints as ``q0[+qh*sk][+q1*k][+q2*k2]``, as in the classify report.
+        assert str(EdgeLabel(E(4, 0, -3), -2)) == "(4-3*k,-2)"
+        assert str(E(0, Fraction(1, 2), 0, -1)) == "0+1/2*sk-1*k2"
 
     def test_label_is_the_pair(self):
         assert [f.name for f in dataclasses.fields(EdgeLabel)] == ["a", "r"]
@@ -183,9 +213,9 @@ class TestSquareKernelGraphs:
     def test_fixtures_load_and_classify_edges(self):
         fixtures = load_file("geps_graphs")
         assert len(fixtures) == 4
-        for name, fx in fixtures.items():
-            classes = edge_classes(fx.graph)
-            geps_edges = [i for i, e in enumerate(fx.graph.edges)
+        for name, graph in fixtures.items():
+            classes = edge_classes(graph)
+            geps_edges = [i for i, e in enumerate(graph.edges)
                           if e.etype.tag == "Geps"]
             assert len(geps_edges) == 1, name
             # The square kernel is neither a mollifier nor a plain kernel.
@@ -360,30 +390,27 @@ class TestConditions:
         # The three hand-assigned labellings cannot satisfy the root and
         # interior conditions at once: the weight of the upper four-cycle
         # must stay below eight for the former and above eight for the
-        # latter.  As shipped they pass everything except the root condition,
+        # latter.  As assigned they pass everything except the root condition,
         # which fails at exactly one subset by exactly one whisker.
-        fixtures = load_file("adhoc_labels")
-        for name, fx in fixtures.items():
-            lg = labelled_from_fixture(fx.graph, fx.labels)
-            rep = check_conditions(lg)
+        for name, labels in ADHOC_LABELS.items():
+            rep = check_conditions(hand_labelled(name, labels))
             assert rep.failing() == ["3"], (name, rep.failing())
             assert len(rep.cond3) == 1
             (vbar, margin), = rep.cond3
-            assert margin == parse_ext("0-1*k")
-            assert rep.alpha == parse_ext("0-5*k"), name
+            assert margin == E(0, 0, -1)
+            assert rep.alpha == E(0, 0, -5), name
 
     def test_recombined_block_pattern_fails_until_whisker_bump(self):
-        fixtures = load_file("bad4_patterns")
-        for name, fx in fixtures.items():
-            lg = labelled_from_fixture(fx.graph, fx.labels)
+        for name, labels in BAD4_LABELS.items():
+            lg = hand_labelled(name, labels)
             rep = check_conditions(lg)
             assert rep.cond4 and not rep.cond2 and not rep.cond3, name
-            bumped = dict(fx.labels)
-            for i, e in enumerate(fx.graph.edges):
+            bumped = dict(labels)
+            for i, e in enumerate(lg.graph.edges):
                 if e.etype.tag == "dK":
                     a, r = bumped[i]
                     bumped[i] = (a + KB.scale(2), r)
-            rep2 = check_conditions(labelled_from_fixture(fx.graph, bumped))
+            rep2 = check_conditions(hand_labelled(name, bumped))
             assert rep2.ok(), name
 
 
@@ -469,13 +496,9 @@ class TestSubsetLattice:
             _assert_oracle_report(lg)
 
     def test_reports_match_on_fixture_labels(self):
-        labelled = [
-            labelled_from_fixture(fx.graph, fx.labels)
-            for fname in FIXTURE_FILES
-            for fx in load_file(fname).values()
-            if fx.labels
-        ]
-        assert len(labelled) >= 5
+        labelled = [hand_labelled(name, labels)
+                    for name, labels in (ADHOC_LABELS | BAD4_LABELS).items()]
+        assert len(labelled) == 5
         for lg in labelled:
             _assert_oracle_report(lg)
 
@@ -501,8 +524,8 @@ class TestSubsetLattice:
         assert len(builds) == 1
 
     def test_degrees_are_exact_int64(self, classify_labellings):
-        fx = load_file("adhoc_labels")["adhoc-a"]
-        for lg in classify_labellings[:5] + [labelled_from_fixture(fx.graph, fx.labels)]:
+        adhoc = hand_labelled("adhoc_labels:adhoc-a", ADHOC_LABELS["adhoc_labels:adhoc-a"])
+        for lg in classify_labellings[:5] + [adhoc]:
             n = len(lg.graph.kinds)
             bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
             degrees, denom = powercount._degrees(powercount._weights(lg), bits)
@@ -518,11 +541,8 @@ class TestSubsetLattice:
         _assert_oracle_report(lg)
 
     def test_label_that_could_wrap_int64_names_its_edge(self):
-        text = resources.files("gpam2d.fixtures").joinpath("adhoc_labels.txt").read_text()
-        text = text.replace(
-            "label 4 a=0+1*k r=1", "label 4 a=9223372036854775807 r=1", 1)
-        fx = parse_fixtures(text)["adhoc-a"]
-        lg = labelled_from_fixture(fx.graph, fx.labels)
+        labels = ADHOC_LABELS["adhoc_labels:adhoc-a"] | {4: (E(9223372036854775807), 1)}
+        lg = hand_labelled("adhoc_labels:adhoc-a", labels)
         with pytest.raises(ValueError, match="edge 4 label .* overflows int64"):
             check_conditions(lg)
         with pytest.raises(ValueError, match="edge 4 "):

@@ -5,7 +5,8 @@ pipeline, CLI command or demo runs.  The guard walks the syntax trees of the
 package modules, the demos and the benchmark harness, and counts a name as
 used where it appears as a name, an attribute, an imported name or a string
 constant (the benchmark tracer wraps functions by name).  A definition's use
-of its own name, as in recursion, does not count.
+of its own name, as in recursion, does not count.  Since an import counts as
+a use, no package module or demo may import a name it never reads.
 """
 
 import ast
@@ -17,12 +18,6 @@ PACKAGE = Path(gpam2d.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
 READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
            *sorted((ROOT / "benchmarks").glob("*.py"))]
-
-# Names that only tests call, each with the reason it stays.
-ALLOWED = {
-    ("powercount", "labelled_from_fixture"):
-        "the one reader of the fixture `label` lines, which pin hand-derived labellings",
-}
 
 
 def public_definitions(source: str) -> set[str]:
@@ -66,7 +61,7 @@ def test_every_public_name_is_used():
     modules = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     readers = {path.stem if path.parent == PACKAGE else str(path): path.read_text()
                for path in READERS}
-    assert unused_definitions(modules, readers) == set(ALLOWED)
+    assert unused_definitions(modules, readers) == set()
 
 
 def test_guard_sees_every_spelling():
@@ -85,3 +80,30 @@ def test_guard_sees_every_spelling():
     )
     got = unused_definitions({"m": module}, {"m": module, "reader": reader})
     assert got == {("m", "recursive"), ("m", "Unused")}
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names a module imports but never reads; ``__future__`` imports aside."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_import():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    assert {str(path.relative_to(ROOT)): names for path in paths
+            if (names := unused_imports(path.read_text()))} == {}
+
+
+def test_import_guard_sees_every_spelling():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom m import used, unused\n"
+        "from m import kept as alias, dropped as other\nimport json\n"
+        "def f():\n    import sys\n    return os.path.join(np.pi, used, alias)\n"
+    )
+    assert unused_imports(source) == {"unused", "other", "json", "sys"}

@@ -27,7 +27,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 TWO_PI = 2.0 * math.pi
 
 RESOLUTION = 128  # the one default mollifier resolution
-_ROW_BLOCK = 64  # rows per real pass of Spectral.field: the fastest of 16..256 at N = 512 and 1024
+_ROW_BLOCK = 64  # lines per pass of Spectral.field (the fastest of 16..256 at N = 512, 1024) and Spectral.even
 _BESSEL_FAR = 20.0  # Miller's recurrence below, Hankel's expansion from here up
 _BESSEL_START = 50  # Miller's starting order: orders 0-4 to rounding for every x below 20
 _BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums, of Mollifier.fourier's lookup and of the Abel profiles
@@ -628,20 +628,23 @@ def torus_coords(n: int) -> np.ndarray:
 
 
 def bump_field(n: int, radius: float = 0.25, centre=(0.0, 0.0)) -> np.ndarray:
-    """Normalised radial bump sampled on the grid chart.
-
-    The exponential is taken on the support only, where ``1 - r^2`` is at
-    least 2.2e-16.
-    """
+    """Normalised radial bump sampled on the grid chart."""
     x = torus_coords(n)
     dx = (x[:, None] - centre[0] + 0.5) % 1.0 - 0.5
     dy = (x[None, :] - centre[1] + 0.5) % 1.0 - 0.5
+    vals = _bump(dx, dy, radius)
+    vals /= vals.sum() / (n * n)
+    return vals
+
+
+def _bump(dx, dy, radius: float) -> np.ndarray:
+    """The unnormalised bump at the offsets ``(dx, dy)``, broadcast; the
+    exponential is taken on the support only, where ``1 - r^2`` >= 2.2e-16."""
     vals = np.sqrt(dx * dx + dy * dy) / radius  # the radii, then the field
     inside = vals < 1.0
     r = vals[inside]
     vals.fill(0.0)
     vals[inside] = np.exp(-1.0 / (1.0 - r * r))
-    vals /= vals.sum() / (n * n)
     return vals
 
 
@@ -704,8 +707,21 @@ class Spectral:
         return Spectral._real_pass(np.fft.ifft(coeff.T, axis=1, norm="forward"), rows)
 
     @staticmethod
-    def _spent_field(coeff: np.ndarray) -> np.ndarray:  # field(coeff); coeff is overwritten
-        return Spectral._real_pass(np.fft.ifft(coeff.T, axis=1, norm="forward", out=coeff.T))
+    def even(quarter: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
+        """``coeff``, or with ``inverse`` ``field``, of a real N x N field even in
+        each axis, held by its quarter ``[0..N/2]^2`` (``a[N - i] = a[i]`` on each
+        axis), as the transform's quarter.  Each pass takes the ``rfft`` of the
+        even extension of a block of lines and writes its real part as columns.
+        """
+        norm = "backward" if inverse else "forward"
+        h = n // 2 + 1
+        for _ in range(2):
+            lines, quarter = quarter, np.empty((h, h))
+            for r in range(0, h, _ROW_BLOCK):
+                block = lines[r:r + _ROW_BLOCK]
+                whole = np.concatenate([block, block[:, n - h:0:-1]], axis=1)
+                quarter[:, r:r + _ROW_BLOCK] = np.fft.rfft(whole, axis=1, norm=norm).real.T
+        return quarter
 
     @staticmethod
     def _real_pass(lines: np.ndarray, rows=None) -> np.ndarray:
@@ -758,18 +774,26 @@ class Spectral:
 
 
 def geps_field(n: int, eps: float, mol: Mollifier | None = None) -> np.ndarray:
-    """The epsilon-scale kernel on the N x N unit torus, by FFT.
+    """The epsilon-scale kernel on the N x N unit torus, by FFT: its quarter
+    ``[0..N/2]^2``, the rest following by ``g[N - i, j] = g[i, N - j] = g[i, j]``.
 
     The spectral second derivative of the log kernel is the multiplier
     ``-s1^2/|s|^2`` (zero mode dropped), and the mollifier enters through its
-    continuum Fourier transform sampled at grid frequencies.  Each field is
-    taken in place from a complex table made for it; two are held at most.
+    continuum Fourier transform sampled at grid frequencies.  Both are even in
+    each frequency, so the tables are built on the quarter of non-negative
+    frequencies and each field is taken by ``Spectral.even``.
     """
-    spec = Spectral(n, eps, mol)
-    d11, frho = spec.s1**2 * spec.inv_lap, spec.frho
-    out = spec._spent_field(np.square(d11 * frho, dtype=complex))
-    out *= spec._spent_field(np.square(frho, dtype=complex))
-    out += spec._spent_field(np.multiply(d11, np.square(frho), dtype=complex)) ** 2
+    _check_grid(n, eps)
+    mol = mol or _default_mollifier(RESOLUTION)
+    s1 = TWO_PI * np.arange(n // 2 + 1.0)[:, None]  # and s2 = s1.T
+    ss = s1**2 + s1.T**2
+    ss[0, 0] = 1.0
+    frho = mol.fourier(np.sqrt(ss) * eps)
+    frho[0, 0] = 1.0
+    d11 = np.multiply(s1**2, np.divide(1.0, ss, out=ss), out=ss)  # 0 at the zero mode
+    out = Spectral.even(np.square(d11 * frho), n, inverse=True)
+    out *= Spectral.even(np.square(frho, out=frho), n, inverse=True)
+    out += Spectral.even(np.multiply(d11, frho, out=d11), n, inverse=True) ** 2
     return eps * eps * out
 
 
@@ -778,31 +802,36 @@ def gconv_limits_check(eps: float, n: int = 512, mol: Mollifier | None = None,
     """Relative residuals of the three smoothing limits of the square kernel,
     on a bump f of radius 0.175 tested against one of radius 0.25.
 
-    Each field is transformed once, the correlations ``phi.phi`` and
-    ``(g*f).f`` are the fields of ``|phi^|^2`` and ``g^ |f^|^2``, and each array
-    is dropped after its last use: five grid fields are held at most.
+    Every field is even in each axis, so it is held by its quarter and
+    transformed by ``Spectral.even``, once.  The correlations ``phi.phi`` and
+    ``(g*f).f`` are the fields of ``phi^2`` and ``g^ f^2``, and each array is
+    dropped after its last use.
     The resolution is that of ``mol`` (default: the mollifier at ``resolution``).
     """
     _check_grid(n, eps)
     grid_mol = _mollifier(mol, resolution)
     crho_sq = crho_squared("spatial", resolution, mol).value
-    dot = lambda a, b: float(np.vdot(a, b)) / (n * n)
+    h = n // 2 + 1
+    weight = np.where(2 * np.arange(h) % n == 0, 1.0, 2.0)  # lines 0 and N/2 are their own mirrors
+    dot = lambda a, b: float(weight @ (a * b) @ weight) / (n * n)
+    dx = (torus_coords(n)[:h] + 0.5) % 1.0 - 0.5  # the bumps' quarter offsets, as in bump_field
     geps = geps_field(n, eps, grid_mol)
-    f = bump_field(n, radius=0.175)
-    gf, corr_gf_f = Spectral.coeff(geps), Spectral.coeff(f)  # coefficients until transformed
+    f = _bump(dx[:, None], dx, 0.175)
+    f /= dot(f, 1.0)
+    gf, corr_gf_f = Spectral.even(geps, n), Spectral.even(f, n)  # coefficients until transformed
     gf *= corr_gf_f
-    np.multiply(np.conjugate(corr_gf_f, out=corr_gf_f), gf, out=corr_gf_f)
-    gf = Spectral._spent_field(gf)
-    corr_gf_f = Spectral._spent_field(corr_gf_f)
+    corr_gf_f *= gf
+    corr_gf_f = Spectral.even(corr_gf_f, n, inverse=True)
+    gf = Spectral.even(gf, n, inverse=True)
     corr_gf_f *= geps
     del geps
-    phi = bump_field(n, radius=0.25)
+    phi = _bump(dx[:, None], dx, 0.25)
+    phi /= dot(phi, 1.0)
     lhs1, rhs1 = dot(phi, gf), crho_sq * dot(phi, f)
     rhs3 = crho_sq * crho_sq * dot(phi, phi) * dot(f, f)
-    corr_phi = Spectral.coeff(phi)
+    corr_phi = Spectral.even(phi, n)
     del phi
-    corr_phi *= corr_phi.conj()
-    corr_phi = Spectral._spent_field(corr_phi)
+    corr_phi = Spectral.even(np.square(corr_phi, out=corr_phi), n, inverse=True)
     lhs2 = dot(np.square(gf, out=gf), corr_phi)
     lhs3 = dot(corr_gf_f, corr_phi)
     rhs2 = crho_sq * crho_sq * dot(np.square(f, out=f), corr_phi)

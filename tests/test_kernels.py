@@ -350,7 +350,7 @@ class TestGrid:
         # The torus images contribute an order-one smooth correction on top
         # of the scale-singular part, so pointwise agreement is loose.
         n, eps = 256, 1 / 16
-        field = geps_field(n, eps, mol)
+        field = geps_field(n, eps, mol)  # the quarter [0..N/2]^2, which holds every probe
         for point in ([0.05, 0.0], [0.0, 0.04], [0.03, 0.03]):
             radial = eps_value(kernel, point, eps)
             i, j = (round(x * n) % n for x in point)
@@ -375,18 +375,22 @@ class TestGrid:
         assert r_fine["limit1"] < r_coarse["limit1"]
         assert r_fine["limit2"] < r_coarse["limit2"]
 
-    @pytest.mark.parametrize("n,eps", [(64, 1 / 8), (256, 1 / 16)])
+    @pytest.mark.parametrize("n,eps", [(64, 1 / 8), (256, 1 / 16), (1, 4), (2, 2), (3, 2), (6, 1),
+                                       (65, 1 / 16), (100, 1 / 16)])
     def test_against_the_whole_table_formulas(self, mol, n, eps):
+        # Odd sizes have no Nyquist line; N = 1 and 2 are all zero and Nyquist lines.
         field, reference = geps_field(n, eps, mol), reference_geps_field(n, eps, mol)
+        assert field.shape == (n // 2 + 1,) * 2
+        reference = reference[:n // 2 + 1, :n // 2 + 1]
         assert np.max(np.abs(field - reference)) <= 1e-15 * np.max(np.abs(reference))
         got = gconv_limits_check(eps, n=n, mol=mol, resolution=RES)
         expected = reference_gconv_limits(eps, n, mol, RES)
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-12 * value, key
 
-    def test_gconv_holds_at_most_six_and_a_half_grid_fields(self, mol):
-        # Measured: 5.4 fields of 8 N^2 bytes at N = 256 (5.0 at N = 1024),
-        # against 8.8 when every field and coefficient table was kept.
+    def test_gconv_holds_under_three_grid_fields(self, mol):
+        # Measured on quarter fields: 2.33 fields of 8 N^2 bytes at N = 256
+        # (1.63 at N = 1024, 6.5 quarters), against 5.4 on whole grids.
         n = 256
         gconv_limits_check(1 / 16, n=n, mol=mol, resolution=RES)  # the mollifier's tables
         started = not tracemalloc.is_tracing()
@@ -399,7 +403,7 @@ class TestGrid:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 6.5 * 8 * n * n
+        assert peak <= 2.9 * 8 * n * n
 
     def test_d1_frho_is_built_when_first_read(self, mol):
         spec = Spectral(64, 1 / 8, mol)
@@ -468,10 +472,21 @@ class TestSpectralTransforms:
             for rows in (support, [n // 2 - 1], np.arange(n)):
                 assert np.array_equal(Spectral.field(co, rows), full[rows])
 
-    @pytest.mark.parametrize("n", [8, 64, 512])
-    def test_spent_field_is_the_field(self, n):
-        c = Spectral.coeff(np.random.default_rng(n + 2).standard_normal((n, n)))
-        assert np.array_equal(Spectral._spent_field(c.copy(order="F")), Spectral.field(c))
+    @PROPERTY
+    @given(n=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 64, 65, 100]), seed=st.integers(0, 2**32 - 1))
+    def test_even_is_the_whole_transform_on_quarters(self, n, seed):
+        """``even`` on the quarter of an even field, both ways, against numpy's
+        2-d transforms of the whole field."""
+        h = n // 2 + 1
+        mirror = np.r_[0:h, n - h:0:-1]  # line i of the whole field is quarter line mirror[i]
+        unfold = lambda q: q[np.ix_(mirror, mirror)]
+        quarter = np.random.default_rng(seed).standard_normal((h, h))
+        whole = {False: np.fft.rfft2(unfold(quarter)) / (n * n),
+                 True: np.fft.irfft2(unfold(quarter)[:, :h], s=(n, n)) * (n * n)}
+        for inverse, expected in whole.items():
+            got = unfold(Spectral.even(quarter, n, inverse))
+            assert np.array_equal(got, got[-np.arange(n)]) and np.array_equal(got, got[:, -np.arange(n)])
+            assert np.max(np.abs(got[:, :expected.shape[1]] - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_other_sizes_agree_to_rounding(self, n):

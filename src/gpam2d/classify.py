@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .corpus import load_manifest
+from .corpus import CRITICAL, IN_G2, IN_G3, IN_G4, UNCLASSIFIED, VANISHES, load_manifest
 from .exts import EXT_ZERO, ExtRational
 from .feynman import FeynmanGraph, canonical_form
 from .powercount import (
@@ -33,13 +33,6 @@ from .powercount import (
     lambda_penalty,
     partial_ibp,
 )
-
-VANISHES = "VanishesViaAdjustment"
-IN_G2 = "InG2"
-IN_G3 = "InG3"
-IN_G4 = "InG4"
-CRITICAL = "Critical"
-UNCLASSIFIED = "Unclassified"
 
 # The published class manifests, in the order a listed form is looked up;
 # a corpus graph listed in none of them vanishes.

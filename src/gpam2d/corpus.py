@@ -4,7 +4,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
 
     graph <name>
     ref <free text>
-    expect <verdict>
+    expect <verdict>    # VanishesViaAdjustment, InG2, InG3, InG4, Critical or Unclassified
     coeff <rational>
     prefactor <rational>
     v <vertex-name> root|int|noise
@@ -16,9 +16,10 @@ belongs to the ``graph`` line above it.  ``ref`` lines are free text the
 reader skips.  Any other directive is unknown (edge labels are derived from
 the edge types, never read), and any line with more fields than its
 directive takes, or with a ``key=`` field that is not its directive's, is
-rejected.
+rejected.  An ``expect`` line names one of the six verdicts of ``classify``.
 
-Class membership files are manifests over graph fixtures::
+Class membership files are manifests over graph fixtures; their lines are
+unknown directives in a fixture file::
 
     list <name>
     member <file>:<graph>
@@ -32,9 +33,19 @@ from importlib import resources
 
 from .feynman import INT, NOISE, ROOT, Edge, FeynmanGraph, parse_edge_type, wick_pairings
 
+# The six verdicts of ``classify``, which an ``expect`` line names.
+VANISHES = "VanishesViaAdjustment"
+IN_G2 = "InG2"
+IN_G3 = "InG3"
+IN_G4 = "InG4"
+CRITICAL = "Critical"
+UNCLASSIFIED = "Unclassified"
+VERDICTS = (VANISHES, IN_G2, IN_G3, IN_G4, CRITICAL, UNCLASSIFIED)
+
 # Fewest and most fields after the directive; ``ref`` is free text.
 _ARITY = {"graph": (1, 1), "ref": (0, None), "expect": (1, 1), "coeff": (1, 1),
           "prefactor": (1, 1), "v": (2, 2), "e": (3, 4)}
+_MANIFEST = ("list", "member", "family")
 
 
 def _read_text(name: str) -> str:
@@ -72,7 +83,8 @@ def parse_fixtures(text: str) -> dict[str, FeynmanGraph]:
     for line in directives(text):
         _, _, (head, *fields) = line
         if head not in _ARITY:
-            raise _bad(line, "unknown directive")
+            manifest = " (a class-manifest line)" if head in _MANIFEST else ""
+            raise _bad(line, f"unknown directive{manifest}")
         fewest, most = _ARITY[head]
         if len(fields) < fewest:
             raise _bad(line, f"{head} needs {fewest} field(s)")
@@ -98,6 +110,8 @@ def _fixture(name: str, block: list) -> FeynmanGraph:
     for line in block[1:]:
         _, _, (head, *fields) = line
         if head == "expect":
+            if fields[0] not in VERDICTS:
+                raise _bad(line, f"unknown verdict {fields[0]!r} (one of {', '.join(VERDICTS)})")
             meta["expect"] = fields[0]
         elif head in ("coeff", "prefactor"):
             meta[head] = _value(line, Fraction, fields[0])

@@ -313,7 +313,7 @@ class Mollifier:
     """A smooth radial bump on the unit disc with unit integral.
 
     ``profile`` is any positive radial shape supported in [0, 1); the
-    constructor normalises it.  Derived objects (mass functions, self
+    constructor normalises it.  Derived objects (disc means, self
     convolutions, the Fourier transform, and the Hankel tables of the
     square kernel's first summand, which ``SquareKernel`` builds) are
     cached per resolution, in ``_splines``.
@@ -392,11 +392,6 @@ class Mollifier:
             mean = np.concatenate([dens[:1], cumulative / (math.pi * grid[1:] ** 2)])
             self._splines[key] = Spline(grid, mean)
         return self._splines[key](np.clip(r, 0.0, float(order)))
-
-    def mass(self, order: int, r):
-        """Mass of the order-fold self-convolution inside radius r."""
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= float(order), 1.0, math.pi * r * r * self._disc_mean(order, r))
 
     # -- Fourier transform ----------------------------------------------------
 

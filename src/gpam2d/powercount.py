@@ -77,13 +77,13 @@ class LabelledGraph:
 
 def canonical_labelling(graph: FeynmanGraph) -> LabelledGraph:
     """One epsilon per mollifier edge, auxiliary parameter set to zero."""
-    classes = edge_classes(graph)
+    mollifiers = edge_classes(graph)["E_M"]
     budget = graph.eps_total()
-    if budget != len(classes["E_M"]):
-        raise ValueError(
-            f"budget mismatch: epsilon^{budget} against {len(classes['E_M'])} mollifiers"
-        )
-    return distributed_labelling(graph, dict.fromkeys(classes["E_M"], 1))
+    if budget != len(mollifiers):
+        raise ValueError(f"graph {graph.name!r} spends epsilon^{budget} against {len(mollifiers)} "
+                         "mollifiers, but canonical labelling takes second-moment "
+                         "(Wick-paired) graphs, whose budget matches their mollifiers")
+    return distributed_labelling(graph, dict.fromkeys(mollifiers, 1))
 
 
 def distributed_labelling(graph: FeynmanGraph, spends: dict[int, ExtRational]) -> LabelledGraph:

@@ -1,8 +1,9 @@
 """Shared test helpers: the closed-form degree oracle, the scalar
 power-counting oracle, the permutation-search canonical form, the list
 of every shipped graph, the dense Isserlis oracle of the Monte-Carlo
-estimators, the whole-table formulas of the smoothing-limit check and the
-polar rule of the mollifier's self-convolution profiles.
+estimators, the whole-table formulas of the smoothing-limit check, the
+polar rule of the mollifier's self-convolution profiles and their masses
+inside a radius.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -13,6 +14,7 @@ incoming-recentred corrections, and the inner degree is
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -420,3 +422,10 @@ def polar_profile_reference(resolution: int, order: int) -> np.ndarray:
         dist = np.sqrt(np.maximum(g * g + tn[:, None] ** 2 - 2.0 * g * tn[:, None] * cos_a, 0.0))
         out[i] = 2.0 * np.pi / 512 * weights @ lower(np.clip(dist, 0.0, order - 1.0)).sum(axis=1)
     return out
+
+
+def disc_mass(mol, order: int, r):
+    """Mass of the order-fold self-convolution inside radius r: ``pi r^2``
+    times the disc-mean table inside the support, 1 beyond."""
+    r = np.asarray(r, dtype=float)
+    return np.where(r >= float(order), 1.0, math.pi * r * r * mol._disc_mean(order, r))

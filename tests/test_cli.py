@@ -253,31 +253,40 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (f"error: graph {graph!r} spends epsilon^{budget} against {mollifiers} "
-                       "mollifiers, but graphs classify takes second-moment (Wick-paired) "
+                       "mollifiers, but canonical labelling takes second-moment (Wick-paired) "
                        "graphs, whose budget matches their mollifiers\n")
         assert not path.exists()
 
-    def test_classify_refuses_an_unknown_expect_word(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["validate"], ["classify"], ["pair", "--graph", "g"]],
+                             ids=["validate", "classify", "pair"])
+    def test_expect_word_is_checked_when_parsed(self, argv, tmp_path, capsys):
+        # dumbbell_variance:var-straight, which every action takes, with a misspelt verdict.
         fixture = tmp_path / "typo.txt"
-        fixture.write_text("graph typo\nexpect Bogus\nv o root\nv x int\ne x o Test\n")
-        path = tmp_path / "artifact.json"
-        code = main(["--out", str(path), "graphs", "classify", "--corpus", str(fixture)])
+        fixture.write_text("graph var-straight\nexpect Bogus\nprefactor 2\nv root root\n"
+                           "v left int\nv left1 int\nv right int\nv right1 int\n"
+                           "e left root Test\ne right root Test\ne left1 left K1\n"
+                           "e left1 right1 DDRho\ne left right DDRho\ne right1 right K1\n")
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path), "graphs", *argv, "--corpus", str(fixture)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: graph 'typo' expects 'Bogus', which is not a verdict")
+        assert err.startswith("error: fixture line 2: unknown verdict 'Bogus' (one of "
+                              "VanishesViaAdjustment, InG2, InG3, InG4, Critical, Unclassified)")
         assert err.count("\n") == 1
         assert not path.exists()
 
-    @pytest.mark.parametrize("name", ["crit", "g2", "g3", "g4", "van"])
-    @pytest.mark.parametrize("action", ["classify", "validate"])
-    def test_corpus_refuses_class_manifests(self, action, name, tmp_path, capsys):
+    @pytest.mark.parametrize("name,line", [("crit", 2), ("g2", 4), ("g3", 3), ("g4", 3),
+                                           ("van", 3)], ids=["crit", "g2", "g3", "g4", "van"])
+    @pytest.mark.parametrize("argv", [["classify"], ["validate"], ["pair", "--graph", "g"]],
+                             ids=["classify", "validate", "pair"])
+    def test_corpus_refuses_class_manifests(self, argv, name, line, tmp_path, capsys):
         fixture = str(resources.files("gpam2d.fixtures").joinpath(f"class_{name}.txt"))
         path = tmp_path / "artifact.json"
-        code = main(["--out", str(path), "graphs", action, "--corpus", fixture])
+        code = main(["--out", str(path), "graphs", *argv, "--corpus", fixture])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == (f"error: {fixture!r} is a class manifest (a 'list' file), "
-                       "not a graph fixture file\n")
+        assert err == (f"error: fixture line {line}: unknown directive (a class-manifest line): "
+                       f"'list {name}'\n")
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -292,10 +301,11 @@ class TestUsageErrors:
             ["constants", "gconv", "--n", "-4"],
             ["constants", "crho", "--resolution", "-1"],
             ["mc", "noise", "--n", "abc"],
+            ["mc", "noise", "--seed", "-1"],
         ],
         ids=["noise-n-0", "noise-samples-0", "noise-samples-negative", "xiixi-n-0",
              "xiixi-resolution-0", "gconv-n-0", "gconv-n-negative", "crho-resolution-negative",
-             "noise-n-not-a-number"],
+             "noise-n-not-a-number", "noise-seed-negative"],
     )
     def test_non_positive_size_is_an_argument_error(self, argv, tmp_path, capsys):
         # Rejected by the parser: the usage line, then one error line naming
@@ -305,7 +315,8 @@ class TestUsageErrors:
             main(["--out", str(path)] + argv)
         last = capsys.readouterr().err.splitlines()[-1]
         assert exc.value.code == 2
-        assert f"error: argument {argv[2]}: " in last and "positive integer" in last
+        assert f"error: argument {argv[2]}: " in last
+        assert last.endswith(("is not a positive integer", "is not a non-negative integer"))
         assert not path.exists()
 
 

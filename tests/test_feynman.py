@@ -85,6 +85,8 @@ class TestFixtures:
             ("graph g\ncoeff 1 2\n", "line 2: coeff takes at most 1 field"),
             ("graph g\nv o root\nv x int\ne x o Test\nlabel 0 a=0 r=0\n",
              "line 5: unknown directive"),
+            ("graph g\nv o root\nmember four_noise_a:a02\n",
+             r"line 3: unknown directive \(a class-manifest line\)"),
         ],
         ids=["duplicate-vertex", "undeclared-vertex", "duplicate-graph", "graph-without-name",
              "unknown-vertex-kind", "vertex-before-graph", "zero-coeff-denominator",
@@ -93,7 +95,7 @@ class TestFixtures:
              "undeclared-vertex-in-second-graph", "two-roots-in-first-of-two",
              "line-checks-before-graph-checks", "stray-edge-field", "edge-field-without-value",
              "repeated-eps", "stray-vertex-field", "stray-graph-field", "stray-coeff-field",
-             "label-is-unknown"],
+             "label-is-unknown", "manifest-line"],
     )
     def test_parser_rejects_bad_input_with_line_number(self, text, message):
         with pytest.raises(ValueError, match=message):

@@ -86,7 +86,7 @@ def test_fresh_interpreter_leaves_scipy_unloaded():
         + "from gpam2d.kernels import Mollifier, SquareKernel\n"
         "mol = Mollifier(resolution=8)\n"
         "SquareKernel(mol, resolution=8)\n"
-        "[mol.mass(order, 0.5) for order in (1, 2, 3)]\n"
+        "[mol._disc_mean(order, 0.5) for order in (1, 2, 3)]\n"
         "print(sorted(mol._splines, key=str), "
         f"sorted(m for m in sys.modules if m == {BANNED!r} or m.startswith({BANNED + '.'!r})))\n"
     )

@@ -126,7 +126,7 @@ class TestLabels:
         g = load_graph("two_noise_tree:chain2-mean")  # budget 1, no mollifier spend
         g2 = g.with_edges(g.edges)
         g2.prefactor = Fraction(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph 'chain2-mean' spends epsilon"):
             canonical_labelling(g2)
 
 

@@ -1,15 +1,17 @@
 """Property tests (hypothesis) for canonical forms, Wick contraction, power
-counting, the parse/format round trip of extended rationals, and the
-faithful printing of symbols and polynomials."""
+counting, the parse/format round trip of extended rationals, the faithful
+printing of symbols and polynomials, and the fixture parser's ``expect``
+rule."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import FIXTURE_FILES, scalar_check_conditions
 from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h
-from gpam2d.corpus import classification_corpus, load_file, load_graph
+from gpam2d.corpus import VERDICTS, classification_corpus, load_file, load_graph, parse_fixtures
 from gpam2d.exts import EXT_ZERO, ExtRational
 from gpam2d.feynman import (
     NOISE,
@@ -183,6 +185,21 @@ def test_spending_moves_only_the_spent_labels(case):
 def test_canonical_labelling_spends_the_whole_budget():
     for ref, graph in CORPUS:
         assert canonical_labelling(graph).leftover == EXT_ZERO, ref
+
+
+# One fixture field: no whitespace, which splits fields and lines, and no "#".
+FIELD = st.text(min_size=1).filter(lambda w: w.split() == [w] and "#" not in w)
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(VERDICTS), st.sampled_from(VERDICTS).map(str.lower), FIELD))
+def test_an_expect_word_parses_exactly_when_it_is_a_verdict(word):
+    text = f"graph g\nexpect {word}\nv o root\n"
+    if word in VERDICTS:
+        assert parse_fixtures(text)["g"].expect == word
+    else:
+        with pytest.raises(ValueError, match="^fixture line 2: unknown verdict"):
+            parse_fixtures(text)
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Every public name of the package is used by the package, a demo or a benchmark.
 
-A public top-level function or class that only tests call is code that no
-pipeline, CLI command or demo runs.  The guard walks the syntax trees of the
-package modules, the demos and the benchmark harness, and counts a name as
-used where it appears as a name, an attribute, an imported name or a string
-constant (the benchmark tracer wraps functions by name).  A definition's use
-of its own name, as in recursion, does not count.  Since an import counts as
-a use, no package module or demo may import a name it never reads.
+A public top-level function or class, or a public method of a class, that
+only tests call is code that no pipeline, CLI command or demo runs.  The
+guard walks the syntax trees of the package modules, the demos and the
+benchmark harness, and counts a name as used where it appears as a name, an
+attribute, an imported name or a string constant (the benchmark tracer wraps
+functions by name).  A definition's use of its own name, as in recursion or
+a class's methods naming their class, does not count.  Since an import
+counts as a use, no package module or demo may import a name it never reads.
 """
 
 import ast
@@ -18,21 +19,30 @@ PACKAGE = Path(gpam2d.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
 READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
            *sorted((ROOT / "benchmarks").glob("*.py"))]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def public_definitions(source: str) -> set[str]:
-    """The public top-level functions and classes of a module."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """The public top-level functions and classes of a module, and the public
+    methods of its classes as ``Class.method``."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            out.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            out |= {f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, DEFINITIONS) and not m.name.startswith("_")}
+    return out
 
 
 def used_names(source: str) -> dict[str | None, set[str]]:
-    """The names each top-level statement uses, keyed by the name it defines."""
+    """The names each top-level statement uses, keyed by the name it defines;
+    a method's uses are keyed ``Class.method``."""
     used: dict[str | None, set[str]] = {}
-    for top in ast.parse(source).body:
-        names = used.setdefault(getattr(top, "name", None), set())
-        for node in ast.walk(top):
+
+    def collect(owner: str | None, tree: ast.AST):
+        names = used.setdefault(owner, set())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -41,19 +51,32 @@ def used_names(source: str) -> dict[str | None, set[str]]:
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
+
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.ClassDef):
+            collect(getattr(top, "name", None), top)
+            continue
+        for part in (*top.decorator_list, *top.bases, *top.keywords, *top.body):
+            method = isinstance(part, DEFINITIONS)
+            collect(f"{top.name}.{part.name}" if method else top.name, part)
     return used
 
 
 def unused_definitions(modules: dict[str, str], readers: dict[str, str]) -> set[tuple[str, str]]:
-    """(module, name) of each public definition in ``modules`` that no reader uses."""
+    """(module, name) of each public definition in ``modules`` that no reader
+    uses outside the definition itself."""
     uses = {(path, owner): names for path, source in readers.items()
             for owner, names in used_names(source).items()}
+
+    def inside(owner: str | None, name: str) -> bool:
+        return owner is not None and (owner == name or owner.startswith(name + "."))
+
     return {
         (module, name)
         for module, source in modules.items()
         for name in public_definitions(source)
-        if not any(name in names for (path, owner), names in uses.items()
-                   if (path, owner) != (module, name))
+        if not any(name.rpartition(".")[2] in names for (path, owner), names in uses.items()
+                   if not (path == module and inside(owner, name)))
     }
 
 
@@ -73,13 +96,20 @@ def test_guard_sees_every_spelling():
         "def by_string():\n    pass\n"
         "class Unused:\n    pass\n"
         "def _private():\n    pass\n"
+        "class Kept:\n"
+        "    def method(self):\n        return self.helper(Kept)\n"
+        "    def helper(self, cls):\n        pass\n"
+        "    def lonely(self):\n        return self.lonely()\n"
+        "    def _hidden(self):\n        pass\n"
+        "class _Private:\n    def unread(self):\n        pass\n"
     )
     reader = (
         "from m import imported as alias\nimport m\n"
-        "called()\nm.by_attribute()\ngetattr(m, 'by_string')\n"
+        "called()\nm.by_attribute()\ngetattr(m, 'by_string')\nm.Kept().method()\n"
     )
     got = unused_definitions({"m": module}, {"m": module, "reader": reader})
-    assert got == {("m", "recursive"), ("m", "Unused")}
+    assert got == {("m", "recursive"), ("m", "Unused"), ("m", "Kept.lonely"),
+                   ("m", "_Private.unread")}
 
 
 def unused_imports(source: str) -> set[str]:

@@ -16,7 +16,8 @@ belongs to the ``graph`` line above it.  ``ref`` lines are free text the
 reader skips.  Any other directive is unknown (edge labels are derived from
 the edge types, never read), and any line with more fields than its
 directive takes, or with a ``key=`` field that is not its directive's, is
-rejected.  An ``expect`` line names one of the six verdicts of ``classify``.
+rejected.  An ``expect`` line names one of the six verdicts of ``classify``;
+``expect``, ``coeff`` and ``prefactor`` come at most once per graph.
 
 Class membership files are manifests over graph fixtures; their lines are
 unknown directives in a fixture file::
@@ -109,6 +110,8 @@ def _fixture(name: str, block: list) -> FeynmanGraph:
     meta: dict = {}
     for line in block[1:]:
         _, _, (head, *fields) = line
+        if head in meta:
+            raise _bad(line, f"second {head} line in graph {name!r}")
         if head == "expect":
             if fields[0] not in VERDICTS:
                 raise _bad(line, f"unknown verdict {fields[0]!r} (one of {', '.join(VERDICTS)})")

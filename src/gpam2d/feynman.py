@@ -444,66 +444,61 @@ def fourth_cumulant_graphs(stochastic: FeynmanGraph, dedup: bool = True) -> list
 _KIND_CODE = {ROOT: 0, INT: 1, NOISE: 2}
 
 
-def _edge_ends(e: Edge, order: dict[int, int]) -> tuple[int, int]:
-    t, h = order[e.tail], order[e.head]
-    if e.etype.tag in DIRECTION_FREE and t > h:
-        t, h = h, t
-    return t, h
+def _refine(incidence: list, colours: list[int]) -> list[int]:
+    """Rank each vertex by its colour and its incidence triples with the
+    neighbours' colours until the number of cells stops growing; the keys
+    start with the old colour, so the order of the cells holds."""
+    cells = len(set(colours))
+    while True:
+        keys = [(c, tuple(sorted([(label, way, colours[w]) for label, way, w in inc])))
+                for c, inc in zip(colours, incidence)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colours = [rank[key] for key in keys]
+        if len(rank) == cells:
+            return colours
+        cells = len(rank)
 
 
-def _graph_code(graph: FeynmanGraph, order: dict[int, int]) -> tuple:
-    edges = sorted(
-        _edge_ends(e, order) + (str(e.etype), e.eps) for e in graph.edges
-    )
-    kinds = tuple(k for _, k in sorted((order[v], graph.kinds[v]) for v in graph.kinds))
-    return (kinds, tuple(edges))
-
-
-def _refine(graph: FeynmanGraph, colours: dict) -> dict:
-    """Iterate the neighbourhood-colour refinement until no cell splits."""
-    verts = graph.vertices()
-    for _ in range(len(verts)):
-        new = {}
-        for v in verts:
-            profile = sorted(
-                (
-                    str(e.etype),
-                    e.eps,
-                    e.tail == v if e.etype.tag not in DIRECTION_FREE else True,
-                    colours[e.other(v)],
-                )
-                for e in graph.edges
-                if e.touches(v)
-            )
-            new[v] = (colours[v], tuple(profile))
-        ranks = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
-        refreshed = {v: (ranks[new[v]],) for v in verts}
-        if len(set(refreshed.values())) == len(set(colours.values())):
-            colours = refreshed
-            break
-        colours = refreshed
-    return colours
-
-
-def _least_code(graph: FeynmanGraph, colours: dict) -> tuple:
-    colours = _refine(graph, colours)
-    cells: dict[tuple, list[int]] = {}
-    for v, c in colours.items():
-        cells.setdefault(c, []).append(v)
-    split = min((c for c, members in cells.items() if len(members) > 1), key=repr, default=None)
-    if split is None:
-        return _graph_code(graph, {v: c[0] for v, c in colours.items()})
-    return min(_least_code(graph, colours | {v: split + (0,)}) for v in cells[split])
+def _least_code(incidence: list, ends: list, colours: list[int]) -> tuple:
+    colours = _refine(incidence, colours)
+    if len(set(colours)) == len(colours):
+        return tuple(sorted((*sorted((colours[t], colours[h])), label) if free
+                            else (colours[t], colours[h], label) for t, h, label, free in ends))
+    split = min(c for c in colours if colours.count(c) > 1)
+    doubled = [2 * c for c in colours]
+    return min(_least_code(incidence, ends, doubled[:v] + [2 * split - 1] + doubled[v + 1:])
+               for v, c in enumerate(colours) if c == split)
 
 
 def canonical_form(graph: FeynmanGraph) -> str:
     """Isomorphism-invariant encoding (root fixed, kinds respected).
 
     Individualisation-refinement without pruning (McKay & Piperno,
-    arXiv:1301.1493): refine the kind colouring until it is stable, then
-    individualise each vertex of the first non-singleton cell (cells in
-    ``repr`` order) in turn and recurse.  A discrete colouring orders the
-    vertices; the form is the least ``_graph_code`` over these leaves.
+    arXiv:1301.1493), on plain integers.  The distinct edge labels
+    ``(str(etype), eps)``, eps as its numerator and denominator, are
+    numbered in sorted order (the label table),
+    and each vertex gets its incidence list of ``(label, direction,
+    neighbour)``: direction 2 on a ``DIRECTION_FREE`` edge, else 1 at the
+    tail and 0 at the head.  Integer colours, starting from the vertex
+    kinds, are refined by ``_refine`` until stable; then each vertex of the
+    least non-singleton cell in turn is individualised (colours doubled,
+    that vertex moved to ``2c - 1``) and the search recurses.  A discrete
+    colouring orders the vertices, kinds first, and its code is the sorted
+    ``(tail, head, label)`` triples, direction-free ends sorted.  The form
+    is the label table, the sorted kinds and the least code.
     """
-    colours = {v: (_KIND_CODE[k], 1 if v == graph.root else 0) for v, k in graph.kinds.items()}
-    return repr(_least_code(graph, colours))
+    labels = [(str(e.etype), e.eps.numerator, e.eps.denominator) for e in graph.edges]
+    table = sorted(set(labels))
+    number = {label: i for i, label in enumerate(table)}
+    index = {v: i for i, v in enumerate(graph.kinds)}
+    incidence: list[list] = [[] for _ in index]
+    ends = []
+    for e, label in zip(graph.edges, labels):
+        label, free = number[label], e.etype.tag in DIRECTION_FREE
+        t, h = index[e.tail], index[e.head]
+        incidence[t].append((label, 2 if free else 1, h))
+        incidence[h].append((label, 2 if free else 0, t))
+        ends.append((t, h, label, free))
+    kinds = [_KIND_CODE[k] for k in graph.kinds.values()]
+    code = _least_code(incidence, ends, kinds)
+    return repr((tuple(f"{n} eps={a}/{b}" for n, a, b in table), tuple(sorted(kinds)), code))

@@ -26,7 +26,6 @@ from gpam2d.exts import ExtRational
 from gpam2d.feynman import (
     _KIND_CODE,
     DIRECTION_FREE,
-    _graph_code,
     edge_classes,
     fourth_cumulant_graphs,
     order_rule_offenders,
@@ -221,17 +220,33 @@ def scalar_check_conditions(labelled) -> ConditionReport:
     return rep
 
 
+def _edge_ends(e, order: dict[int, int]) -> tuple[int, int]:
+    t, h = order[e.tail], order[e.head]
+    if e.etype.tag in DIRECTION_FREE and t > h:
+        t, h = h, t
+    return t, h
+
+
+def _graph_code(graph, order: dict[int, int]) -> tuple:
+    edges = sorted(
+        _edge_ends(e, order) + (str(e.etype), e.eps) for e in graph.edges
+    )
+    kinds = tuple(k for _, k in sorted((order[v], graph.kinds[v]) for v in graph.kinds))
+    return (kinds, tuple(edges))
+
+
 def permutation_search_form(graph) -> str:
     """The reference canonical form: refine the kind colouring once, then try
     every permutation inside each colour group and keep the least code.
 
     Factorial in the group sizes, hence the cap; it is the oracle for the
     individualisation-refinement search of ``feynman.canonical_form``, whose
-    forms must induce the same partition.
+    forms must induce the same partition.  It keeps its own refinement and
+    code (``_graph_code``), so the two share no code.
     """
     verts = graph.vertices()
     if len(verts) > 16:
-        raise ValueError("canonical_form caps at 16 vertices")
+        raise ValueError("the permutation search caps at 16 vertices")
 
     colours = {v: (_KIND_CODE[graph.kinds[v]], 1 if v == graph.root else 0) for v in verts}
     for _ in range(len(verts)):

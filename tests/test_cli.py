@@ -275,6 +275,30 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("first,second", [("expect InG2", "expect InG3"),
+                                              ("coeff 2", "coeff 5"),
+                                              ("prefactor 2", "prefactor 2")],
+                             ids=["expect", "coeff", "prefactor"])
+    @pytest.mark.parametrize("argv", [["validate"], ["classify"],
+                                      ["pair", "--graph", "var-straight"]],
+                             ids=["validate", "classify", "pair"])
+    def test_repeated_directive_is_rejected(self, argv, first, second, tmp_path, capsys):
+        # A second line would silently overwrite the first.
+        budget = "" if first.startswith("prefactor") else "prefactor 2\n"
+        fixture = tmp_path / "twice.txt"
+        fixture.write_text(f"graph var-straight\n{first}\n{second}\n{budget}v root root\n"
+                           "v left int\nv left1 int\nv right int\nv right1 int\n"
+                           "e left root Test\ne right root Test\ne left1 left K1\n"
+                           "e left1 right1 DDRho\ne left right DDRho\ne right1 right K1\n")
+        path = tmp_path / "artifact.txt"
+        code = main(["--out", str(path), "graphs", *argv, "--corpus", str(fixture)])
+        err = capsys.readouterr().err
+        assert code == 2
+        directive = first.split()[0]
+        assert err == (f"error: fixture line 3: second {directive} line in graph "
+                       f"'var-straight': {second!r}\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("name,line", [("crit", 2), ("g2", 4), ("g3", 3), ("g4", 3),
                                            ("van", 3)], ids=["crit", "g2", "g3", "g4", "van"])
     @pytest.mark.parametrize("argv", [["classify"], ["validate"], ["pair", "--graph", "g"]],

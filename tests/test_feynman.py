@@ -1,10 +1,16 @@
 import dataclasses
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gpam2d
 from conftest import permutation_search_form, shipped_graphs
 from gpam2d.corpus import (
     classification_corpus,
@@ -364,6 +370,33 @@ class TestCanonicalForm:
         new, old = ({pair[i] for pair in pairs} for i in (0, 1))
         # Each class of either form meets exactly one class of the other.
         assert len(pairs) == len(new) == len(old)
+
+    def test_forms_do_not_depend_on_the_hash_seed(self):
+        # Set iteration order varies with the hash seed; it must not reach the ranks.
+        script = ("import hashlib\nfrom conftest import shipped_graphs\n"
+                  "from gpam2d.feynman import canonical_form\n"
+                  "forms = '\\n'.join(canonical_form(g) for _, g in shipped_graphs())\n"
+                  "print(hashlib.sha256(forms.encode()).hexdigest())\n")
+        path = [str(Path(__file__).parent), str(Path(gpam2d.__file__).parents[1])]
+        digests = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                filter(None, path + [os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        forms = "\n".join(canonical_form(g) for _, g in shipped_graphs())
+        assert digests == [hashlib.sha256(forms.encode()).hexdigest() + "\n"] * 2
+
+    def test_reversal_onto_an_isomorphic_graph(self):
+        # Turning the one K1 edge of a graph symmetric under a <-> b relabels only.
+        kinds = {0: "root", 1: "int", 2: "int"}
+        tests = [Edge(1, 0, EdgeType("Test")), Edge(2, 0, EdgeType("Test"))]
+        g, turned = (FeynmanGraph(kinds, tests + [Edge(t, h, EdgeType("K1"))])
+                     for t, h in ((1, 2), (2, 1)))
+        assert canonical_form(g) == canonical_form(turned)
+        assert permutation_search_form(g) == permutation_search_form(turned)
 
     def test_relabelling_invariance(self, corpus):
         rng = random.Random(7)

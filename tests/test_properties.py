@@ -1,21 +1,24 @@
-"""Property tests (hypothesis) for canonical forms, Wick contraction, power
-counting, the parse/format round trip of extended rationals, the faithful
-printing of symbols and polynomials, and the fixture parser's ``expect``
-rule."""
+"""Property tests (hypothesis) for canonical forms (vertex ids, edge order and
+edge orientation), Wick contraction, power counting, the parse/format round
+trip of extended rationals, the faithful printing of symbols and polynomials,
+and the fixture parser's ``expect`` rule."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import FIXTURE_FILES, scalar_check_conditions
+from conftest import FIXTURE_FILES, permutation_search_form, scalar_check_conditions
 from gpam2d.coeffs import DU, U, Poly, letter_g, letter_h
 from gpam2d.corpus import VERDICTS, classification_corpus, load_file, load_graph, parse_fixtures
 from gpam2d.exts import EXT_ZERO, ExtRational
 from gpam2d.feynman import (
+    DIRECTION_FREE,
     NOISE,
     SPENT_R,
+    TEST_TAGS,
     canonical_form,
     edge_classes,
     fourth_cumulant_graphs,
@@ -80,6 +83,39 @@ def test_canonical_form_ignores_vertex_ids_and_edge_order_on_k4_graphs(case):
     ref, graph, moved = case
     assert len(graph.kinds) == 17
     assert canonical_form(moved) == canonical_form(graph), ref
+
+
+def _reversed(graph, indices):
+    return graph.with_edges([replace(e, tail=e.head, head=e.tail) if i in indices else e
+                             for i, e in enumerate(graph.edges)])
+
+
+@st.composite
+def free_edges_reversed(draw, pool):
+    ref, graph = draw(st.sampled_from(pool))
+    free = [i for i, e in enumerate(graph.edges) if e.etype.tag in DIRECTION_FREE]
+    return ref, graph, _reversed(graph, set(draw(st.lists(st.sampled_from(free), unique=True))))
+
+
+@PROPERTY
+@given(st.one_of(free_edges_reversed(CORPUS), free_edges_reversed(K4_A04)))
+def test_canonical_form_ignores_the_drawn_direction_of_even_kernels(case):
+    ref, graph, moved = case
+    assert canonical_form(moved) == canonical_form(graph), ref
+
+
+# Every directed edge of the corpus but the test edges, which must point at the root.
+TURNABLE = [(ref, graph, i) for ref, graph in CORPUS for i, e in enumerate(graph.edges)
+            if e.etype.tag not in DIRECTION_FREE | TEST_TAGS]
+
+
+@PROPERTY
+@given(st.sampled_from(TURNABLE))
+def test_reversing_a_directed_edge_changes_the_form_as_the_oracle_does(case):
+    ref, graph, i = case
+    moved = _reversed(graph, {i})
+    assert ((canonical_form(moved) == canonical_form(graph))
+            == (permutation_search_form(moved) == permutation_search_form(graph))), ref
 
 
 @PROPERTY

@@ -29,7 +29,7 @@ TWO_PI = 2.0 * math.pi
 RESOLUTION = 128  # the one default mollifier resolution
 _ROW_BLOCK = 64  # lines per pass of Spectral.field (the fastest of 16..256 at N = 512, 1024) and Spectral.even
 _BESSEL_FAR = 20.0  # Miller's recurrence below, Hankel's expansion from here up
-_BESSEL_START = 50  # Miller's starting order: orders 0-4 to rounding for every x below 20
+_BESSEL_START = 50  # Miller's starting order: J_0 to rounding for every x below 20
 _BESSEL_BLOCK = 1 << 16  # points per pass of _bessel_sums, of Mollifier.fourier's lookup and of the Abel profiles
 _ABEL_M = 1024  # nodes per unit length of the Abel profiles' grids: M against 2M within 2.0e-14
 
@@ -110,19 +110,18 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-@lru_cache(maxsize=2)
-def _hankel_fit(nu: int):
-    """Hankel's P and Q of ``J_nu`` at ``x >= 20``, as Horner coefficients in ``1/x^2``.
+@lru_cache(maxsize=1)
+def _hankel_fit():
+    """Hankel's P and Q of ``J_0`` at ``x >= 20``, as Horner coefficients in ``1/x^2``.
 
-    ``J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w)`` with ``w = x - nu pi/2 - pi/4``,
+    ``J_0(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w)`` with ``w = x - pi/4``,
     ``P = sum (-1)^k a_2k / x^2k`` and ``Q = sum (-1)^k a_2k+1 / x^(2k+1)``, where
-    ``a_k = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (k! 8^k)`` (DLMF 10.17.3).  Eighteen
+    ``a_k = prod_{i<=k} -(2i - 1)^2 / (k! 8^k)`` (DLMF 10.17.3).  Eighteen
     terms of each reach 1e-18 at x = 20; economised over ``1/x^2`` in [0, 1/400],
     seven terms stay within 3e-17 of them.  Both carry the factor ``1/sqrt(pi)``.
     """
     def a(k):
-        return math.prod(4 * nu * nu - (2 * i - 1) ** 2 for i in range(1, k + 1)) / (
-            math.factorial(k) * 8.0**k)
+        return math.prod(-(2 * i - 1) ** 2 for i in range(1, k + 1)) / (math.factorial(k) * 8.0**k)
 
     def fit(odd):
         raw = Polynomial([(-1) ** k * a(2 * k + odd) / math.sqrt(math.pi) for k in range(18)])
@@ -141,15 +140,14 @@ def _horner(coef, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hankel(x: np.ndarray, top: int) -> list:
-    """``J_0 .. J_top`` at ``x >= 20``: Hankel's expansion, then the upward recurrence.
+def _hankel(x: np.ndarray) -> np.ndarray:
+    """``J_0`` at ``x >= 20`` by Hankel's expansion.
 
-    The phases ``x - pi/4`` and ``x - 3 pi/4`` enter through ``cos x`` and
-    ``sin x``, so no rounded pi/4 does.  Both come from ``t = tan(x/2)`` (the
-    halving is exact): ``cos x = (1 - t^2)/(1 + t^2)`` and ``sin x = 2t/(1 + t^2)``,
-    one vectorised tangent in place of a cosine and a sine (3 ns against 60 ns
-    a point with numpy 2.4 on AVX-512).
-    The upward recurrence is stable for ``x > n``.
+    The phase ``x - pi/4`` enters through ``cos x`` and ``sin x``, so no
+    rounded pi/4 does.  Both come from ``t = tan(x/2)`` (the halving is
+    exact): ``cos x = (1 - t^2)/(1 + t^2)`` and ``sin x = 2t/(1 + t^2)``, one
+    vectorised tangent in place of a cosine and a sine (3 ns against 60 ns a
+    point with numpy 2.4 on AVX-512).
     """
     inv = 1.0 / x
     w = inv * inv
@@ -159,91 +157,72 @@ def _hankel(x: np.ndarray, top: int) -> list:
     amp /= t2 + 1.0
     cos_x = np.subtract(1.0, t2, out=t2)  # cos x and sin x, times 1 + t^2
     sin_x = np.multiply(t, 2.0, out=t)
-    out = []
-    for nu in range(min(top, 1) + 1):
-        p_fit, q_fit = _hankel_fit(nu)
-        p, q = _horner(p_fit, w), _horner(q_fit, w)
-        q *= inv
-        plus, minus = p + q, np.subtract(p, q, out=p)
-        first, second = (cos_x, sin_x) if nu == 0 else (sin_x, -cos_x)
-        plus *= first
-        minus *= second
-        plus += minus
-        plus *= amp
-        out.append(plus)
-    for n in range(1, top):
-        out.append(2 * n * inv * out[n] - out[n - 1])
-    return out
+    p_fit, q_fit = _hankel_fit()
+    p, q = _horner(p_fit, w), _horner(q_fit, w)
+    q *= inv
+    plus, minus = p + q, np.subtract(p, q, out=p)
+    plus *= cos_x
+    minus *= sin_x
+    plus += minus
+    plus *= amp
+    return plus
 
 
-def _miller(x: np.ndarray, top: int) -> list:
-    """``J_0 .. J_top`` at ``0 <= x < 20``: Miller's backward recurrence.
+def _miller(x: np.ndarray) -> np.ndarray:
+    """``J_0`` at ``0 <= x < 20`` by Miller's backward recurrence.
 
     The ratios ``r_k = J_k / J_(k-1) = x / (2k - x r_(k+1))`` start from zero
     at order 51 and are taken two at a time, which never overflows: with
-    ``d = x / r_2m`` and ``e = (4m - 2) d - x^2``, ``rho = x^2 / e = J_2m / J_(2m-2)``,
-    ``r_(2m-1) = x d / e`` and the next ``d`` is ``4(m - 1) - d rho``.  The
-    normalisation ``J_0 + 2 sum J_2m = 1`` gives ``J_0 = 1 / (1 + 2u)`` with
+    ``d = x / r_2m`` and ``e = (4m - 2) d - x^2``, ``rho = x^2 / e = J_2m / J_(2m-2)``
+    and the next ``d`` is ``4(m - 1) - d rho``.  The normalisation
+    ``J_0 + 2 sum J_2m = 1`` gives ``J_0 = 1 / (1 + 2u)`` with
     ``u = rho_1 (1 + rho_2 (1 + ...))``.  At x = 0 every ratio is 0, so J_0 = 1.
     """
     y = x * x
     d = np.full_like(x, 2.0 * _BESSEL_START)
     u = np.zeros_like(x)
-    low = {}
     for m in range(_BESSEL_START // 2, 0, -1):
         e = d * (4 * m - 2)
         e -= y
         rho = y / e
-        if 2 * m - 1 <= top:
-            low[m] = (x * d / e, rho)
         u += 1.0
         u *= rho
         d *= rho
         np.subtract(4.0 * (m - 1), d, out=d)
-    out = [1.0 / (2.0 * u + 1.0)]
-    for n in range(1, top + 1):
-        odd, rho = low[(n + 1) // 2]
-        out.append(out[n - 1] * odd if n % 2 else out[n - 2] * rho)
-    return out
+    return 1.0 / (2.0 * u + 1.0)
 
 
-def _bessel(x, orders) -> tuple:
-    """``J_n(x)`` for each n in ``orders`` (within 0..4), at arguments ``x >= 0``.
+def _bessel(x) -> np.ndarray:
+    """``J_0(x)`` at arguments ``x >= 0``, in x's shape.
 
     Below x = 20 Miller's recurrence, from there up Hankel's expansion: within
     2.3e-16 of mpmath's values wherever tested.  x = 0 is exact and NaN stays
     NaN.
     """
     x = np.asarray(x, dtype=float)
-    if not set(orders) <= set(range(5)):
-        raise ValueError(f"Bessel orders {orders} outside 0..4")
     if np.any(x < 0.0):
         raise ValueError("Bessel function of a negative argument")
-    top = max(orders)
     flat = x.reshape(-1)
-    out = np.empty((len(orders), flat.size))
+    out = np.empty(flat.size)
     near = flat < _BESSEL_FAR
     for part, method in ((near, _miller), (~near, _hankel)):
         if part.any():
-            values = method(flat[part], top)
-            for row, n in zip(out, orders):
-                row[part] = values[n]
-    return tuple(out.reshape((len(orders),) + x.shape))
+            out[part] = method(flat[part])
+    return out.reshape(x.shape)
 
 
-def _bessel_sums(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, orders) -> np.ndarray:
-    """``sum_t weights_t J_n(grid_s nodes_t)`` for each n in ``orders``, one row each.
+def _bessel_sums(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_t weights_t J_0(grid_s nodes_t)`` for each s.
 
     The one dense Bessel product of the module: the arguments are taken in
     blocks of whole grid rows, at most ``_BESSEL_BLOCK`` points (or one row), so
     neither they nor their values are ever held for the whole table.
     """
     rows = max(1, _BESSEL_BLOCK // nodes.size)
-    out = np.empty((len(orders), grid.size))
+    out = np.empty(grid.size)
     for start in range(0, grid.size, rows):
         block = slice(start, start + rows)
-        for row, values in zip(out[:, block], _bessel(np.outer(grid[block], nodes), orders)):
-            np.matmul(values, weights, out=row)
+        np.matmul(_bessel(np.outer(grid[block], nodes)), weights, out=out[block])
     return out
 
 
@@ -314,7 +293,7 @@ class Mollifier:
 
     ``profile`` is any positive radial shape supported in [0, 1); the
     constructor normalises it.  Derived objects (disc means, self
-    convolutions, the Fourier transform, and the Hankel tables of the
+    convolutions, the Fourier transform, and the order-4 harmonic of the
     square kernel's first summand, which ``SquareKernel`` builds) are
     cached per resolution, in ``_splines``.
     """
@@ -340,8 +319,8 @@ class Mollifier:
     def _profile_spline(self, order: int) -> Spline:
         """Radial profile of the ``order``-fold self-convolution (order 1, 2, 3).
 
-        Above order 1 by Abel projection: ``P(y) = int rho(sqrt(y^2 + z^2)) dz``
-        has the self-convolution ``Q = P^{*k}``, and the profile is ``-(1/pi)
+        By Abel projection: ``P(y) = int rho(sqrt(y^2 + z^2)) dz`` has the
+        self-convolution ``Q = P^{*k}``, and the profile is ``-(1/pi)
         int_0^sqrt(k^2 - r^2) q(sqrt(r^2 + u^2)) du`` with ``q(y) = Q'(y)/y``, a
         spline (``q(0) = Q''(0)``).  P is the trapezoid rule on y and z grids of
         spacing ``1/_ABEL_M`` and u the midpoint rule on M nodes, both in blocks,
@@ -350,23 +329,19 @@ class Mollifier:
         key = ("profile", order)
         if key in self._splines:
             return self._splines[key]
-        if order == 1:
-            grid = np.linspace(0.0, 1.0, 4 * self.resolution)
-            spline = Spline(grid, self.rad(grid))
-        else:
-            h, rows = 1.0 / _ABEL_M, _BESSEL_BLOCK // (_ABEL_M + 1)
-            y = np.arange(_ABEL_M + 1) * h
-            # P on y >= 0: the trapezoid rule over the whole z line, row block by row block.
-            blocks = (self.rad(np.hypot(y[s:s + rows, None], y)) for s in range(0, y.size, rows))
-            half = np.concatenate([h * (2.0 * d.sum(axis=1) - d[:, 0]) for d in blocks])
-            slope, curve = Spectral.self_convolution_slopes(np.concatenate([half[:0:-1], half]), order, h)
-            y = np.arange(slope.size) * h
-            q = Spline(y, np.concatenate([[curve], slope[1:] / y[1:]]))
-            grid = np.linspace(0.0, float(order), 3 * self.resolution)
-            top, u = np.sqrt(order * order - grid * grid), (np.arange(_ABEL_M) + 0.5) * h
-            blocks = (q(np.hypot(grid[s:s + rows, None], top[s:s + rows, None] * u))
-                      for s in range(0, grid.size, rows))
-            spline = Spline(grid, -h / math.pi * top * np.concatenate([d.sum(axis=1) for d in blocks]))
+        h, rows = 1.0 / _ABEL_M, _BESSEL_BLOCK // (_ABEL_M + 1)
+        y = np.arange(_ABEL_M + 1) * h
+        # P on y >= 0: the trapezoid rule over the whole z line, row block by row block.
+        blocks = (self.rad(np.hypot(y[s:s + rows, None], y)) for s in range(0, y.size, rows))
+        half = np.concatenate([h * (2.0 * d.sum(axis=1) - d[:, 0]) for d in blocks])
+        slope, curve = Spectral.self_convolution_slopes(np.concatenate([half[:0:-1], half]), order, h)
+        y = np.arange(slope.size) * h
+        q = Spline(y, np.concatenate([[curve], slope[1:] / y[1:]]))
+        grid = np.linspace(0.0, float(order), 3 * self.resolution)
+        top, u = np.sqrt(order * order - grid * grid), (np.arange(_ABEL_M) + 0.5) * h
+        blocks = (q(np.hypot(grid[s:s + rows, None], top[s:s + rows, None] * u))
+                  for s in range(0, grid.size, rows))
+        spline = Spline(grid, -h / math.pi * top * np.concatenate([d.sum(axis=1) for d in blocks]))
         self._splines[key] = spline
         return spline
 
@@ -401,7 +376,7 @@ class Mollifier:
         if key not in self._splines:
             tn, tw = _gauss_nodes(0.0, 1.0, 4 * self.resolution)
             sig_grid = np.linspace(0.0, 40.0 * math.sqrt(self.resolution), 40 * self.resolution)
-            vals = TWO_PI * _bessel_sums(sig_grid, tn, tw * tn * self.rad(tn), (0,))[0]
+            vals = TWO_PI * _bessel_sums(sig_grid, tn, tw * tn * self.rad(tn))
             self._splines[key] = (sig_grid[-1], Spline(sig_grid, vals))
         cap, spline = self._splines[key]
         sigma = np.asarray(sigma, dtype=float)
@@ -510,31 +485,40 @@ class SquareKernel:
     """Pointwise evaluator of the unit-scale square kernel.
 
     First summand: the self-convolution of the once-mollified second
-    derivative, carrying angular harmonics 0, 2 and 4 (computed by Hankel
-    quadrature), times the twice-convolved mollifier; it vanishes beyond
-    radius 2.  Second summand: the square of the twice-mollified second
-    derivative, exact in closed form.  The resolution is that of ``mol``
-    (default: the mollifier at ``resolution``).
+    derivative, times the twice-convolved mollifier rho2; it vanishes beyond
+    radius 2.  The self-convolution carries angular harmonics 0, 2 and 4, the
+    Hankel transforms ``c_n f_n / 2 pi`` with ``f_n(r) = int fourier^2 J_n(sigma r)
+    sigma dsigma`` and c = 3/8, -1/2, 1/8.  The recurrence of J_n and
+    ``int_0^r s^(n+1) J_n(sigma s) ds = r^(n+1) J_(n+1)(sigma r) / sigma`` give them
+    from rho2 (``f_0 = 2 pi rho2``): ``h0 = (3/8) rho2``, ``h2 = -(m2 - rho2)/2``,
+    which is ``-b`` of ``d11_log_potential``, and ``h4 = (2 m2 + rho2 - 3 m4)/8``,
+    with the disc mean m2 and ``m4 = (4/r^4) int_0^r t^3 rho2``.  Only h4 is a
+    table of its own, one per mollifier.  Second summand: the square of the
+    twice-mollified second derivative, exact in closed form.  The resolution
+    is that of ``mol`` (default: the mollifier at ``resolution``).
     """
 
     def __init__(self, mol: Mollifier | None = None, resolution: int = RESOLUTION):
         self.mol = _mollifier(mol, resolution)
-        if "hankel" not in self.mol._splines:
-            # One table of the three harmonics per mollifier.
-            sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
-            fr2 = self.mol.fourier(sn) ** 2 * sn * sw
-            rgrid = np.linspace(0.0, 2.0, 2 * resolution)
-            sums = zip(_bessel_sums(rgrid, sn, fr2, (0, 2, 4)), (3.0 / 8.0, -0.5, 1.0 / 8.0))
-            self.mol._splines["hankel"] = tuple(Spline(rgrid, c * s / TWO_PI) for s, c in sums)
-        self._h0, self._h2, self._h4 = self.mol._splines["hankel"]
         self._a2, self._b2 = d11_log_potential(self.mol, 2)
+        key = ("harmonic", 4)
+        if key not in self.mol._splines:
+            # m4 exactly on each cubic piece of rho2's spline (4 Gauss nodes), with m4(0) = rho2(0).
+            rho2 = self.mol._profile_spline(2)
+            x = rho2.x
+            u, w = _gauss_nodes(0.0, x[1], 4)
+            t = x[:-1, None] + u
+            dens = self.mol.conv_profile(2, x)
+            m4 = np.concatenate([dens[:1], 4.0 * np.cumsum(t**3 * rho2(t) @ w) / x[1:] ** 4])
+            self.mol._splines[key] = Spline(x, (2.0 * self.mol._disc_mean(2, x) + dens - 3.0 * m4) / 8.0)
+        self._h4 = self.mol._splines[key]
 
     def first_summand(self, r, theta):
         r = np.asarray(r, dtype=float)
-        inside = r < 2.0
-        rc = np.clip(r, 0.0, 2.0)
-        conv = self._h0(rc) + self._h2(rc) * np.cos(2 * theta) + self._h4(rc) * np.cos(4 * theta)
-        return np.where(inside, conv * self.mol.conv_profile(2, r), 0.0)
+        rho2 = self.mol.conv_profile(2, r)
+        h4 = self._h4(np.clip(r, 0.0, 2.0))
+        conv = 0.375 * rho2 - self._b2(r) * np.cos(2 * theta) + h4 * np.cos(4 * theta)
+        return np.where(r < 2.0, conv * rho2, 0.0)
 
     def second_summand(self, r, theta):
         val = self._a2(r) + self._b2(r) * np.cos(2 * theta)

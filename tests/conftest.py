@@ -3,7 +3,7 @@ power-counting oracle, the permutation-search canonical form, the list
 of every shipped graph, the dense Isserlis oracle of the Monte-Carlo
 estimators, the whole-table formulas of the smoothing-limit check, the
 polar rule of the mollifier's self-convolution profiles and their masses
-inside a radius.
+inside a radius, and the Hankel tables of the square kernel's harmonics.
 
 The three counting degrees have matching-count forms under canonical
 labels (valid on structurally sound graphs): the interior degree is
@@ -421,13 +421,16 @@ def polar_profile_reference(resolution: int, order: int) -> np.ndarray:
 
     The rule the profiles were built by before the Abel projection, written
     out: 2R Gauss-Legendre nodes in t, the 512-node rectangle rule over the
-    whole period in the angle, and the lower profile a spline (the bump's
-    order-1 table, or this reference at order 2) held at its support's edge
-    beyond it.
+    whole period in the angle, and the lower profile a spline (the bump
+    sampled at 4R points, or this reference at order 2) held at its
+    support's edge beyond it.
     """
     mol = Mollifier(resolution=resolution)
-    lower = (mol._profile_spline(1) if order == 2 else
-             Spline(np.linspace(0.0, 2.0, 3 * resolution), polar_profile_reference(resolution, 2)))
+    if order == 2:
+        bump = np.linspace(0.0, 1.0, 4 * resolution)
+        lower = Spline(bump, mol.rad(bump))
+    else:
+        lower = Spline(np.linspace(0.0, 2.0, 3 * resolution), polar_profile_reference(resolution, 2))
     tn, tw = _gauss_nodes(0.0, 1.0, 2 * resolution)
     weights = tw * tn * mol.rad(tn)
     cos_a = np.cos(np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
@@ -444,3 +447,23 @@ def disc_mass(mol, order: int, r):
     times the disc-mean table inside the support, 1 beyond."""
     r = np.asarray(r, dtype=float)
     return np.where(r >= float(order), 1.0, math.pi * r * r * mol._disc_mean(order, r))
+
+
+@lru_cache(maxsize=None)
+def hankel_tables(resolution: int) -> tuple:
+    """The bump's mollifier at ``resolution`` and the square kernel's harmonic
+    tables ``(h0, h2, h4)`` by Hankel quadrature, ``c_n/(2 pi) int fourier^2
+    J_n(sigma r) sigma dsigma`` with c = 3/8, -1/2, 1/8: 8R Gauss-Legendre
+    nodes in sigma up to ``30 + 4 sqrt(R)``, 2R radii on [0, 2], each table a
+    spline, and J_n scipy's (a test-only import).  The rule the kernel was
+    built by before it read the harmonics off the order-2 profile.
+    """
+    from scipy.special import jv
+
+    mol = Mollifier(resolution=resolution)
+    sn, sw = _gauss_nodes(0.0, 30.0 + 4.0 * math.sqrt(resolution), 8 * resolution)
+    weights = mol.fourier(sn) ** 2 * sn * sw
+    rgrid = np.linspace(0.0, 2.0, 2 * resolution)
+    args = np.outer(rgrid, sn)
+    return mol, tuple(Spline(rgrid, c / (2.0 * math.pi) * (jv(n, args) @ weights))
+                      for n, c in ((0, 3.0 / 8.0), (2, -0.5), (4, 1.0 / 8.0)))

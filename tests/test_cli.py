@@ -478,22 +478,25 @@ class TestVerbose:
                             lru_cache(maxsize=4)(kernels._default_mollifier.__wrapped__))
 
     @pytest.mark.parametrize(
-        "argv, tables",
+        "argv, stage, tables",
         [
-            (["constants", "crho", "--resolution", "32"], "profile2, mean2, fourier"),
+            (["constants", "crho", "--resolution", "32"], "crho_squared spatial",
+             "profile2, mean2, fourier"),
+            (["constants", "geps", "--eps", "1", "--resolution", "32"], "square kernel",
+             "profile2, mean2, harmonic4"),
             (["mc", "xiixi", "--eps", "1/8", "--n", "64", "--samples", "16",
-              "--resolution", "32"], "profile2, mean2"),
+              "--resolution", "32"], "crho_squared spatial", "profile2, mean2"),
         ],
-        ids=["constants-crho", "mc-xiixi"],
+        ids=["constants-crho", "constants-geps", "mc-xiixi"],
     )
-    def test_artifact_bytes_do_not_depend_on_v(self, argv, tables, tmp_path, capsys):
+    def test_artifact_bytes_do_not_depend_on_v(self, argv, stage, tables, tmp_path, capsys):
         quiet, loud = tmp_path / "quiet.out", tmp_path / "loud.out"
         assert main(["--out", str(quiet)] + argv) == 0
         assert capsys.readouterr().err == ""
         assert main(["-v", "--out", str(loud)] + argv) == 0
         err = capsys.readouterr().err
         assert quiet.read_bytes() == loud.read_bytes()
-        assert "stage crho_squared spatial: " in err
+        assert f"stage {stage}: " in err
         stages = [line for line in err.splitlines() if line.startswith("stage ")]
         assert all(re.fullmatch(r"stage .+: \d+\.\d{3} s, \d+ page faults", line)
                    for line in stages), stages

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from conftest import (disc_mass, polar_profile_reference, reference_gconv_limits,
+from conftest import (disc_mass, hankel_tables, polar_profile_reference, reference_gconv_limits,
                       reference_geps_field)
 from gpam2d import kernels
 
@@ -42,6 +42,12 @@ def kernel(mol):
 @pytest.fixture(scope="module")
 def crho(mol):
     return crho_squared("spatial", RES, mol).value
+
+
+@pytest.fixture(scope="module")
+def fourier_crho(mol):
+    # The route that shares no table with the square kernel, which reads spatial tables only.
+    return crho_squared("fourier", RES, mol).value
 
 
 GAUSS_S = 0.15  # the width of the Gaussian profile, whose c_rho^2 is 3/(32 pi s^2)
@@ -177,11 +183,12 @@ class TestQuadrature:
         for resolution in (1, 2, 32):
             mol = Mollifier(resolution=resolution)
             SquareKernel(mol, resolution=resolution)
+            mol.fourier(0.0)
             for order in (1, 2, 3):
                 mol._disc_mean(order, 0.5)
-            assert len(mol._splines) == 8  # profiles and disc means 1-3, fourier, hankel
-        # Each of those ten, and the q spline of the Abel profiles 2 and 3, not kept.
-        assert len(built) == 3 * 12
+            assert len(mol._splines) == 8  # profiles and disc means 1-3, harmonic 4, fourier
+        # Each of those eight, and the q spline of each Abel profile, not kept.
+        assert len(built) == 3 * 11
         grid = np.linspace(0.0, 5.0, 77)
         wavy = Spline(grid, np.sin(6.0 * grid))
         built.append((wavy, grid, np.sin(6.0 * grid)))
@@ -271,8 +278,8 @@ class TestSquareKernel:
         spread = (max(vals) - min(vals)) / vals[0]
         assert spread < 1e-6
 
-    def test_integral_matches_amplitude(self, kernel, crho):
-        assert abs(kernel.integral(1.0) - crho) < 1e-4 * crho
+    def test_integral_matches_amplitude(self, kernel, fourier_crho):
+        assert abs(kernel.integral(1.0) - fourier_crho) < 1e-4 * fourier_crho
 
     def test_first_summand_supported_in_twice_the_scale(self, kernel):
         assert kernel.first_summand(np.asarray(2.01), 0.3) == 0.0
@@ -294,37 +301,78 @@ class TestSquareKernel:
         ]
         assert masses[1] < masses[0]
 
-    def test_l1_mass_uniformly_bounded(self, kernel, crho):
+    def test_l1_mass_uniformly_bounded(self, kernel, crho, fourier_crho):
         reports = [approx_unity_report(eps, 0.125, kernel.mol, RES) for eps in (1 / 8, 1 / 32)]
         for rep in reports:
             assert rep["l1_mass"] < 5.0 * crho
-            assert rep["total_integral"] == pytest.approx(crho, rel=1e-3)
+            assert rep["total_integral"] == pytest.approx(fourier_crho, rel=1e-3)
 
-    def test_one_hankel_table_per_mollifier(self, monkeypatch):
-        # Criterion 7's set-up: a kernel, then reports on its mollifier.
+    def test_one_harmonic_table_per_mollifier(self, monkeypatch):
+        # Criterion 7's set-up: a kernel, then reports on its mollifier.  The
+        # kernel reads rho2, its disc mean and its one h4 table, so no Bessel
+        # function is called and the Fourier table is never built.
+        def refuse(*args):
+            raise AssertionError("a Bessel call")
+
+        monkeypatch.setattr(kernels, "_bessel", refuse)
         own = Mollifier(resolution=128)
         first = SquareKernel(own, resolution=128)
-        calls = []
-        bessel = kernels._bessel
-        monkeypatch.setattr(kernels, "_bessel", lambda *a: calls.append(a) or bessel(*a))
-        assert SquareKernel(own, resolution=128)._h0 is first._h0
+        assert SquareKernel(own, resolution=128)._h4 is first._h4
         report = approx_unity_report(0.25, 0.125, own, 128)
-        assert own._splines["hankel"][0] is first._h0
-        assert calls == []
-        # The three integrals of the build with one table per kernel: with
-        # every Gauss rule the long-double one rounded, they read the same.
-        pinned = {"l1_mass": 0.21640790493498133, "tail_mass": 0.11806816443104341,
-                  "total_integral": 0.2138570600215278}
+        assert own._splines[("harmonic", 4)] is first._h4
+        assert list(own._splines) == [("profile", 2), ("mean", 2), ("harmonic", 4)]
+        # The three integrals, at 1e-15.  Read with the first summand of the
+        # Hankel tables at R = 256 (conftest.hankel_tables) they are 0.21640790511,
+        # 0.11806816458 and 0.21385706026: these lie -1.9e-7, -3.6e-7 and +4.0e-10
+        # relative from them, set by the disc mean that h2 and h4 read near r = 0.
+        pinned = {"l1_mass": 0.21640786286035346, "tail_mass": 0.11806812230928994,
+                  "total_integral": 0.21385706034324165}
         for key, value in pinned.items():
             assert abs(report[key] - value) <= 1e-15 * value, key
 
+    @pytest.mark.parametrize("resolution, bound", [(64, 2.8e-6), (128, 7e-7)])
+    def test_first_summand_against_the_hankel_tables(self, resolution, bound):
+        # The oracle is the first summand of the Hankel tables at R = 256, built
+        # with scipy's J_n.  Measured: 2.3-2.6e-6 at R = 64 and 5.8-6.4e-7 at
+        # R = 128, worst near r = 0.01, where the trapezoid disc mean that h2
+        # and h4 read is off; the second summand, which reads the same disc
+        # mean, lies 0.6-3.6e-6 and 1.2-7.1e-7 from its R = 256 self.
+        oracle_mol, (h0, h2, h4) = hankel_tables(256)
+        kernel = SquareKernel(Mollifier(resolution=resolution), resolution=resolution)
+        r = np.linspace(0.0, 2.2, 2201)
+        rc = np.clip(r, 0.0, 2.0)
+        for theta in (0.0, 0.3, 0.7):
+            harmonics = h0(rc) + h2(rc) * np.cos(2 * theta) + h4(rc) * np.cos(4 * theta)
+            oracle = np.where(r < 2.0, harmonics * oracle_mol.conv_profile(2, r), 0.0)
+            assert np.max(np.abs(kernel.first_summand(r, theta) - oracle)) <= bound, theta
+
+    @PROPERTY
+    @given(st.floats(0.1, 0.2))
+    def test_harmonics_of_a_gaussian(self, s):
+        # With U = r^2/(4 s^2): rho2 = exp(-U)/(4 pi s^2), its disc mean
+        # m2 = (1 - exp(-U))/(pi r^2) and m4 = (8 s^2/(pi r^4))(1 - (1 + U) exp(-U)),
+        # so h2 = -(m2 - rho2)/2 and h4 = (2 m2 + rho2 - 3 m4)/8.  The bound is
+        # the trapezoid disc mean's (m2 is read from it, m4 is exact on rho2's
+        # pieces): at R = 96 the measured gaps are 0.94-3.8e-5 of rho2's peak for
+        # h4 and 1.9-7.5e-5 for h2, falling as 1/s^2 from s = 0.1.  The cut at
+        # r = 1 adds at most 7.5e-6 (s = 0.2).
+        mol = Mollifier(lambda r: np.exp(-r * r / (2 * s * s)), resolution=RES)
+        kernel = SquareKernel(mol, resolution=RES)
+        r = np.linspace(0.0, 2.0, 97)[1:]
+        u = r * r / (4 * s * s)
+        peak = 1.0 / (4.0 * math.pi * s * s)
+        rho2 = peak * np.exp(-u)
+        m2 = -np.expm1(-u) / (math.pi * r * r)
+        m4 = 8.0 * s * s / (math.pi * r**4) * (-np.expm1(-u) - u * np.exp(-u))
+        assert np.max(np.abs(-kernel._b2(r) + (m2 - rho2) / 2)) <= 1e-4 * peak
+        assert np.max(np.abs(kernel._h4(r) - (2.0 * m2 + rho2 - 3.0 * m4) / 8.0)) <= 5e-5 * peak
+
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_value_at_the_origin_is_its_limit(self, kernel, mol, theta):
-        # b vanishes at the origin and J_2, J_4 do, so the limit is
-        # h0(0) rho2(0) + (rho2(0)/2)^2.
+        # b and h4 vanish at the origin, so the limit is
+        # (3/8) rho2(0)^2 + (rho2(0)/2)^2 = (5/8) rho2(0)^2.
         rho2 = float(mol.conv_profile(2, np.asarray(0.0)))
-        limit = float(kernel._h0(np.asarray(0.0))) * rho2 + 0.25 * rho2 * rho2
-        assert float(kernel.value(np.asarray(0.0), theta)) == pytest.approx(limit, rel=1e-12)
+        assert float(kernel.value(np.asarray(0.0), theta)) == pytest.approx(0.625 * rho2 * rho2, rel=1e-12)
 
     @pytest.mark.parametrize("r", [1e-9, 1e-6, 1e-4, 1e-3])
     def test_value_continuous_at_the_origin(self, kernel, r):

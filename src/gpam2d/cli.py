@@ -347,10 +347,19 @@ def mc_weighted(args, stages: _Stages) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Grid sizes, sample counts and resolutions: integers of at least 1."""
+    """Grid sizes and sample counts: integers of at least 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
+
+
+def _resolution(text: str) -> int:
+    """Resolutions: 1 to 384, so that c_rho^2's 8 x resolution nodes stay within
+    the 3072 for which ``kernels._legendre`` states its accuracy."""
+    if (value := _positive_int(text)) > 384:
+        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 384: c_rho^2 takes 8 x "
+                                         "resolution Gauss-Legendre nodes, accurate up to 3072")
+    return value
 
 
 def _non_negative_int(text: str) -> int:
@@ -371,7 +380,7 @@ _OPTIONS = {
     "--graph": dict(help="file:name of a stochastic graph, or a graph of --corpus"),
     "--constraint": dict(default="all"),
     "--route": dict(choices=["spatial", "fourier", "both"], default="both"),
-    "--resolution": dict(type=_positive_int,
+    "--resolution": dict(type=_resolution,
                          help="mollifier resolution (default: kernels.RESOLUTION): of every "
                               "quadrature and grid for constants, of the c_rho^2 quadrature "
                               "only for mc"),

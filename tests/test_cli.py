@@ -343,6 +343,29 @@ class TestUsageErrors:
         assert last.endswith(("is not a positive integer", "is not a non-negative integer"))
         assert not path.exists()
 
+    @pytest.mark.parametrize("action, sizes", [
+        ("constants crho", []),
+        ("constants geps", ["--eps", "1/8"]),
+        ("constants gconv", ["--n", "64", "--eps", "1/8"]),
+        ("mc xiixi", ["--n", "64", "--samples", "16", "--eps", "1/8"]),
+        ("mc weighted", ["--n", "64", "--samples", "16", "--eps", "1/8"]),
+    ], ids=["crho", "geps", "gconv", "xiixi", "weighted"])
+    def test_resolution_above_the_ceiling_is_an_argument_error(self, action, sizes, tmp_path,
+                                                               capsys):
+        # 384 is where c_rho^2's 8R-node rule reaches the 3072 nodes up to
+        # which the Gauss-Legendre rule states its accuracy; the parser
+        # refuses more, so nothing is built.
+        path = tmp_path / "artifact.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(path)] + action.split() + sizes + ["--resolution", "385"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: gpam2d {action} ")
+        assert err.splitlines()[-1] == (
+            f"gpam2d {action}: error: argument --resolution: 385 is above the ceiling 384: "
+            "c_rho^2 takes 8 x resolution Gauss-Legendre nodes, accurate up to 3072")
+        assert not path.exists()
+
 
 # The 15 (action, option) pairs that each command once accepted for all of
 # its actions, though the action never read the option; each with a value

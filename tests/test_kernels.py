@@ -111,7 +111,7 @@ class TestMollifier:
         whole = [mol.fourier(s) for s in (sig, np.asfortranarray(sig), sig[7], 3.5)]
         spec = Spectral(64, 1 / 8, mol)
         # Blocks of two 50-point rows, of three 33-point rows, of 120 points.
-        monkeypatch.setattr(kernels, "_BESSEL_BLOCK", 120)
+        monkeypatch.setattr(kernels, "_BLOCK", 120)
         for s, expected in zip((sig, np.asfortranarray(sig), sig[7], 3.5), whole):
             assert np.array_equal(mol.fourier(s), expected)
             assert np.shape(mol.fourier(s)) == np.shape(s)
@@ -253,10 +253,10 @@ class TestQuadrature:
 
         expected = {route: crho_squared(route, 64).value for route in ("spatial", "fourier")}
         with monkeypatch.context() as patch:
-            patch.setattr(Mollifier, "fourier", refuse)
-            patch.setattr(kernels, "_bessel", refuse)
+            patch.setattr(Mollifier, "fourier", refuse)  # the whole Fourier table lies inside it
             assert crho_squared("spatial", 64, Mollifier(resolution=64)).value == expected["spatial"]
         monkeypatch.setattr(Mollifier, "_profile_spline", refuse)
+        monkeypatch.setattr(Mollifier, "_disc_mean", refuse)
         monkeypatch.setattr(Spectral, "self_convolution_slopes", refuse)
         assert crho_squared("fourier", 64, Mollifier(resolution=64)).value == expected["fourier"]
 
@@ -309,12 +309,12 @@ class TestSquareKernel:
 
     def test_one_harmonic_table_per_mollifier(self, monkeypatch):
         # Criterion 7's set-up: a kernel, then reports on its mollifier.  The
-        # kernel reads rho2, its disc mean and its one h4 table, so no Bessel
-        # function is called and the Fourier table is never built.
+        # kernel reads rho2, its disc mean and its one h4 table, so the
+        # Fourier table is never built.
         def refuse(*args):
-            raise AssertionError("a Bessel call")
+            raise AssertionError("a Fourier table lookup")
 
-        monkeypatch.setattr(kernels, "_bessel", refuse)
+        monkeypatch.setattr(Mollifier, "fourier", refuse)
         own = Mollifier(resolution=128)
         first = SquareKernel(own, resolution=128)
         assert SquareKernel(own, resolution=128)._h4 is first._h4

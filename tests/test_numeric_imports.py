@@ -1,11 +1,12 @@
 """The package imports numpy and the standard library, and nothing of scipy.
 
-``kernels.Spline`` is the one spline and ``kernels._bessel`` the one Bessel
-evaluator of the package.  Importing ``scipy.special`` alone took about 0.2 s
-at the start of every process.  The guard walks the syntax tree of every
-package module, the declared dependencies are checked against what those
-trees import, and a fresh interpreter checks what importing every module, and
-building every table, loads.
+``kernels.Spline`` is the one spline of the package, and no table it builds
+needs a special function: the Fourier table is a Gauss-Legendre projection.
+Importing ``scipy.special`` alone took about 0.2 s at the start of every
+process.  The guard walks the syntax tree of every package module, the
+declared dependencies are checked against what those trees import, the
+``test`` extra against what the tests import, and a fresh interpreter checks
+what importing every module, and building every table, loads.
 """
 
 import ast
@@ -21,6 +22,7 @@ import gpam2d
 
 PACKAGE = Path(gpam2d.__file__).resolve().parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 BANNED = "scipy"
 
 
@@ -43,9 +45,14 @@ def banned_imports(source: str) -> list[int]:
 
 
 def third_party(source: str) -> set[str]:
-    """Top-level modules imported that are neither the standard library nor the package."""
+    """Top-level modules imported that are neither the standard library, the package nor conftest."""
     tops = {path.split(".")[0] for _, paths in _imports(source) for path in paths}
-    return tops - set(sys.stdlib_module_names) - {"gpam2d"}
+    return tops - set(sys.stdlib_module_names) - {"gpam2d", "conftest"}
+
+
+def _names(specs) -> set[str]:
+    """The distribution names of requirement specifiers, lower-cased."""
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs}
 
 
 def test_no_scipy_import_in_the_package():
@@ -66,15 +73,25 @@ def test_guard_sees_every_spelling():
 
 def test_declared_dependencies_are_the_imports():
     tomllib = pytest.importorskip("tomllib")
-    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared}
+    names = _names(tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"])
     imported = set().union(*(third_party(path.read_text()) for path in PACKAGE.glob("*.py")))
     assert imported == names == {"numpy"}
 
 
+def test_declared_test_extra_is_what_the_tests_import():
+    # Beyond the package's own dependencies: no extra that no test imports,
+    # and no test import left undeclared.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    extra = _names(project["optional-dependencies"]["test"])
+    imported = set().union(*(third_party(path.read_text()) for path in TESTS.glob("*.py")))
+    assert extra == imported - _names(project["dependencies"])
+
+
 def test_third_party_sees_absolute_imports_only():
     source = ("import numpy as np\nfrom numpy.polynomial import Polynomial\nimport math\n"
-              "from . import kernels\nfrom gpam2d import cli\nimport os, scipy.special\n")
+              "from . import kernels\nfrom gpam2d import cli\nimport os, scipy.special\n"
+              "from conftest import disc_mass\n")
     assert third_party(source) == {"numpy", "scipy"}
 
 

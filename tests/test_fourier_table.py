@@ -66,3 +66,28 @@ def test_build_in_blocks_is_one_table(block, monkeypatch):
     assert sum(profile) == row * row and sum(cosine) == row + 40 * resolution * row
     assert max(profile + cosine) <= max(block, row)
     assert np.array_equal(mol.fourier(knots(resolution)), whole)
+
+
+@pytest.mark.parametrize("resolution", [1, 8, 128])
+def test_zero_frequency_is_the_unit_mass(resolution):
+    # The profile is normalised by the spatial rule; the table's own rule
+    # integrates it to 1 within rounding.
+    assert abs(float(Mollifier(resolution=resolution).fourier(0.0)) - 1.0) <= 1e-15
+
+
+def test_lookup_is_even_and_keeps_the_shape():
+    mol = Mollifier(resolution=16)
+    cap = knots(16)[-1]
+    sigma = np.random.default_rng(3).uniform(-1.1 * cap, 1.1 * cap, (30, 40))
+    whole = mol.fourier(sigma)
+    assert whole.shape == sigma.shape
+    np.testing.assert_array_equal(whole.ravel(), mol.fourier(sigma.ravel()))
+    np.testing.assert_array_equal(whole, mol.fourier(-sigma))
+
+
+def test_zero_past_the_top_knot():
+    mol = Mollifier(resolution=16)
+    cap = knots(16)[-1]
+    past = [np.nextafter(cap, np.inf), 2.0 * cap, 1e300, np.inf, -np.inf]
+    assert float(mol.fourier(cap)) != 0.0
+    np.testing.assert_array_equal(mol.fourier(past), 0.0)

@@ -347,7 +347,7 @@ def mc_weighted(args, stages: _Stages) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Grid sizes and sample counts: integers of at least 1."""
+    """Integers of at least 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
@@ -359,6 +359,28 @@ def _resolution(text: str) -> int:
     if (value := _positive_int(text)) > 384:
         raise argparse.ArgumentTypeError(f"{value} is above the ceiling 384: c_rho^2 takes 8 x "
                                          "resolution Gauss-Legendre nodes, accurate up to 3072")
+    return value
+
+
+def _grid_size(text: str) -> int:
+    """Grid sizes: 1 to 4096.  A Monte-Carlo table at its four default scales
+    keeps about 32 N x N fields of doubles alive (its two lanes' work arrays,
+    the spectral tables and mean field of each scale; 28 measured at N = 1024),
+    so 4096 keeps 4 GiB."""
+    if (value := _positive_int(text)) > 4096:
+        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 4096: a Monte-Carlo table "
+                                         "keeps about 32 N x N fields of doubles alive, 4 GiB "
+                                         "at N = 4096")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """Sample counts: 1 to 2^20.  Every sample's seed (about 380 bytes) and its
+    values are kept until the run ends, 0.4 GiB at the ceiling."""
+    if (value := _positive_int(text)) > 1 << 20:
+        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 1048576: every sample "
+                                         "keeps a seed of about 380 bytes until the run ends, "
+                                         "0.4 GiB at the ceiling")
     return value
 
 
@@ -384,8 +406,8 @@ _OPTIONS = {
                          help="mollifier resolution (default: kernels.RESOLUTION): of every "
                               "quadrature and grid for constants, of the c_rho^2 quadrature "
                               "only for mc"),
-    "--n": dict(type=_positive_int, default=512),
-    "--samples": dict(type=_positive_int, default=400),
+    "--n": dict(type=_grid_size, default=512),
+    "--samples": dict(type=_sample_count, default=400),
     "--seed": dict(type=_non_negative_int, default=7),
     "--which": dict(choices=["xxiixi", "xiixxi"], default="xiixxi"),
     "--axis": dict(type=int, choices=[1, 2], default=1),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -27,6 +28,7 @@ TWO_PI = 2.0 * math.pi
 
 RESOLUTION = 128  # the one default mollifier resolution
 _ROW_BLOCK = 64  # lines per pass of Spectral.field (the fastest of 16..256 at N = 512, 1024) and Spectral.even
+_SPLIT = 1 << 15  # points: a Spectral pass this large runs in two halves of its lines (N >= 256)
 _BLOCK = 1 << 16  # points per pass of Mollifier.fourier's table and lookup, and of the Abel profiles
 _ABEL_M = 1024  # nodes per unit length of the Abel profiles' grids: M against 2M within 2.0e-14
 
@@ -286,7 +288,8 @@ class Mollifier:
         step = max(1, _BLOCK // max(1, rows_in[:1].size))
         for s in range(0, len(rows_in), step):
             a = np.abs(rows_in[s:s + step])
-            rows_out[s:s + step] = np.where(a <= cap, spline(np.clip(a, 0.0, cap)), 0.0)
+            # fmin reads NaN as the cap, which the spline can index; minimum keeps NaN as NaN.
+            rows_out[s:s + step] = np.where(a <= cap, spline(np.fmin(a, cap)), np.minimum(a, 0.0))
         return out
 
 
@@ -534,6 +537,74 @@ def _check_grid(n: int, eps: float) -> None:
         raise ValueError(f"grid too coarse for scale {eps} at N = {n}: need N >= 1, eps*N >= 4")
 
 
+class _Worker:
+    """The one helper thread of the spectral passes and the Monte-Carlo lanes.
+
+    Rule: it writes only into arrays its caller allocated.  glibc gives a
+    thread that allocates its own arena, which the steady heap never trims:
+    a table whose worker allocated its temporaries kept 23 MB more at N = 512.
+    Nothing starts at import.  The thread starts at the first ``ready``
+    outside a lane, where the process may run on two CPUs or more; a forked
+    child forgets it.  Work run by ``both`` is a lane, whose own passes run
+    inline, so the thread never waits on itself.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._forget()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        self._lock, self._pool = threading.Lock(), None  # None: not started; False: one CPU
+
+    def ready(self) -> bool:
+        """Whether ``both`` may hand work to the thread: outside a lane, on two CPUs or more."""
+        if getattr(self._local, "lane", False):
+            return False
+        with self._lock:
+            if self._pool is None:
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+                if cpus > 1:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="gpam2d")
+                else:
+                    self._pool = False
+        return bool(self._pool)
+
+    def both(self, first, second) -> None:
+        """``first()`` on the thread and ``second()`` here, each as a lane, once
+        ``ready`` said so; returns when both are done, raising what either raised."""
+        future = self._pool.submit(self._lane, first)
+        try:
+            self._lane(second)
+        finally:
+            future.result()
+
+    def _lane(self, work) -> None:
+        self._local.lane = True
+        try:
+            work()
+        finally:
+            self._local.lane = False
+
+
+_worker = _Worker()
+
+
+def _by_lines(fft, src: np.ndarray, out: np.ndarray, axis: int, **kw) -> np.ndarray:
+    """``fft(src, axis=axis, out=out, **kw)`` on 2-d arrays, whose lines lie
+    along the other axis.  A pass of ``_SPLIT`` points or more runs, when the
+    worker is ready, as the same call on each half of the lines."""
+    if out.size < _SPLIT or not _worker.ready():
+        return fft(src, axis=axis, out=out, **kw)
+    cut = src.shape[1 - axis] // 2
+    halves = (np.s_[:cut], np.s_[cut:]) if axis else (np.s_[:, :cut], np.s_[:, cut:])
+    _worker.both(*(lambda h=h: fft(src[h], axis=axis, out=out[h], **kw) for h in halves))
+    return out
+
+
 class Spectral:
     """Fourier multipliers of the N x N unit torus at one scale, on half spectra.
 
@@ -576,15 +647,19 @@ class Spectral:
     d1_frho = cached_property(lambda self: self.d1 * self.frho)
 
     @staticmethod
-    def field(coeff: np.ndarray, rows=None) -> np.ndarray:
-        """The grid field of ``coeff``, or only its ``rows`` (all by default):
-        exactly those rows of the full field, in the order given.
+    def field(coeff: np.ndarray, rows=None, out=None, lines=None, gather=None) -> np.ndarray:
+        """The grid field of ``coeff``, or only its ``rows`` (all by default, each
+        taken modulo N): exactly those rows of the full field, in the order given.
 
         The complex pass runs along the lines of the transposed table; the
         real pass runs on the rows asked for, in blocks, so no transposed copy
-        of the whole table is made.
+        of the whole table is made.  The caller may give the work arrays:
+        ``out`` for the rows, ``lines`` for the complex pass (N/2+1 x N,
+        C-ordered) and ``gather``, room for one block of its lines at ``rows``.
         """
-        return Spectral._real_pass(np.fft.ifft(coeff.T, axis=1, norm="forward"), rows)
+        lines = np.empty(coeff.shape[::-1], dtype=complex) if lines is None else lines
+        _by_lines(np.fft.ifft, coeff.T, lines, 1, norm="forward")
+        return Spectral._real_pass(lines, rows, out, gather)
 
     @staticmethod
     def even(quarter: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
@@ -604,25 +679,45 @@ class Spectral:
         return quarter
 
     @staticmethod
-    def _real_pass(lines: np.ndarray, rows=None) -> np.ndarray:
+    def _real_pass(lines: np.ndarray, rows=None, out=None, gather=None) -> np.ndarray:
         n = lines.shape[1]  # lines: (frequency k2, row)
-        out = np.empty((n if rows is None else len(rows), n))
-        for r in range(0, len(out), _ROW_BLOCK):
-            block = slice(r, r + _ROW_BLOCK) if rows is None else rows[r:r + _ROW_BLOCK]
-            np.fft.irfft(lines[:, block].T, n, axis=1, norm="forward", out=out[r:r + _ROW_BLOCK])
+        out = np.empty((n if rows is None else len(rows), n)) if out is None else out
+        blocks = range(0, len(out), _ROW_BLOCK)
+        if out.size < _SPLIT or not _worker.ready():
+            Spectral._real_blocks(lines, rows, out, blocks, gather)
+        else:  # the worker's half gathers into an array allocated here
+            cut = len(blocks) // 2
+            room = None if rows is None else np.empty(lines.shape[0] * _ROW_BLOCK, dtype=complex)
+            _worker.both(lambda: Spectral._real_blocks(lines, rows, out, blocks[:cut], room),
+                         lambda: Spectral._real_blocks(lines, rows, out, blocks[cut:], gather))
         return out
 
     @staticmethod
-    def coeff(field: np.ndarray) -> np.ndarray:
-        """``rfft2(field) / field.size``, into a Fortran-ordered table.
+    def _real_blocks(lines: np.ndarray, rows, out: np.ndarray, blocks: range, gather) -> None:
+        h, n = lines.shape
+        if rows is not None and gather is None:
+            gather = np.empty(h * _ROW_BLOCK, dtype=complex)
+        for r in blocks:
+            if rows is None:
+                block = lines[:, r:r + _ROW_BLOCK]
+            else:
+                index = rows[r:r + _ROW_BLOCK]
+                block = np.take(lines, index, axis=1, mode="wrap",
+                                out=gather[:h * len(index)].reshape(h, -1))
+            np.fft.irfft(block.T, n, axis=1, norm="forward", out=out[r:r + _ROW_BLOCK])
+
+    @staticmethod
+    def coeff(field: np.ndarray, out=None) -> np.ndarray:
+        """``rfft2(field) / field.size``, into a Fortran-ordered table (``out``
+        if given).
 
         The division is by each axis length in turn, so it is exact only when
         they are powers of two; otherwise the last digits can differ.
         """
         n1, n2 = field.shape
-        out = np.empty((n1, n2 // 2 + 1), dtype=complex, order="F")
-        np.fft.rfft(field, axis=1, norm="forward", out=out)
-        return np.fft.fft(out, axis=0, norm="forward", out=out)
+        out = np.empty((n1, n2 // 2 + 1), dtype=complex, order="F") if out is None else out
+        _by_lines(np.fft.rfft, field, out, 1, norm="forward")
+        return _by_lines(np.fft.fft, out, out, 0, norm="forward")
 
     @staticmethod
     def at_origin(coeff: np.ndarray) -> float:

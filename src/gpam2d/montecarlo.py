@@ -19,24 +19,35 @@ function lives: the fields it only tests against phi are transformed back on
 those rows alone, which ``_plan`` resolves once per input.
 ``convergence_table`` transforms each noise once for all scales and pairs phi
 with the mean field once per scale.
+
+Work on two threads follows ``kernels``' worker rule: the worker writes only
+into arrays its caller allocated, so no second malloc arena grows, and every
+value is computed by the same numpy calls in the same order, so it is the
+same to the bit on one CPU or two.  From N = 256 on (the ``Spectral`` size
+gate), a table runs its samples in two lanes, the calling thread and the
+worker, each drawing into and working on its own ``_Work`` arrays; the
+standalone estimators run each large transform in two halves of its lines.
+Inside a lane every transform runs inline.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Spectral, bump_field, torus_coords
+from .kernels import _ROW_BLOCK, _SPLIT, Spectral, _worker, bump_field, torus_coords
 
 
-def sample_noise(n: int, seed) -> np.ndarray:
-    """Real white noise on the N x N grid, variance N^2 per cell, seed-determined."""
+def sample_noise(n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """Real white noise on the N x N grid, variance N^2 per cell, seed-determined;
+    drawn into ``out`` if given."""
     if n < 1 or n & (n - 1):
         raise ValueError("grid size must be a power of two")
-    xi = np.random.default_rng(seed).standard_normal((n, n))
+    xi = np.random.default_rng(seed).standard_normal((n, n), out=out)
     xi *= n
     return xi
 
@@ -58,8 +69,26 @@ def _paired_mean(spec: Spectral, rows: np.ndarray, phi: np.ndarray, j: int) -> f
     return float(np.sum(phi * _mean_field(spec, j)[rows])) * spec.mesh2
 
 
+class _Work:
+    """The work arrays of ``_recentred_product`` on an N x N grid and ``count``
+    rows, allocated by the caller: the noise, its coefficients, the multiplier
+    product, the complex-pass table, A's and B's rows and one block gather.
+    At order j > 0 the noise's array then holds A, and x_j A, on the whole
+    grid, and a spare table takes the origin terms."""
+
+    def __init__(self, n: int, count: int, order: int):
+        h = n // 2 + 1
+        self.noise = np.empty((n, n))
+        self.xi_hat = np.empty((n, h), dtype=complex, order="F")
+        self.product = np.empty((n, h), dtype=complex, order="F")
+        self.lines = np.empty((h, n), dtype=complex)
+        self.a, self.b = np.empty((count, n)), np.empty((count, n))
+        self.gather = np.empty(h * _ROW_BLOCK, dtype=complex)
+        self.spare = np.empty((n, h), dtype=complex, order="F") if order else None
+
+
 def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.ndarray,
-                       phi: np.ndarray, j: int, mean: float) -> float:
+                       phi: np.ndarray, j: int, mean: float, work: _Work) -> float:
     """``A * B_j`` tested against phi, less its exact Gaussian expectation.
 
     A is the mollified axis-1 derivative of the noise, whose coefficients are
@@ -69,22 +98,27 @@ def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.
     ``_paired_mean``.  A and K*(w A) are transformed back on those rows only;
     the other base-point values are coefficient sums.  So j = 0 costs two
     inverse transforms on the rows; j > 0 needs A on the full grid, then the
-    forward transform of w A and one inverse transform on the rows.
+    forward transform of w A and one inverse transform on the rows.  Every
+    array is ``work``'s (or the caller's ``xi_hat``), each written by the
+    numpy call that would have allocated it.
     """
-    a_hat = spec.d1_frho * xi_hat
+    passes = dict(lines=work.lines, gather=work.gather)
+    a_hat = np.multiply(spec.d1_frho, xi_hat, out=work.product)
     if j:
-        a = spec.field(a_hat)
-        w_hat = spec.coeff(_coordinate(spec.n, j) * a)
-        a = a[rows]
+        grid = spec.field(a_hat, out=work.noise, lines=work.lines)
+        a = np.take(grid, rows, axis=0, mode="wrap", out=work.a)
+        w_hat = spec.coeff(np.multiply(_coordinate(spec.n, j), grid, out=grid), out=a_hat)
+        origins = [spec.at_origin(np.multiply(np.multiply(d, spec.inv_lap, out=work.spare), w_hat,
+                                              out=work.spare)) for d in (spec.d1, spec.d2)]
     else:
-        a = spec.field(a_hat, rows)
+        a = spec.field(a_hat, rows, out=work.a, **passes)
         w_hat = a_hat
-    b = spec.field(w_hat * spec.inv_lap, rows)
+    b = spec.field(np.multiply(w_hat, spec.inv_lap, out=w_hat), rows, out=work.b, **passes)
     b -= b[0, 0]  # rows[0] is the origin row
     if j:
-        for x, d in ((_coordinate(spec.n, 1)[rows], spec.d1), (_coordinate(spec.n, 2), spec.d2)):
-            b -= x * spec.at_origin(d * spec.inv_lap * w_hat)
-    stoch = float(np.sum(phi * a * b)) * spec.mesh2
+        for x, origin in zip((_coordinate(spec.n, 1)[rows], _coordinate(spec.n, 2)), origins):
+            b -= x * origin
+    stoch = float(np.sum(np.multiply(np.multiply(phi, a, out=a), b, out=a))) * spec.mesh2
     return eps * (stoch - mean)
 
 
@@ -118,34 +152,36 @@ def _plan(n: int, phi: np.ndarray, which: str, j: int):
     """Estimator ``which`` on axis ``j`` against phi, resolved once.
 
     Returns the rows where its test function lives, led by the origin row 0;
-    the test function on those rows; the recentring order; and the weight
-    whose square the limiting variance integrates, ``x_j phi`` (phi for
-    ``xiixi``).  phi must cover the grid: no broadcasting, no row guessing.
+    the test function on those rows; and the recentring order.  phi must
+    cover the grid: no broadcasting, no row guessing.
     """
     if np.shape(phi) != (n, n):
         raise ValueError(f"test function has shape {np.shape(phi)}, not the grid's {(n, n)}")
     if which == "xiixi":
-        test, order, weight = phi, 0, phi
+        test, order = phi, 0
     elif j not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, not {j!r}")
-    elif which in ("xxiixi", "xiixxi"):
-        weight = _coordinate(n, j) * phi
-        test, order = (weight, 0) if which == "xxiixi" else (phi, j)
+    elif which == "xxiixi":
+        test, order = _coordinate(n, j) * phi, 0
+    elif which == "xiixxi":
+        test, order = phi, j
     else:
         raise ValueError(f"unknown estimator {which!r}")
     rows = np.flatnonzero(np.any(test, axis=1))
     if not rows.size or rows[0]:
         rows = np.concatenate(([0], rows))
-    return rows, test[rows], order, weight
+    return rows, test[rows], order
 
 
 def _estimate(xi: np.ndarray, eps: float, phi: np.ndarray, which: str, j: int) -> float:
     """One value of estimator ``which`` on the noise xi: its coefficients, then the core."""
     n = len(xi)
     spec = _spectral(n, eps)
-    rows, test, order = _plan(n, phi, which, j)[:3]  # the weight is dropped at once
-    return _recentred_product(spec, eps, spec.coeff(xi), rows, test, order,
-                              _paired_mean(spec, rows, test, order))
+    rows, test, order = _plan(n, phi, which, j)
+    mean = _paired_mean(spec, rows, test, order)  # builds the mean field before any work array
+    work = _Work(n, len(rows), order)
+    return _recentred_product(spec, eps, spec.coeff(xi, out=work.xi_hat), rows, test, order,
+                              mean, work)
 
 
 def pi_xiixi(xi: np.ndarray, eps: float, phi: np.ndarray) -> float:
@@ -237,18 +273,23 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     ``which`` is ``xiixi`` (``pi_xiixi`` against phi) or a ``pi_weighted``
     estimator on axis ``j``, whose limiting variance is taken against
     ``x_j * phi``.  Each noise is drawn once and evaluated at every scale
-    before the next is drawn (common random numbers, one field alive at a
-    time), so the across-scale comparisons in the output are far more stable
-    than the per-entry error bars suggest.  Each noise is transformed once,
-    and phi is paired with the mean field once per scale.  A test function
-    that vanishes off the origin, a scale at which the mollified noise
-    vanishes on the grid, or a zero target, is refused before any noise is
-    drawn.
+    before the next is drawn (common random numbers), so the across-scale
+    comparisons in the output are far more stable than the per-entry error
+    bars suggest.  Each noise is transformed once, and phi is paired with the
+    mean field once per scale.  The samples run in lanes: two from N = 256
+    on, where the worker is ready (the calling thread and the worker), else
+    one on the calling thread.  Each lane draws its noises into one buffer
+    and works in its own ``_Work`` arrays, all allocated here beforehand, and
+    writes each value by sample index, so the table is the same to the bit
+    with one lane or two.  A test function that vanishes off the origin, a
+    scale at which the mollified noise vanishes on the grid, or a zero
+    target, is refused before any noise is drawn.
     """
     require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
-    live, test, order, weight = _plan(n, phi, which, j)
+    live, test, order = _plan(n, phi, which, j)
+    weight = phi if which == "xiixi" else _coordinate(n, j) * phi
     target = crho_sq * float(np.sum(weight * weight)) / (n * n)
     if not test.ravel()[1:].any():  # test[0, 0] is the origin, where every product vanishes
         raise ValueError(f"the test function vanishes off the origin of the {n} x {n} grid, "
@@ -260,12 +301,32 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
         if not spec.d1_frho.any():  # every grid frequency lies past the mollifier cut-off
             raise ValueError(f"the mollified noise vanishes on the {n} x {n} grid at scale "
                              f"{eps}, so every sample is the same constant")
+    # Every cache a lane reads is built here, on the calling thread.
     means = [_paired_mean(spec, live, test, order) for spec in specs]
+    _coordinate(n, 1), _coordinate(n, 2)
+    seeds = sample_seeds(seed, samples)
     values = np.empty((samples, len(eps_list)))
-    for row, s in zip(values, sample_seeds(seed, samples)):
-        xi_hat = Spectral.coeff(sample_noise(n, s))  # the noise itself is dropped
-        row[:] = [_recentred_product(spec, eps, xi_hat, live, test, order, mean)
-                  for eps, spec, mean in zip(eps_list, specs, means)]
+    lanes = [_Work(n, len(live), order)
+             for _ in range(2 if n * n >= _SPLIT and _worker.ready() else 1)]
+    failed = threading.Event()
+
+    def lane(k: int) -> None:
+        work = lanes[k]
+        try:
+            for i in range(k, samples, len(lanes)):
+                if failed.is_set():
+                    return
+                xi_hat = Spectral.coeff(sample_noise(n, seeds[i], out=work.noise), out=work.xi_hat)
+                values[i] = [_recentred_product(spec, eps, xi_hat, live, test, order, mean, work)
+                             for eps, spec, mean in zip(eps_list, specs, means)]
+        except BaseException:
+            failed.set()  # the other lane stops at its next sample
+            raise
+
+    if len(lanes) == 1:
+        lane(0)
+    else:
+        _worker.both(lambda: lane(1), lambda: lane(0))
     rows = []
     for eps, column in zip(eps_list, values.T):
         stats = estimate_stats(column)

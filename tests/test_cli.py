@@ -366,6 +366,27 @@ class TestUsageErrors:
             "c_rho^2 takes 8 x resolution Gauss-Legendre nodes, accurate up to 3072")
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["mc", "xiixi", "--n", "4097", "--samples", "1"],
+         "argument --n: 4097 is above the ceiling 4096: a Monte-Carlo table keeps about 32 "
+         "N x N fields of doubles alive, 4 GiB at N = 4096"),
+        (["mc", "xiixi", "--eps", "80", "--n", "64", "--samples", "1048577", "--resolution", "1"],
+         "argument --samples: 1048577 is above the ceiling 1048576: every sample keeps a seed "
+         "of about 380 bytes until the run ends, 0.4 GiB at the ceiling"),
+    ], ids=["n", "samples"])
+    def test_size_above_its_ceiling_is_an_argument_error(self, argv, reason, tmp_path, capsys):
+        # The parser refuses the size, so nothing is allocated.  Without the
+        # ceilings each command here still exits 2 cheaply, for another reason
+        # (too few samples; a scale where the mollified noise vanishes).
+        path = tmp_path / "artifact.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(path)] + argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: gpam2d mc xiixi ")
+        assert err.splitlines()[-1] == f"gpam2d mc xiixi: error: {reason}"
+        assert not path.exists()
+
 
 # The 15 (action, option) pairs that each command once accepted for all of
 # its actions, though the action never read the option; each with a value
@@ -604,7 +625,7 @@ class TestConstantsAndMc:
         draws = []
         sample_noise = montecarlo.sample_noise
         monkeypatch.setattr(montecarlo, "sample_noise",
-                            lambda n, seed: draws.append(seed) or sample_noise(n, seed))
+                            lambda n, seed, **out: draws.append(seed) or sample_noise(n, seed, **out))
         code, out = run(capsys, "mc", "weighted", "--eps", "1/8..1/16", "--n", "64",
                         "--samples", "16", "--resolution", "32")
         assert code == 0

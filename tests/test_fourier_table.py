@@ -91,3 +91,14 @@ def test_zero_past_the_top_knot():
     past = [np.nextafter(cap, np.inf), 2.0 * cap, 1e300, np.inf, -np.inf]
     assert float(mol.fourier(cap)) != 0.0
     np.testing.assert_array_equal(mol.fourier(past), 0.0)
+
+
+def test_nan_frequency_is_nan():
+    # The lookup once indexed the spline with NaN cast to an integer: an
+    # IndexError, after a RuntimeWarning that the suite turns into an error.
+    mol = Mollifier(resolution=8)
+    sigma = np.array([[np.nan, 1.0], [-np.inf, -np.nan]])
+    got = mol.fourier(sigma)
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 1]) and got[1, 0] == 0.0
+    assert got[0, 1] == mol.fourier(1.0)
+    assert np.isnan(mol.fourier(np.nan))

@@ -1,5 +1,4 @@
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -343,21 +342,28 @@ class TestConvergenceTable:
             for key, value in expected.items():
                 assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
-    def test_one_noise_alive_at_a_time(self, phi, monkeypatch):
-        refs, alive_at_draw = [], []
+    @pytest.mark.parametrize("n", [N, 256])
+    def test_draws_go_into_one_buffer_per_lane(self, n, monkeypatch):
+        # Every noise is drawn into an array allocated before the samples
+        # start, one per lane (two lanes at most, from N = 256 on), so no
+        # sample allocates a noise and at most one noise per lane is alive.
+        buffers = []
         draw = montecarlo.sample_noise
 
-        def counted(n, seed):
-            alive_at_draw.append(sum(ref() is not None for ref in refs))
-            noise = draw(n, seed)
-            refs.append(weakref.ref(noise))
+        def counted(n, seed, out=None):
+            assert out is not None, "a sample allocated its noise"
+            buffers.append(out)
+            noise = draw(n, seed, out=out)
+            assert noise is out
             return noise
 
         monkeypatch.setattr(montecarlo, "sample_noise", counted)
+        phi = bump_field(n, radius=0.25)
         for which in ("xiixi", "xiixxi"):
-            convergence_table([1 / 4, 1 / 8], N, 16, phi=phi, seed=5, crho_sq=0.2139,
-                              which=which)
-        assert alive_at_draw == [0] * 32
+            buffers.clear()
+            convergence_table([1 / 8], n, 16, phi=phi, seed=5, crho_sq=0.2139, which=which)
+            assert len(buffers) == 16
+            assert len({id(b) for b in buffers}) <= (1 if n == N else 2)
 
     def test_error_bars_shrink_with_samples(self, phi):
         small = convergence_table([1 / 8], N, 64, phi=phi, seed=6, crho_sq=0.2139)[0]

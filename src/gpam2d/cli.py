@@ -353,35 +353,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _resolution(text: str) -> int:
-    """Resolutions: 1 to 384, so that c_rho^2's 8 x resolution nodes stay within
-    the 3072 for which ``kernels._legendre`` states its accuracy."""
-    if (value := _positive_int(text)) > 384:
-        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 384: c_rho^2 takes 8 x "
-                                         "resolution Gauss-Legendre nodes, accurate up to 3072")
-    return value
+def _at_most(ceiling: int, reason: str):
+    """The argparse type of a size: a positive integer, refused above ``ceiling``
+    with ``reason``, so that nothing is built for it."""
 
+    def size(text: str) -> int:
+        if (value := _positive_int(text)) > ceiling:
+            raise argparse.ArgumentTypeError(f"{value} is above the ceiling {ceiling}: {reason}")
+        return value
 
-def _grid_size(text: str) -> int:
-    """Grid sizes: 1 to 4096.  A Monte-Carlo table at its four default scales
-    keeps about 32 N x N fields of doubles alive (its two lanes' work arrays,
-    the spectral tables and mean field of each scale; 28 measured at N = 1024),
-    so 4096 keeps 4 GiB."""
-    if (value := _positive_int(text)) > 4096:
-        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 4096: a Monte-Carlo table "
-                                         "keeps about 32 N x N fields of doubles alive, 4 GiB "
-                                         "at N = 4096")
-    return value
-
-
-def _sample_count(text: str) -> int:
-    """Sample counts: 1 to 2^20.  Every sample's seed (about 380 bytes) and its
-    values are kept until the run ends, 0.4 GiB at the ceiling."""
-    if (value := _positive_int(text)) > 1 << 20:
-        raise argparse.ArgumentTypeError(f"{value} is above the ceiling 1048576: every sample "
-                                         "keeps a seed of about 380 bytes until the run ends, "
-                                         "0.4 GiB at the ceiling")
-    return value
+    return size
 
 
 def _non_negative_int(text: str) -> int:
@@ -402,12 +383,21 @@ _OPTIONS = {
     "--graph": dict(help="file:name of a stochastic graph, or a graph of --corpus"),
     "--constraint": dict(default="all"),
     "--route": dict(choices=["spatial", "fourier", "both"], default="both"),
-    "--resolution": dict(type=_resolution,
+    # The ceilings: c_rho^2's 8 x resolution nodes stay within the 3072 for
+    # which kernels._legendre states its accuracy; a Monte-Carlo table at its
+    # four default scales keeps about 32 N x N fields of doubles alive (its two
+    # lanes' work arrays, each scale's spectral tables and mean field; 28
+    # measured at N = 1024); every sample's seed is kept until the run ends.
+    "--resolution": dict(type=_at_most(384, "c_rho^2 takes 8 x resolution Gauss-Legendre "
+                                            "nodes, accurate up to 3072"),
                          help="mollifier resolution (default: kernels.RESOLUTION): of every "
                               "quadrature and grid for constants, of the c_rho^2 quadrature "
                               "only for mc"),
-    "--n": dict(type=_grid_size, default=512),
-    "--samples": dict(type=_sample_count, default=400),
+    "--n": dict(type=_at_most(4096, "a Monte-Carlo table keeps about 32 N x N fields of "
+                                    "doubles alive, 4 GiB at N = 4096"), default=512),
+    "--samples": dict(type=_at_most(1 << 20, "every sample keeps a seed of about 380 bytes "
+                                             "until the run ends, 0.4 GiB at the ceiling"),
+                      default=400),
     "--seed": dict(type=_non_negative_int, default=7),
     "--which": dict(choices=["xxiixi", "xiixxi"], default="xiixxi"),
     "--axis": dict(type=int, choices=[1, 2], default=1),

@@ -543,7 +543,7 @@ class _Worker:
     Rule: it writes only into arrays its caller allocated.  glibc gives a
     thread that allocates an arena of its own, and the steady heap keeps what
     it grows: on mc_limit (N = 512), lanes that allocated their work arrays
-    per sample peaked at 154.3 MB, against 135.9 MB on arrays allocated here.
+    per sample peaked at 154.3 MB, against 135.9 MB on arrays the caller allocated.
     Nothing starts at import.  The thread starts at the first ``ready``
     outside a lane, where the process may run on two CPUs or more; a forked
     child forgets it.  Work run by ``both`` is a lane, whose own passes run

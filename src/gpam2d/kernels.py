@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,7 +27,6 @@ TWO_PI = 2.0 * math.pi
 
 RESOLUTION = 128  # the one default mollifier resolution
 _ROW_BLOCK = 64  # lines per pass of Spectral.field (the fastest of 16..256 at N = 512, 1024) and Spectral.even
-_SPLIT = 1 << 15  # points: a Spectral pass this large runs in two halves of its lines (N >= 256)
 _BLOCK = 1 << 16  # points per pass of Mollifier.fourier's table and lookup, and of the Abel profiles
 _ABEL_M = 1024  # nodes per unit length of the Abel profiles' grids: M against 2M within 2.0e-14
 
@@ -537,75 +535,6 @@ def _check_grid(n: int, eps: float) -> None:
         raise ValueError(f"grid too coarse for scale {eps} at N = {n}: need N >= 1, eps*N >= 4")
 
 
-class _Worker:
-    """The one helper thread of the spectral passes and the Monte-Carlo lanes.
-
-    Rule: it writes only into arrays its caller allocated.  glibc gives a
-    thread that allocates an arena of its own, and the steady heap keeps what
-    it grows: on mc_limit (N = 512), lanes that allocated their work arrays
-    per sample peaked at 154.3 MB, against 135.9 MB on arrays the caller allocated.
-    Nothing starts at import.  The thread starts at the first ``ready``
-    outside a lane, where the process may run on two CPUs or more; a forked
-    child forgets it.  Work run by ``both`` is a lane, whose own passes run
-    inline, so the thread never waits on itself.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-        self._forget()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._forget)
-
-    def _forget(self) -> None:
-        self._lock, self._pool = threading.Lock(), None  # None: not started; False: one CPU
-
-    def ready(self) -> bool:
-        """Whether ``both`` may hand work to the thread: outside a lane, on two CPUs or more."""
-        if getattr(self._local, "lane", False):
-            return False
-        with self._lock:
-            if self._pool is None:
-                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-                if cpus > 1:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="gpam2d")
-                else:
-                    self._pool = False
-        return bool(self._pool)
-
-    def both(self, first, second) -> None:
-        """``first()`` on the thread and ``second()`` here, each as a lane, once
-        ``ready`` said so; returns when both are done, raising what either raised."""
-        future = self._pool.submit(self._lane, first)
-        try:
-            self._lane(second)
-        finally:
-            future.result()
-
-    def _lane(self, work) -> None:
-        self._local.lane = True
-        try:
-            work()
-        finally:
-            self._local.lane = False
-
-
-_worker = _Worker()
-
-
-def _by_lines(fft, src: np.ndarray, out: np.ndarray, axis: int, **kw) -> np.ndarray:
-    """``fft(src, axis=axis, out=out, **kw)`` on 2-d arrays, whose lines lie
-    along the other axis.  A pass of ``_SPLIT`` points or more runs, when the
-    worker is ready, as the same call on each half of the lines."""
-    if out.size < _SPLIT or not _worker.ready():
-        return fft(src, axis=axis, out=out, **kw)
-    cut = src.shape[1 - axis] // 2
-    halves = (np.s_[:cut], np.s_[cut:]) if axis else (np.s_[:, :cut], np.s_[:, cut:])
-    _worker.both(*(lambda h=h: fft(src[h], axis=axis, out=out[h], **kw) for h in halves))
-    return out
-
-
 class Spectral:
     """Fourier multipliers of the N x N unit torus at one scale, on half spectra.
 
@@ -626,13 +555,13 @@ class Spectral:
     normalisation, folded into the forward transforms (exact at powers of
     two).
 
-    Threads: a pass of ``_SPLIT`` points or more (from N = 256 on) runs in two
-    halves of its lines (rows, columns or ``_ROW_BLOCK`` blocks), one on the
-    ``_Worker``, by the same numpy call on each line as in one piece, so its
-    values are the same to the bit.  The worker writes only into arrays
-    allocated on the calling thread, which ``coeff`` and ``field`` also take
-    from the caller (``out``, ``lines``, ``gather``).  A smaller pass, and
-    every pass inside a lane, is one call on the calling thread.
+    Stacks: ``coeff``, ``field``, ``from_lines`` and ``at_origin`` take a
+    stack of fields or tables along leading axes, each table Fortran ordered
+    (its axes swapped, a C-ordered ``(..., N/2+1, N)`` array).  Every line is
+    transformed by the same numpy call as alone, and every sum runs over one
+    table's own values, so each result is the same to the bit as without the
+    stack.  The caller may give every array they write (``out``, ``lines``,
+    ``gather``, ``cols``).
     """
 
     def __init__(self, n: int, eps: float, mol: Mollifier | None = None):
@@ -660,15 +589,29 @@ class Spectral:
         """The grid field of ``coeff``, or only its ``rows`` (all by default, each
         taken modulo N): exactly those rows of the full field, in the order given.
 
-        The complex pass runs along the lines of the transposed table; the
-        real pass runs on the rows asked for, in blocks, so no transposed copy
-        of the whole table is made.  The caller may give the work arrays:
-        ``out`` for the rows, ``lines`` for the complex pass (N/2+1 x N,
-        C-ordered) and ``gather``, room for one block of its lines at ``rows``.
+        The complex pass runs along the lines of the transposed table, into
+        ``lines`` (N/2+1 x N, C-ordered): axis-2 frequency by axis-1 position,
+        which ``from_lines`` takes back.  The real pass runs on the rows asked
+        for, in blocks, so no transposed copy of the whole table is made.  The
+        caller may give the work arrays: ``out`` for the rows, ``lines``, and
+        ``gather``, flat room for one block of the lines at ``rows``.
         """
-        lines = np.empty(coeff.shape[::-1], dtype=complex) if lines is None else lines
-        _by_lines(np.fft.ifft, coeff.T, lines, 1, norm="forward")
-        return Spectral._real_pass(lines, rows, out, gather)
+        lines = np.empty(coeff.swapaxes(-1, -2).shape, dtype=complex) if lines is None else lines
+        np.fft.ifft(coeff.swapaxes(-1, -2), axis=-1, norm="forward", out=lines)
+        *stack, h, n = lines.shape
+        out = np.empty((*stack, n if rows is None else len(rows), n)) if out is None else out
+        if rows is not None and gather is None:
+            gather = np.empty(lines.size // n * min(len(rows), _ROW_BLOCK), dtype=complex)
+        for r in range(0, out.shape[-2], _ROW_BLOCK):
+            if rows is None:
+                block = lines[..., r:r + _ROW_BLOCK]
+            else:
+                index = rows[r:r + _ROW_BLOCK]
+                block = np.take(lines, index, axis=-1, mode="wrap",
+                                out=gather[:lines.size // n * len(index)].reshape(*stack, h, -1))
+            np.fft.irfft(block.swapaxes(-1, -2), n, axis=-1, norm="forward",
+                         out=out[..., r:r + _ROW_BLOCK, :])
+        return out
 
     @staticmethod
     def even(quarter: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
@@ -688,34 +631,6 @@ class Spectral:
         return quarter
 
     @staticmethod
-    def _real_pass(lines: np.ndarray, rows=None, out=None, gather=None) -> np.ndarray:
-        n = lines.shape[1]  # lines: (frequency k2, row)
-        out = np.empty((n if rows is None else len(rows), n)) if out is None else out
-        blocks = range(0, len(out), _ROW_BLOCK)
-        if out.size < _SPLIT or not _worker.ready():
-            Spectral._real_blocks(lines, rows, out, blocks, gather)
-        else:  # the worker's half gathers into an array allocated here
-            cut = len(blocks) // 2
-            room = None if rows is None else np.empty(lines.shape[0] * _ROW_BLOCK, dtype=complex)
-            _worker.both(lambda: Spectral._real_blocks(lines, rows, out, blocks[:cut], room),
-                         lambda: Spectral._real_blocks(lines, rows, out, blocks[cut:], gather))
-        return out
-
-    @staticmethod
-    def _real_blocks(lines: np.ndarray, rows, out: np.ndarray, blocks: range, gather) -> None:
-        h, n = lines.shape
-        if rows is not None and gather is None:
-            gather = np.empty(h * _ROW_BLOCK, dtype=complex)
-        for r in blocks:
-            if rows is None:
-                block = lines[:, r:r + _ROW_BLOCK]
-            else:
-                index = rows[r:r + _ROW_BLOCK]
-                block = np.take(lines, index, axis=1, mode="wrap",
-                                out=gather[:h * len(index)].reshape(h, -1))
-            np.fft.irfft(block.T, n, axis=1, norm="forward", out=out[r:r + _ROW_BLOCK])
-
-    @staticmethod
     def coeff(field: np.ndarray, out=None) -> np.ndarray:
         """``rfft2(field) / field.size``, into a Fortran-ordered table (``out``
         if given).
@@ -723,21 +638,41 @@ class Spectral:
         The division is by each axis length in turn, so it is exact only when
         they are powers of two; otherwise the last digits can differ.
         """
-        n1, n2 = field.shape
-        out = np.empty((n1, n2 // 2 + 1), dtype=complex, order="F") if out is None else out
-        _by_lines(np.fft.rfft, field, out, 1, norm="forward")
-        return _by_lines(np.fft.fft, out, out, 0, norm="forward")
+        *stack, n1, n2 = field.shape
+        if out is None:
+            out = np.empty((*stack, n2 // 2 + 1, n1), dtype=complex).swapaxes(-1, -2)
+        np.fft.rfft(field, axis=-1, norm="forward", out=out)
+        return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
     @staticmethod
-    def at_origin(coeff: np.ndarray) -> float:
-        """``field(coeff)`` at the origin, with no transform.
+    def from_lines(lines: np.ndarray, out=None) -> np.ndarray:
+        """``coeff`` of the field whose complex pass ``field`` wrote into
+        ``lines``, by the forward axis-1 transform alone, into ``out`` if given.
+
+        A weight constant along axis 2 may multiply ``lines`` first, as it
+        would the field.  This skips the real pass and its inverse, and with
+        them the rounding they add, so it agrees with ``coeff`` of the field to
+        rounding, not to the bit.
+        """
+        out = np.empty(lines.shape, dtype=complex).swapaxes(-1, -2) if out is None else out
+        np.fft.fft(lines, axis=-1, norm="forward", out=out.swapaxes(-1, -2))
+        return out
+
+    @staticmethod
+    def at_origin(coeff: np.ndarray, out=None, cols=None):
+        """``field(coeff)`` at the origin, with no transform, into ``out`` if
+        given; ``cols``, room for the column sums, is overwritten.
 
         Every column stands for itself and its mirror, except column 0 and,
         for even N, the Nyquist column N/2.
         """
-        cols = coeff.real.sum(axis=0)
-        once = cols[0] + (cols[-1] if coeff.shape[0] % 2 == 0 else 0.0)
-        return float(2.0 * cols.sum() - once)
+        cols = np.sum(coeff.real, axis=-2, out=cols)
+        total = np.sum(cols, axis=-1, out=out)
+        if coeff.shape[-2] % 2 == 0:
+            np.add(cols[..., 0], cols[..., -1], out=cols[..., 0])
+        total *= 2.0
+        total -= cols[..., 0]
+        return total
 
     @staticmethod
     def self_convolution_slopes(line: np.ndarray, k: int, h: float):

@@ -33,13 +33,14 @@ Inside a lane every transform runs inline.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import _ROW_BLOCK, _SPLIT, Spectral, _worker, bump_field, torus_coords
+from .kernels import _ROW_BLOCK, Spectral, bump_field, torus_coords
 
 
 def sample_noise(n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
@@ -70,56 +71,91 @@ def _paired_mean(spec: Spectral, rows: np.ndarray, phi: np.ndarray, j: int) -> f
 
 
 class _Work:
-    """The work arrays of ``_recentred_product`` on an N x N grid and ``count``
-    rows, allocated by the caller: the noise, its coefficients, the multiplier
-    product, the complex-pass table, A's and B's rows and one block gather.
-    At order j > 0 the noise's array then holds A, and x_j A, on the whole
-    grid, and a spare table takes the origin terms."""
+    """The work arrays of ``_recentred_product`` for a block of ``size``
+    samples on an N x N grid and its ``rows``, allocated by the caller.
 
-    def __init__(self, n: int, count: int, order: int):
-        h = n // 2 + 1
-        self.noise = np.empty((n, n))
-        self.xi_hat = np.empty((n, h), dtype=complex, order="F")
-        self.product = np.empty((n, h), dtype=complex, order="F")
-        self.lines = np.empty((h, n), dtype=complex)
-        self.a, self.b = np.empty((count, n)), np.empty((count, n))
-        self.gather = np.empty(h * _ROW_BLOCK, dtype=complex)
-        self.spare = np.empty((n, h), dtype=complex, order="F") if order else None
+    Each sample's slice of a table is Fortran ordered, so it is the
+    transposed half-spectrum layout ``(size, N/2+1, N)`` with its last two
+    axes swapped, and its slice of ``lines`` is the table that ``field``
+    makes on its way: the noise's coefficients, the multiplier product, the
+    complex-pass table, A's and B's rows, one block gather, and per sample
+    the sum, the origin values, the column sums and the origin terms.  At
+    order j = 2 the noise's array then holds A on the whole grid, and at
+    j > 0 ``lines`` holds the origin terms' products between its passes.
+    """
+
+    _STACKED = ("noise", "xi_hat", "product", "lines", "a", "b", "origins", "cols", "x1_terms",
+                "x2_terms")
+
+    def __init__(self, n: int, rows: np.ndarray, size: int):
+        h, count = n // 2 + 1, len(rows)
+        self.noise = np.empty((size, n, n))
+        self.xi_hat, self.product = (np.empty((size, h, n), dtype=complex).swapaxes(1, 2)
+                                     for _ in range(2))
+        self.lines = np.empty((size, h, n), dtype=complex)
+        self.a, self.b = np.empty((size, count, n)), np.empty((size, count, n))
+        self.gather = np.empty(size * h * min(count, _ROW_BLOCK), dtype=complex)
+        self.origins = np.empty((size, 3))  # B at the origin, then its two slopes there
+        self.cols = np.empty((size, h))
+        self.x1 = _coordinate(n, 1)[rows]
+        self.x1_terms, self.x2_terms = np.empty((size, count, 1)), np.empty((size, 1, n))
+
+    def first(self, m: int) -> _Work:
+        """The same arrays for the first m samples of the block."""
+        part = object.__new__(_Work)
+        part.__dict__.update(vars(self), **{k: getattr(self, k)[:m] for k in self._STACKED})
+        return part
 
 
 def _recentred_product(spec: Spectral, eps: float, xi_hat: np.ndarray, rows: np.ndarray,
-                       phi: np.ndarray, j: int, mean: float, work: _Work) -> float:
-    """``A * B_j`` tested against phi, less its exact Gaussian expectation.
+                       phi: np.ndarray, j: int, mean: float, work: _Work,
+                       out: np.ndarray) -> np.ndarray:
+    """``A * B_j`` tested against phi, less its exact Gaussian expectation, for
+    each sample of a block: its values, written into ``out``.
 
     A is the mollified axis-1 derivative of the noise, whose coefficients are
-    ``xi_hat``, and B_j is K*(w A), with w the weight of order j, recentred at
-    the origin to order 0 (j = 0) or 1 (j = 1, 2).  phi is given on ``rows``
-    (``_plan``), whose first is the origin row 0, and ``mean`` is
-    ``_paired_mean``.  A and K*(w A) are transformed back on those rows only;
-    the other base-point values are coefficient sums.  So j = 0 costs two
-    inverse transforms on the rows; j > 0 needs A on the full grid, then the
-    forward transform of w A and one inverse transform on the rows.  Every
-    array is ``work``'s (or the caller's ``xi_hat``), each written by the
-    numpy call that would have allocated it.
+    the stack ``xi_hat``, and B_j is K*(w A), with w the weight of order j,
+    recentred at the origin to order 0 (j = 0) or 1 (j = 1, 2).  phi is given
+    on ``rows`` (``_plan``), whose first is the origin row 0, and ``mean`` is
+    ``_paired_mean``.  A and B_j are transformed back on those rows only; the
+    other base-point values are coefficient sums.  w A's coefficients are
+    A's at j = 0; at j = 1, where x_1 is constant along axis 2, they are the
+    forward axis-1 transform of x_1 times A's complex-pass table; at j = 2
+    they are the forward transform of x_2 A from the whole grid.  So a
+    product costs four transforms at j = 0, five at j = 1 and six at j = 2,
+    each one numpy call for the whole block (per block of ``_ROW_BLOCK``
+    rows for a real pass).  Every array is ``work``'s (or the caller's
+    ``xi_hat`` and ``out``), each written by the numpy call that would have
+    allocated it.
     """
     passes = dict(lines=work.lines, gather=work.gather)
     a_hat = np.multiply(spec.d1_frho, xi_hat, out=work.product)
-    if j:
+    if j == 2:
         grid = spec.field(a_hat, out=work.noise, lines=work.lines)
-        a = np.take(grid, rows, axis=0, mode="wrap", out=work.a)
-        w_hat = spec.coeff(np.multiply(_coordinate(spec.n, j), grid, out=grid), out=a_hat)
-        origins = [spec.at_origin(np.multiply(np.multiply(d, spec.inv_lap, out=work.spare), w_hat,
-                                              out=work.spare)) for d in (spec.d1, spec.d2)]
+        a = np.take(grid, rows, axis=1, mode="wrap", out=work.a)
+        w_hat = spec.coeff(np.multiply(_coordinate(spec.n, 2), grid, out=grid), out=a_hat)
     else:
         a = spec.field(a_hat, rows, out=work.a, **passes)
-        w_hat = a_hat
+        w_hat = a_hat if not j else spec.from_lines(
+            np.multiply(work.lines, _coordinate(spec.n, 1).T, out=work.lines), out=a_hat)
+    origins = work.origins
+    if j:  # the slopes of K*(w A) at the origin, with lines free until B's complex pass
+        room = work.lines.swapaxes(1, 2)
+        for k, d in ((1, spec.d1), (2, spec.d2)):
+            spec.at_origin(np.multiply(np.multiply(d, spec.inv_lap, out=room), w_hat, out=room),
+                           out=origins[:, k], cols=work.cols)
     b = spec.field(np.multiply(w_hat, spec.inv_lap, out=w_hat), rows, out=work.b, **passes)
-    b -= b[0, 0]  # rows[0] is the origin row
+    np.copyto(origins[:, 0], b[:, 0, 0])  # rows[0] is the origin row
+    b -= origins[:, :1, None]
     if j:
-        for x, origin in zip((_coordinate(spec.n, 1)[rows], _coordinate(spec.n, 2)), origins):
-            b -= x * origin
-    stoch = float(np.sum(np.multiply(np.multiply(phi, a, out=a), b, out=a))) * spec.mesh2
-    return eps * (stoch - mean)
+        b -= np.multiply(work.x1, origins[:, 1, None, None], out=work.x1_terms)
+        b -= np.multiply(_coordinate(spec.n, 2), origins[:, 2, None, None], out=work.x2_terms)
+    np.multiply(np.multiply(phi, a, out=a), b, out=a)
+    stoch = np.sum(a.reshape(len(a), -1), axis=1, out=out)
+    stoch *= spec.mesh2
+    stoch -= mean
+    stoch *= eps
+    return stoch
 
 
 @lru_cache(maxsize=32)
@@ -174,14 +210,15 @@ def _plan(n: int, phi: np.ndarray, which: str, j: int):
 
 
 def _estimate(xi: np.ndarray, eps: float, phi: np.ndarray, which: str, j: int) -> float:
-    """One value of estimator ``which`` on the noise xi: its coefficients, then the core."""
+    """One value of estimator ``which`` on the noise xi: its coefficients, then
+    the core on a block of one."""
     n = len(xi)
     spec = _spectral(n, eps)
     rows, test, order = _plan(n, phi, which, j)
     mean = _paired_mean(spec, rows, test, order)  # builds the mean field before any work array
-    work = _Work(n, len(rows), order)
-    return _recentred_product(spec, eps, spec.coeff(xi, out=work.xi_hat), rows, test, order,
-                              mean, work)
+    work, value = _Work(n, rows, 1), np.empty(1)
+    xi_hat = spec.coeff(xi[None], out=work.xi_hat)
+    return float(_recentred_product(spec, eps, xi_hat, rows, test, order, mean, work, value)[0])
 
 
 def pi_xiixi(xi: np.ndarray, eps: float, phi: np.ndarray) -> float:
@@ -265,6 +302,55 @@ def sample_seeds(master_seed: int, count: int):
     return np.random.SeedSequence(master_seed).spawn(count)
 
 
+_SPLIT = 1 << 15  # points per block of samples in a convergence table: max(1, _SPLIT // N^2) samples
+
+
+class _Worker:
+    """The one helper thread of the Monte-Carlo lanes.
+
+    Rule: it writes only into arrays its caller allocated.  glibc gives a
+    thread that allocates an arena of its own, and the steady heap keeps what
+    it grows: on mc_limit (N = 512), lanes that allocated their work arrays
+    per sample peaked at 154.3 MB, against 135.9 MB on arrays the caller
+    allocated.  Nothing starts at import.  The thread starts at the first
+    ``ready``, where the process may run on two CPUs or more; a forked child
+    forgets it.
+    """
+
+    def __init__(self) -> None:
+        self._forget()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        self._lock, self._pool = threading.Lock(), None  # None: not started; False: one CPU
+
+    def ready(self) -> bool:
+        """Whether ``both`` may hand work to the thread: on two CPUs or more."""
+        with self._lock:
+            if self._pool is None:
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+                if cpus > 1:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="gpam2d")
+                else:
+                    self._pool = False
+        return bool(self._pool)
+
+    def both(self, first, second) -> None:
+        """``first()`` on the thread and ``second()`` here, once ``ready`` said
+        so; returns when both are done, raising what either raised."""
+        future = self._pool.submit(first)
+        try:
+            second()
+        finally:
+            future.result()
+
+
+_worker = _Worker()
+
+
 def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = None,
                       seed: int = 7, *, crho_sq: float, which: str = "xiixi",
                       j: int = 1) -> list[dict]:
@@ -276,14 +362,16 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     before the next is drawn (common random numbers), so the across-scale
     comparisons in the output are far more stable than the per-entry error
     bars suggest.  Each noise is transformed once, and phi is paired with the
-    mean field once per scale.  The samples run in lanes: two from N = 256
-    on, where the worker is ready (the calling thread and the worker), else
-    one on the calling thread.  Each lane draws its noises into one buffer
-    and works in its own ``_Work`` arrays, all allocated here beforehand, and
-    writes each value by sample index, so the table is the same to the bit
-    with one lane or two.  A test function that vanishes off the origin, a
-    scale at which the mollified noise vanishes on the grid, or a zero
-    target, is refused before any noise is drawn.
+    mean field once per scale.  The samples run in blocks of
+    ``max(1, _SPLIT // N^2)`` (8 at N = 64, 1 from N = 256 on), each block one
+    stack through ``_recentred_product``, and the blocks in lanes: two where
+    there are two blocks or more and the worker is ready (the calling thread
+    and the worker), else one on the calling thread.  Each lane draws a
+    block's noises into one stack and works in its own ``_Work`` arrays, all
+    allocated here beforehand, and writes each value by sample index, so the
+    table is the same to the bit with one lane or two.  A test function that
+    vanishes off the origin, a scale at which the mollified noise vanishes
+    on the grid, or a zero target, is refused before any noise is drawn.
     """
     require_samples(samples)
     if phi is None:
@@ -306,21 +394,26 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     _coordinate(n, 1), _coordinate(n, 2)
     seeds = sample_seeds(seed, samples)
     values = np.empty((samples, len(eps_list)))
-    lanes = [_Work(n, len(live), order)
-             for _ in range(2 if n * n >= _SPLIT and _worker.ready() else 1)]
+    size = max(1, _SPLIT // (n * n))
+    starts = range(0, samples, size)
+    lanes = [_Work(n, live, size) for _ in range(2 if len(starts) > 1 and _worker.ready() else 1)]
     failed = threading.Event()
 
     def lane(k: int) -> None:
-        work = lanes[k]
         try:
-            for i in range(k, samples, len(lanes)):
+            for start in starts[k::len(lanes)]:
                 if failed.is_set():
                     return
-                xi_hat = Spectral.coeff(sample_noise(n, seeds[i], out=work.noise), out=work.xi_hat)
-                values[i] = [_recentred_product(spec, eps, xi_hat, live, test, order, mean, work)
-                             for eps, spec, mean in zip(eps_list, specs, means)]
+                block = slice(start, min(start + size, samples))
+                work = lanes[k].first(block.stop - start)
+                for i, noise in zip(range(start, block.stop), work.noise):
+                    sample_noise(n, seeds[i], out=noise)
+                xi_hat = Spectral.coeff(work.noise, out=work.xi_hat)
+                for column, (eps, spec, mean) in enumerate(zip(eps_list, specs, means)):
+                    _recentred_product(spec, eps, xi_hat, live, test, order, mean, work,
+                                       values[block, column])
         except BaseException:
-            failed.set()  # the other lane stops at its next sample
+            failed.set()  # the other lane stops at its next block
             raise
 
     if len(lanes) == 1:

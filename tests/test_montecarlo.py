@@ -271,6 +271,27 @@ class TestHalfSpectrum:
                     expected = full_spectrum_estimate(noise, eps, test, j)
                     assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
 
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_axis_one_weight_in_the_mixed_representation_is_the_round_trip(self, n):
+        # The order-1 product on axis 1 takes x_1 A's coefficients from A's
+        # complex-pass table; this oracle takes A to the whole grid and back.
+        phi = bump_field(n, radius=0.25)
+        rows, test, _ = montecarlo._plan(n, phi, "xiixxi", 1)
+        x = torus_coords(n)
+        for seed in sample_seeds(33, 3):
+            noise = sample_noise(n, seed)
+            for eps in (1 / 8, 1 / 16):
+                spec = _spectral(n, eps)
+                grid = spec.field(spec.d1_frho * spec.coeff(noise))
+                w_hat = spec.coeff(x[:, None] * grid)
+                slopes = [spec.at_origin(d * spec.inv_lap * w_hat) for d in (spec.d1, spec.d2)]
+                b = spec.field(w_hat * spec.inv_lap, rows)
+                b -= b[0, 0] + x[rows, None] * slopes[0] + x[None, :] * slopes[1]
+                stoch = float(np.sum(test * grid[rows] * b)) * spec.mesh2
+                expected = eps * (stoch - montecarlo._paired_mean(spec, rows, test, 1))
+                value = pi_weighted(noise, eps, phi, "xiixxi", 1)
+                assert abs(value - expected) <= 1e-13 * max(abs(expected), 1.0)
+
     def test_estimator_tables_are_fortran_ordered(self):
         # Both passes of every transform read contiguous lines only so.
         spec = _spectral(N, EPS)
@@ -344,9 +365,9 @@ class TestConvergenceTable:
 
     @pytest.mark.parametrize("n", [N, 256])
     def test_draws_go_into_one_buffer_per_lane(self, n, monkeypatch):
-        # Every noise is drawn into an array allocated before the samples
-        # start, one per lane (two lanes at most, from N = 256 on), so no
-        # sample allocates a noise and at most one noise per lane is alive.
+        # Every noise is drawn into its slice of a stack allocated before the
+        # samples start, one per lane (two lanes at most), so no sample
+        # allocates a noise and at most one block of noises per lane is alive.
         buffers = []
         draw = montecarlo.sample_noise
 
@@ -363,7 +384,9 @@ class TestConvergenceTable:
             buffers.clear()
             convergence_table([1 / 8], n, 16, phi=phi, seed=5, crho_sq=0.2139, which=which)
             assert len(buffers) == 16
-            assert len({id(b) for b in buffers}) <= (1 if n == N else 2)
+            assert all(b.base is not None and len(b.base) == max(1, (1 << 15) // (n * n))
+                       for b in buffers)
+            assert len({id(b.base) for b in buffers}) <= 2
 
     def test_error_bars_shrink_with_samples(self, phi):
         small = convergence_table([1 / 8], N, 64, phi=phi, seed=6, crho_sq=0.2139)[0]

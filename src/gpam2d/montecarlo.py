@@ -13,21 +13,20 @@ like A's ``d1``, and every term is the sum the estimator itself forms.
 The two estimators are orders 0 and 1 of one recentring: ``pi_xiixi``
 recentres ``K*A`` to order 0, and ``pi_weighted(..., "xiixxi", j)`` recentres
 ``K*(x_j A)`` to order 1 with the twice-recentred kernel.  Both run one core,
-``_recentred_product``, on the noise's coefficients (a Fortran-ordered
-half-spectrum table, see ``Spectral``) and on the rows where the test
+``_recentred_product``, on a stack of noises' coefficients (Fortran-ordered
+half-spectrum tables, see ``Spectral``) and on the rows where the test
 function lives: the fields it only tests against phi are transformed back on
-those rows alone, which ``_plan`` resolves once per input.
-``convergence_table`` transforms each noise once for all scales and pairs phi
-with the mean field once per scale.
+those rows alone, which ``_plan`` resolves once per input.  A standalone
+estimator is a stack of one; ``convergence_table`` stacks blocks of samples
+(2^15 points), transforms each noise once for all scales and pairs phi with
+the mean field once per scale.
 
-Work on two threads follows ``kernels``' worker rule: the worker writes only
+Work on two threads follows ``_Worker``'s rule: the worker writes only
 into arrays its caller allocated, so no second malloc arena grows, and every
 value is computed by the same numpy calls in the same order, so it is the
-same to the bit on one CPU or two.  From N = 256 on (the ``Spectral`` size
-gate), a table runs its samples in two lanes, the calling thread and the
-worker, each drawing into and working on its own ``_Work`` arrays; the
-standalone estimators run each large transform in two halves of its lines.
-Inside a lane every transform runs inline.
+same to the bit on one CPU or two.  A table with two blocks or more runs
+them in two lanes, the calling thread and the worker, each drawing into and
+working on its own ``_Work`` arrays.
 """
 
 from __future__ import annotations
@@ -72,16 +71,17 @@ def _paired_mean(spec: Spectral, rows: np.ndarray, phi: np.ndarray, j: int) -> f
 
 class _Work:
     """The work arrays of ``_recentred_product`` for a block of ``size``
-    samples on an N x N grid and its ``rows``, allocated by the caller.
+    samples on an N x N grid and its ``rows``, allocated by the caller: the
+    noises, their coefficients, the multiplier product, the complex-pass
+    table, A's and B's rows, one block gather, and per sample B's values at
+    the origin, the column sums behind them and the origin terms.
 
-    Each sample's slice of a table is Fortran ordered, so it is the
-    transposed half-spectrum layout ``(size, N/2+1, N)`` with its last two
-    axes swapped, and its slice of ``lines`` is the table that ``field``
-    makes on its way: the noise's coefficients, the multiplier product, the
-    complex-pass table, A's and B's rows, one block gather, and per sample
-    the sum, the origin values, the column sums and the origin terms.  At
-    order j = 2 the noise's array then holds A on the whole grid, and at
-    j > 0 ``lines`` holds the origin terms' products between its passes.
+    Tables are held in the transposed half-spectrum layout
+    ``(size, N/2+1, N)``: each sample's slice of ``lines`` is the table that
+    ``field`` makes on its way, and of a coefficient stack (axes swapped) a
+    Fortran-ordered table.  At j = 2 the noise's array then holds A on the
+    whole grid; at j > 0 ``lines`` holds the origin slopes' products between
+    its passes.
     """
 
     _STACKED = ("noise", "xi_hat", "product", "lines", "a", "b", "origins", "cols", "x1_terms",
@@ -302,7 +302,7 @@ def sample_seeds(master_seed: int, count: int):
     return np.random.SeedSequence(master_seed).spawn(count)
 
 
-_SPLIT = 1 << 15  # points per block of samples in a convergence table: max(1, _SPLIT // N^2) samples
+_SPLIT = 1 << 15  # points per block of a convergence table: max(1, _SPLIT // N^2) samples
 
 
 class _Worker:

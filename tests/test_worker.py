@@ -180,8 +180,8 @@ def test_forked_child_runs_two_lanes(tables):
         pid = os.fork()
     if not pid:
         try:
-            same = convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139) == tables[0][0]
-            os._exit(0 if same else 1)
+            table = convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139)
+            os._exit(0 if table == tables[0][0] else 1)
         finally:
             os._exit(2)
     deadline = time.monotonic() + 60

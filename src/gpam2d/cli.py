@@ -316,10 +316,11 @@ def mc_noise(args, stages: _Stages) -> int:
 
 def _mc_table(args, stages: _Stages, columns, which: str, j: int = 1) -> int:
     from .kernels import crho_squared
-    from .montecarlo import convergence_table, require_samples
+    from .montecarlo import convergence_table, require_grid, require_samples
 
     eps_list = _parse_eps_list(args.eps)
-    require_samples(args.samples)  # before the c_rho^2 quadrature too
+    require_grid(args.n)  # these two before the c_rho^2 quadrature too
+    require_samples(args.samples)
     crho = crho_squared("spatial", args.resolution).value
     stages.mark("crho_squared spatial")
     table = convergence_table(eps_list, args.n, args.samples, seed=args.seed,

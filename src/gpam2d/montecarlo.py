@@ -21,12 +21,11 @@ estimator is a stack of one; ``convergence_table`` stacks blocks of samples
 (2^15 points), transforms each noise once for all scales and pairs phi with
 the mean field once per scale.
 
-Work on two threads follows ``_Worker``'s rule: the worker writes only
-into arrays its caller allocated, so no second malloc arena grows, and every
-value is computed by the same numpy calls in the same order, so it is the
-same to the bit on one CPU or two.  A table with two blocks or more runs
-them in two lanes, the calling thread and the worker, each drawing into and
-working on its own ``_Work`` arrays.
+A table with two blocks or more runs them in two lanes, the calling thread
+and a helper thread that the table joins before it returns.  The helper
+writes only into arrays its caller allocated (``convergence_table`` says
+why), and every value is computed by the same numpy calls in the same
+order, so it is the same to the bit on one CPU or two.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from .kernels import _ROW_BLOCK, Spectral, bump_field, torus_coords
 def sample_noise(n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
     """Real white noise on the N x N grid, variance N^2 per cell, seed-determined;
     drawn into ``out`` if given."""
-    if n < 1 or n & (n - 1):
-        raise ValueError("grid size must be a power of two")
+    require_grid(n)
     xi = np.random.default_rng(seed).standard_normal((n, n), out=out)
     xi *= n
     return xi
@@ -246,6 +244,13 @@ def pi_weighted(xi: np.ndarray, eps: float, phi: np.ndarray, which: str,
 MIN_SAMPLES = 16  # the fewest values estimate_stats takes
 
 
+def require_grid(n: int) -> None:
+    """Reject a grid size that is not a power of two; the Monte-Carlo callers
+    check before any work."""
+    if n < 1 or n & (n - 1):
+        raise ValueError("grid size must be a power of two")
+
+
 def require_samples(samples: int) -> None:
     """Reject a sample count too small for ``estimate_stats``; the Monte-Carlo
     callers check before they draw any noise."""
@@ -305,52 +310,6 @@ def sample_seeds(master_seed: int, count: int):
 _SPLIT = 1 << 15  # points per block of a convergence table: max(1, _SPLIT // N^2) samples
 
 
-class _Worker:
-    """The one helper thread of the Monte-Carlo lanes.
-
-    Rule: it writes only into arrays its caller allocated.  glibc gives a
-    thread that allocates an arena of its own, and the steady heap keeps what
-    it grows: on mc_limit (N = 512), lanes that allocated their work arrays
-    per sample peaked at 154.3 MB, against 135.9 MB on arrays the caller
-    allocated.  Nothing starts at import.  The thread starts at the first
-    ``ready``, where the process may run on two CPUs or more; a forked child
-    forgets it.
-    """
-
-    def __init__(self) -> None:
-        self._forget()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._forget)
-
-    def _forget(self) -> None:
-        self._lock, self._pool = threading.Lock(), None  # None: not started; False: one CPU
-
-    def ready(self) -> bool:
-        """Whether ``both`` may hand work to the thread: on two CPUs or more."""
-        with self._lock:
-            if self._pool is None:
-                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-                if cpus > 1:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="gpam2d")
-                else:
-                    self._pool = False
-        return bool(self._pool)
-
-    def both(self, first, second) -> None:
-        """``first()`` on the thread and ``second()`` here, once ``ready`` said
-        so; returns when both are done, raising what either raised."""
-        future = self._pool.submit(first)
-        try:
-            second()
-        finally:
-            future.result()
-
-
-_worker = _Worker()
-
-
 def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = None,
                       seed: int = 7, *, crho_sq: float, which: str = "xiixi",
                       j: int = 1) -> list[dict]:
@@ -365,14 +324,20 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     mean field once per scale.  The samples run in blocks of
     ``max(1, _SPLIT // N^2)`` (8 at N = 64, 1 from N = 256 on), each block one
     stack through ``_recentred_product``, and the blocks in lanes: two where
-    there are two blocks or more and the worker is ready (the calling thread
-    and the worker), else one on the calling thread.  Each lane draws a
-    block's noises into one stack and works in its own ``_Work`` arrays, all
-    allocated here beforehand, and writes each value by sample index, so the
-    table is the same to the bit with one lane or two.  A test function that
-    vanishes off the origin, a scale at which the mollified noise vanishes
-    on the grid, or a zero target, is refused before any noise is drawn.
+    there are two blocks and two CPUs or more (the calling thread and a
+    helper thread, joined before the table returns), else one here.  Each
+    lane draws a block's noises into one stack and works in its own ``_Work``
+    arrays, all allocated here beforehand, and writes each value by sample
+    index, so the table is the same to the bit with one lane or two.  The
+    helper writes only into those arrays: glibc gives a thread that allocates
+    an arena of its own, which the steady heap keeps (on mc_limit, N = 512,
+    lanes that allocated their work arrays per sample peaked at 154.3 MB,
+    against 135.9 MB).  A grid size that is not a power of two, a test
+    function that vanishes off the origin, a scale at which the mollified
+    noise vanishes on the grid, or a zero target, is refused before any
+    noise is drawn.
     """
+    require_grid(n)
     require_samples(samples)
     if phi is None:
         phi = bump_field(n, radius=0.25)
@@ -396,7 +361,8 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     values = np.empty((samples, len(eps_list)))
     size = max(1, _SPLIT // (n * n))
     starts = range(0, samples, size)
-    lanes = [_Work(n, live, size) for _ in range(2 if len(starts) > 1 and _worker.ready() else 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = [_Work(n, live, size) for _ in range(2 if len(starts) > 1 and cpus > 1 else 1)]
     failed = threading.Event()
 
     def lane(k: int) -> None:
@@ -419,7 +385,14 @@ def convergence_table(eps_list, n: int, samples: int, phi: np.ndarray | None = N
     if len(lanes) == 1:
         lane(0)
     else:
-        _worker.both(lambda: lane(1), lambda: lane(0))
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="gpam2d") as helper:
+            second = helper.submit(lane, 1)
+            try:
+                lane(0)
+            finally:
+                second.result()
     rows = []
     for eps, column in zip(eps_list, values.T):
         stats = estimate_stats(column)

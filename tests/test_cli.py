@@ -387,6 +387,21 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == f"gpam2d mc xiixi: error: {reason}"
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "xiixi", "--n", "3", "--eps", "2", "--samples", "16"],
+        ["mc", "weighted", "--n", "96", "--eps", "1/8", "--samples", "16"],
+    ], ids=["xiixi-n-3", "weighted-n-96"])
+    def test_grid_not_a_power_of_two_is_refused_before_the_quadrature(self, argv, tmp_path,
+                                                                       capsys, monkeypatch):
+        def quadrature(*args, **kw):
+            raise AssertionError("the c_rho^2 quadrature ran")
+
+        monkeypatch.setattr(kernels, "crho_squared", quadrature)
+        path = tmp_path / "artifact.txt"
+        assert main(["--out", str(path)] + argv) == 2
+        assert capsys.readouterr().err == "error: grid size must be a power of two\n"
+        assert not path.exists()
+
 
 # The 15 (action, option) pairs that each command once accepted for all of
 # its actions, though the action never read the option; each with a value

@@ -1,11 +1,12 @@
-"""The Monte-Carlo layer's worker thread and stacked blocks: same bits on one CPU or two.
+"""The Monte-Carlo layer's helper thread and stacked blocks: same bits on one CPU or two.
 
 ``convergence_table`` runs its samples in blocks of ``max(1, _SPLIT // N^2)``
 (8 at N = 64, 2 at N = 128), one stack per ``_recentred_product`` call, and
-the blocks in two lanes, one of them on the worker.  19 samples leave a
-partial last block and split the blocks unevenly across the lanes.  Every
-line, row and sample is computed by the same numpy call as alone, so every
-value must be equal to the bit, not close.
+the blocks in two lanes, one of them on a helper thread that the table joins
+before it returns.  19 samples leave a partial last block and split the
+blocks unevenly across the lanes.  Every line, row and sample is computed by
+the same numpy call as alone, so every value must be equal to the bit, not
+close.
 """
 
 import json
@@ -14,7 +15,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +152,7 @@ def test_error_in_a_lane_reaches_the_caller(bad, tables, monkeypatch):
 
 
 def test_worker_transforms_only_into_given_arrays(tables, monkeypatch):
-    # The worker rule: every array a lane writes was allocated by the caller.
+    # The helper's rule: every array a lane writes was allocated by the caller.
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def wrapped(*args, _fft=getattr(np.fft, name), **kw):
@@ -164,20 +164,19 @@ def test_worker_transforms_only_into_given_arrays(tables, monkeypatch):
     for which, j in ROWS:
         convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139, which=which, j=j)
     here = threading.current_thread()
-    on_worker = [given for thread, given in calls if thread is not here]
-    if montecarlo._worker.ready():
-        assert on_worker
-    assert all(on_worker)
+    on_helper = [given for thread, given in calls if thread is not here]
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        assert on_helper
+    assert all(on_helper)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 def test_forked_child_runs_two_lanes(tables):
     n = SIZES[0]
     phi = bump_field(n, radius=0.25, centre=(0.3, 0.3))
-    convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139)  # the parent's worker runs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
-        pid = os.fork()
+    convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139)  # two lanes here
+    assert threading.active_count() == 1  # the table joined its helper
+    pid = os.fork()
     if not pid:
         try:
             table = convergence_table(EPS, n, SAMPLES, phi=phi, seed=8, crho_sq=0.2139)
@@ -196,5 +195,8 @@ def test_forked_child_runs_two_lanes(tables):
 def test_import_starts_no_thread():
     out = run_child("import sys, threading\n"
                     "import gpam2d, gpam2d.cli, gpam2d.kernels, gpam2d.montecarlo\n"
-                    "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
-    assert out.split() == ["1", "False"]
+                    "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+                    "from gpam2d.montecarlo import convergence_table\n"
+                    f"convergence_table({EPS}, 64, {SAMPLES}, seed=8, crho_sq=0.2139)\n"
+                    "print(threading.active_count())\n")
+    assert out.split() == ["1", "False", "1"]
